@@ -5,14 +5,14 @@ cycle detection and response spectra."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import EPS_EVENT, EventKind, IntegratorOptions, integrate_hybrid
-from .rom import NonsmoothRom, _correct_onto_surface, simulate_rom
-from .ssm_model import SsmModel
+from .core import (EventKind, IntegratorOptions, _integrate_segment,
+                   integrate_hybrid)
+from .rom import NonsmoothRom, _trace_surface, simulate_rom
 
 
 # ---------------------------------------------------------------------------
@@ -81,35 +81,6 @@ def rom_period_stepper(rom: NonsmoothRom, amp_index: int,
         return (last.y[-1], new_branch), 0.5 * (xs.max() - xs.min())
 
     return step
-
-
-def frc_sweep(point_runner: Callable, omega_grid, chunk: int = 16):
-    """Sweep a frequency grid with warm starts within fixed-size chunks.
-
-    point_runner(omega, warm_state) -> (FrcPoint, end_state). Chunk
-    boundaries are fixed by `chunk`, not by worker count, so results do not
-    depend on parallel execution; chunks are independent work items.
-    """
-    omega_grid = np.asarray(omega_grid, dtype=float)
-    chunks = [omega_grid[i:i + chunk] for i in range(0, len(omega_grid), chunk)]
-    points = []
-    for sub in chunks:
-        state = None
-        for om in sub:
-            pt, state = point_runner(om, state)
-            points.append(pt)
-    return points
-
-
-def run_frc_chunk(args):
-    """Worker entry for multiprocessing: one warm-start chain of grid points."""
-    runner, omegas = args
-    state = None
-    out = []
-    for om in omegas:
-        pt, state = runner(om, state)
-        out.append(pt)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -181,36 +152,8 @@ def _cross_dir(sys, ev):
 def surface_arc(rom: NonsmoothRom, branch: str, span: float, n: int = 201,
                 t: float = 0.0) -> np.ndarray:
     """Points of {sigma(lift(y)) = 0} on one branch, as reduced coordinates."""
-    model = rom.model(branch)
-    ys = _trace_curve(rom, model, span, n, t)
-    return np.vstack(ys)
-
-
-def _trace_curve(rom, model, span, n, t):
-    y0 = _correct_onto_surface(rom, model, np.zeros(2), t)
-    step = 2.0 * span / n
-
-    def tangent_at(y):
-        x = model.lift(y, t)
-        gs = np.asarray(rom.switching.grad_sigma(x)) @ model.lift_jacobian(y)
-        tg = np.array([-gs[1], gs[0]])
-        return tg / np.linalg.norm(tg)
-
-    out = [y0]
-    for direction in (1.0, -1.0):
-        y = y0.copy()
-        tg_prev = tangent_at(y0) * direction
-        for _ in range(n // 2):
-            tg = tangent_at(y)
-            if tg @ tg_prev < 0:
-                tg = -tg
-            y = _correct_onto_surface(rom, model, y + step * tg, t)
-            tg_prev = tg
-            if direction > 0:
-                out.append(y.copy())
-            else:
-                out.insert(0, y.copy())
-    return out
+    return np.vstack(_trace_surface(rom, rom.model(branch), np.zeros(2), t,
+                                    2.0 * span / n, n // 2))
 
 
 def approx_invariant_curve(rom: NonsmoothRom,
@@ -291,37 +234,18 @@ def _advect_to_surface(rom, branch, y0, t_max=50.0):
 
     The start sits essentially on the surface, so the relevant hit is the
     first sign change of the reconstructed switching value after the state
-    has measurably left the surface (grazing starts re-hit almost at once).
+    has measurably (1e-7) left the surface on its starting side (grazing
+    starts re-hit almost at once).
     """
-    from .core import _Stepper
     model = rom.model(branch)
     sigma = rom.switching.sigma
+    y0 = np.asarray(y0, dtype=float)
+    sgn = 1.0 if sigma(model.lift(y0)) >= 0 else -1.0
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
-    stepper = _Stepper(model.reduced_field, 0.0, np.asarray(y0, dtype=float),
-                       opts)
-    s_prev = sigma(model.lift(y0))
-    escaped = abs(s_prev) > 1e-7
-    while stepper.t < t_max:
-        if not stepper.step(t_max):
-            break
-        s_new = sigma(model.lift(stepper.x))
-        if escaped and (s_new > 0) != (s_prev > 0):
-            t_lo, t_hi = stepper.t_old, stepper.t
-            for _ in range(200):
-                t_mid = 0.5 * (t_lo + t_hi)
-                y_mid = stepper.interpolate(t_mid)
-                s_mid = sigma(model.lift(y_mid))
-                if abs(s_mid) <= EPS_EVENT or (t_hi - t_lo) < 1e-15 * max(1.0, t_mid):
-                    return model.lift(y_mid)
-                if (s_mid > 0) == (s_prev > 0):
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
-            return model.lift(y_mid)
-        if not escaped and abs(s_new) > 1e-7:
-            escaped = True
-        s_prev = s_new
-    return None
+    seg, hit = _integrate_segment(model.reduced_field, 0.0, y0, t_max, opts,
+                                  0.0, event=lambda t, y: sgn * sigma(model.lift(y)),
+                                  arm_above=1e-7)
+    return model.lift(seg.x[-1]) if hit else None
 
 
 # ---------------------------------------------------------------------------

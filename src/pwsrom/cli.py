@@ -13,13 +13,12 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from . import __version__, analysis, beam_rom, rom as rom_mod, spectral
+from . import __version__, analysis, beam_rom, rom as rom_mod
 from . import ssm_analytic as sa
 from . import ssm_data as sd
 from . import vk_beam as vkb
 from .core import IntegratorOptions, integrate_hybrid
-from .shaw_pierre import (SpParams, make_system, sp_elastic_term,
-                          sp_fixed_points)
+from .shaw_pierre import SpParams, make_system, sp_elastic_term
 from .ssm_model import SsmModel
 
 _SP_KEYS = {"m1", "m2", "c", "k", "alpha", "delta", "eps", "omega"}
@@ -220,29 +219,18 @@ def cmd_simulate(cfg, out_dir) -> int:
 # fit
 
 
-def _beam_training(asm, variant, branch, fc, opts=None):
-    load = fc.get("static_load", 12e3)
-    q1 = vkb.static_deflection(asm, load)
-    q2 = vkb.static_deflection(asm, -load)
-    n = asm.n_dof
-    ics = [np.concatenate([q1, np.zeros(n)]), np.concatenate([q2, np.zeros(n)])]
-    t_span = fc.get("t_span", [0.0, 0.35])
-    dt = fc.get("dt", 1e-4)
-    field = lambda t, x: vkb.beam_field(asm, variant, branch, t, x)
-    return sd.generate_training(field, ics, t_span, dt, branch=branch,
-                                trim_fraction=fc.get("trim_fraction", 0.05),
-                                opts=opts or IntegratorOptions(rtol=1e-8, atol=1e-10,
-                                                               first_step=1e-6))
-
-
-def fit_beam_models(asm, variant, fc) -> dict:
-    """Per-branch manifold/dynamics fits; physical chart when requested."""
-    return beam_rom.fit_branch_models(
-        asm, variant, order_m=fc.get("order_m", 5),
-        order_r=fc.get("order_r", 5), chart=fc.get("chart", "modal"),
-        static_load=fc.get("static_load", 12e3),
+def fit_beam_models(asm, variant, fc):
+    """Per-branch manifold/dynamics fits (physical chart when requested) and
+    the training datasets they were fitted on."""
+    datasets = {b: beam_rom.decay_training_data(
+        asm, variant, b, static_load=fc.get("static_load", 12e3),
         t_span=fc.get("t_span", (0.0, 0.35)), dt=fc.get("dt", 1e-4),
-        trim_fraction=fc.get("trim_fraction", 0.05))
+        trim_fraction=fc.get("trim_fraction", 0.05)) for b in ("+", "-")}
+    models = {b: beam_rom.fit_branch_from_data(
+        asm, variant, b, data, order_m=fc.get("order_m", 5),
+        order_r=fc.get("order_r", 5), chart=fc.get("chart", "modal"))
+        for b, data in datasets.items()}
+    return models, datasets
 
 
 def cmd_fit(cfg, out_dir) -> int:
@@ -250,8 +238,7 @@ def cmd_fit(cfg, out_dir) -> int:
     outputs = []
     if cfg.get("model", "shaw_pierre") == "vk_beam":
         asm, variant = beam_from(cfg)
-        models = fit_beam_models(asm, variant, fc)
-        datasets = {b: _beam_training(asm, variant, b, fc) for b in models}
+        models, datasets = fit_beam_models(asm, variant, fc)
     else:
         params = sp_params_from(cfg)
         models = {}
@@ -467,7 +454,7 @@ def cmd_limitcycle(cfg, out_dir) -> int:
                        "samples": cyc.x_samples[:, asm.mid_dof_index].tolist()}
     fc = {"order_m": lc.get("order_m", 5), "order_r": lc.get("order_r", 5),
           "chart": "physical"}
-    models = fit_beam_models(asm, variant, fc)
+    models, _ = fit_beam_models(asm, variant, fc)
     nrom = beam_rom.make_beam_rom(asm, variant, models["+"], models["-"])
     y0 = nrom.model("-").chart(x0)
     rtraj = rom_mod.simulate_rom(nrom, y0, "-", t_span,

@@ -3,8 +3,12 @@ sliding field, and event-driven hybrid integration.
 
 Vector fields have signature f(t, x) -> ndarray and must be smooth extensions
 valid on both sides of the switching surface. Integration uses an embedded
-Dormand-Prince 5(4) pair with dense output; boundary hits are located by
-bisection on the continuous extension until |sigma| <= EPS_EVENT.
+Dormand-Prince 5(4) pair with dense output. One kernel, _integrate_segment,
+runs a smooth field until an armed scalar event function turns negative and
+bisects the event on the continuous extension (to |sigma| <= EPS_EVENT for
+surface hits). Branch segments, Filippov sliding and the switched reduced
+model (pwsrom.rom, pwsrom.analysis) all run through it and record into one
+trajectory type, HybridTrajectory.
 """
 
 from __future__ import annotations
@@ -150,6 +154,7 @@ class Segment:
     branch: str                 # '+', '-', or 'sigma'
     t: np.ndarray
     x: np.ndarray               # shape (len(t), dim)
+    y: Optional[np.ndarray] = None   # reduced coordinates of a ROM segment
 
 
 @dataclass
@@ -177,6 +182,13 @@ class HybridTrajectory:
     def times(self) -> np.ndarray:
         return np.concatenate([s.t for s in self.segments])
 
+    def add_event(self, t, x, kind, max_events: int) -> None:
+        """Append an event; more than max_events raise ChatteringError."""
+        self.events.append(Event(t=t, x=np.asarray(x).copy(), kind=kind))
+        if len(self.events) > max_events:
+            raise ChatteringError(
+                f"more than {max_events} events in one time span")
+
     def states(self) -> np.ndarray:
         return np.vstack([s.x for s in self.segments])
 
@@ -197,16 +209,23 @@ class HybridTrajectory:
         return out
 
     def write_csv(self, path, events_path=None, dim: int | None = None) -> None:
-        """Columns t, x1..xn, branch; events sidecar t_event, kind, x1..xn."""
+        """Columns t, x1..xn, branch (then xi1..xid for reduced segments);
+        events sidecar t_event, kind, x1..xn."""
         n = self.states().shape[1] if self.segments else int(dim or 0)
+        reduced = bool(self.segments) and self.segments[0].y is not None
+        d = self.segments[0].y.shape[1] if reduced else 0
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t"] + [f"x{i+1}" for i in range(n)] + ["branch"])
+            w.writerow(["t"] + [f"x{i+1}" for i in range(n)] + ["branch"]
+                       + [f"xi{i+1}" for i in range(d)])
             code = {"+": 1, "-": -1, "sigma": 0}
             for seg in self.segments:
-                for ti, xi in zip(seg.t, seg.x):
-                    w.writerow([repr(float(ti))] + [repr(float(v)) for v in xi]
-                               + [code[seg.branch]])
+                for i, ti in enumerate(seg.t):
+                    row = ([repr(float(ti))] + [repr(float(v)) for v in seg.x[i]]
+                           + [code[seg.branch]])
+                    if reduced:
+                        row += [repr(float(v)) for v in seg.y[i]]
+                    w.writerow(row)
         if events_path is not None:
             with open(events_path, "w", newline="") as fh:
                 w = csv.writer(fh, lineterminator="\n")
@@ -223,7 +242,7 @@ class IntegratorOptions:
     max_step: float = np.inf
     first_step: float = 1e-4
     max_events: int = MAX_EVENTS
-    t_eval_dt: Optional[float] = None   # uniform dense-output spacing
+    t_eval_dt: Optional[float] = None   # also sample t_span[0] + k * t_eval_dt
     record_steps: bool = True
     min_step: float = 1e-14
 
@@ -257,7 +276,7 @@ _P = np.array([
 class _Stepper:
     """Adaptive DP5(4) stepper with quartic dense output for one smooth field."""
 
-    def __init__(self, f, t, x, opts: IntegratorOptions, direction=1.0):
+    def __init__(self, f, t, x, opts: IntegratorOptions):
         self.f = f
         self.t = float(t)
         self.x = np.asarray(x, dtype=float)
@@ -306,20 +325,99 @@ class _Stepper:
         return self.x_old + h * (self.K_old.T @ (_P @ q))
 
 
-def _bisect_event(g, t_lo, t_hi, interp, eps, max_iter=200):
-    """Bisection on g(t) = sigma(interp(t)) until |g| <= eps at the bracket mid."""
-    g_lo = g(interp(t_lo))
+def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
+    """Locate g(t, state(t)) = 0 in [t_lo, t_hi], with g >= 0 at t_lo and
+    g < 0 at t_hi, to |g| <= eps or to a bracket at the time resolution."""
     for _ in range(max_iter):
         t_mid = 0.5 * (t_lo + t_hi)
-        x_mid = interp(t_mid)
-        g_mid = g(x_mid)
+        x_mid = state(t_mid)
+        g_mid = g(t_mid, x_mid)
         if abs(g_mid) <= eps or (t_hi - t_lo) <= 1e-15 * max(1.0, abs(t_mid)):
             return t_mid, x_mid
-        if (g_lo < 0) == (g_mid < 0):
-            t_lo, g_lo = t_mid, g_mid
-        else:
+        if g_mid < 0.0:
             t_hi = t_mid
+        else:
+            t_lo = t_mid
     return t_mid, x_mid
+
+
+def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
+                       arm_above=None, eps=EPS_EVENT, project=None,
+                       observe=None):
+    """Integrate one smooth field from (t0, x0) until t_end or an event.
+
+    event(t, x) is a scalar event function. It is armed once it exceeds
+    arm_above (from the start when arm_above is None) and fires at the first
+    accepted step where it is negative; the event state is then bisected on
+    the dense output. project, when given, maps the start, every accepted
+    state and the located event state back onto a constraint set. Returns the
+    recorded Segment (branch unset), whose last sample is the end or event
+    state, and whether the event fired.
+    """
+    if project is not None:
+        x0 = project(x0)
+    stepper = _Stepper(f, t0, x0, opts)
+    record_step, finish = _segment_recorder(opts, t_grid0, t0, x0, observe)
+    armed = arm_above is None or event(t0, x0) > arm_above
+    if project is None:
+        state = stepper.interpolate
+    else:
+        def state(t):
+            return project(stepper.interpolate(t))
+    while stepper.step(t_end):
+        if project is not None:
+            stepper.x = project(stepper.x)
+        if event is not None:
+            g_new = event(stepper.t, stepper.x)
+            if armed and g_new < 0.0:
+                t_ev, x_ev = _bisect(event, state, stepper.t_old, stepper.t, eps)
+                return finish(stepper, t_ev, x_ev), True
+            if not armed and g_new > arm_above:
+                armed = True
+        record_step(stepper)
+    return finish(stepper, stepper.t, stepper.x), False
+
+
+def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
+    """Samples of one segment: accepted steps (opts.record_steps) and the
+    points t_grid0 + k * opts.t_eval_dt after t0 from the dense output. With
+    observe(t, y) the integrated state is kept as Segment.y and the segment's
+    x holds the observed state."""
+    ts = [t0]
+    xs = [np.asarray(x0).copy()]
+    dt = opts.t_eval_dt
+    k = int(np.floor((t0 - t_grid0) / dt)) if dt else 0
+    while dt and t_grid0 + k * dt <= t0:
+        k += 1
+
+    def flush_grid(stepper, t_limit):
+        nonlocal k
+        while dt and t_grid0 + k * dt <= t_limit:
+            ts.append(t_grid0 + k * dt)
+            xs.append(stepper.interpolate(ts[-1]))
+            k += 1
+
+    def record_step(stepper):
+        flush_grid(stepper, stepper.t)
+        if opts.record_steps:
+            ts.append(stepper.t)
+            xs.append(stepper.x.copy())
+
+    def finish(stepper, t_f, x_f):
+        flush_grid(stepper, t_f)
+        if ts[-1] < t_f - 1e-15 * max(1.0, abs(t_f)):
+            ts.append(t_f)
+            xs.append(np.asarray(x_f).copy())
+        else:
+            ts[-1] = t_f
+            xs[-1] = np.asarray(x_f).copy()
+        X = np.vstack(xs)
+        if observe is None:
+            return Segment(branch=None, t=np.array(ts), x=X)
+        X_obs = np.vstack([observe(t, y) for t, y in zip(ts, X)])
+        return Segment(branch=None, t=np.array(ts), x=X_obs, y=X)
+
+    return record_step, finish
 
 
 def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
@@ -340,19 +438,11 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
     traj = HybridTrajectory()
     if sys.delta == 0.0:
         # smooth limit: the two fields coincide and the surface is inert
-        return _run_smooth(sys, t0, x0, t_end, opts, traj)
-    sigma = sys.switching.sigma
-    n_events = 0
-
-    def note_event(t, x, kind):
-        nonlocal n_events
-        traj.events.append(Event(t=t, x=np.asarray(x).copy(), kind=kind))
-        n_events += 1
-        if n_events > opts.max_events:
-            raise ChatteringError(
-                f"more than {opts.max_events} events in one time span")
-
-    s0 = sigma(x0)
+        seg, _ = _integrate_segment(sys.f_plus, t0, x0, t_end, opts, t0)
+        seg.branch = "+" if sys.switching.sigma(x0) >= 0 else "-"
+        traj.segments.append(seg)
+        return traj
+    s0 = sys.switching.sigma(x0)
     if abs(s0) <= EPS_EVENT:
         cls = classify_boundary(sys, x0, t0)
         if cls.kind == BoundaryKind.ATTRACTING_SLIDING:
@@ -367,100 +457,46 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
     t, x = t0, x0.copy()
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         if mode == "sigma":
-            t, x, mode = _run_sliding(sys, t, x, t_end, opts, traj, note_event)
+            t, x, mode = _run_sliding(sys, t, x, t_end, opts, t0, traj)
         else:
-            t, x, mode = _run_branch(sys, mode, t, x, t_end, opts, traj, note_event)
+            t, x, mode = _run_branch(sys, mode, t, x, t_end, opts, t0, traj)
     return traj
 
 
-def _run_smooth(sys, t0, x0, t_end, opts, traj):
-    stepper = _Stepper(sys.f_plus, t0, x0, opts)
-    record_step, flush_grid, finish = _segment_recorder(opts, t0, x0)
-    while stepper.step(t_end):
-        record_step(stepper)
-    seg = finish(stepper.t, stepper.x)
-    seg.branch = "+" if sys.switching.sigma(x0) >= 0 else "-"
-    traj.segments.append(seg)
-    return traj
-
-
-def _segment_recorder(opts, t0, x0):
-    ts = [t0]
-    xs = [np.asarray(x0).copy()]
-
-    grid_next = [t0 + opts.t_eval_dt] if opts.t_eval_dt else [None]
-
-    def flush_grid(stepper, t_limit):
-        if opts.t_eval_dt:
-            while grid_next[0] is not None and grid_next[0] <= t_limit:
-                ts.append(grid_next[0])
-                xs.append(stepper.interpolate(grid_next[0]))
-                grid_next[0] += opts.t_eval_dt
-
-    def record_step(stepper):
-        flush_grid(stepper, stepper.t)
-        if opts.record_steps:
-            ts.append(stepper.t)
-            xs.append(stepper.x.copy())
-
-    def finish(t_f, x_f):
-        if ts[-1] < t_f - 1e-15 * max(1.0, abs(t_f)):
-            ts.append(t_f)
-            xs.append(np.asarray(x_f).copy())
-        else:
-            ts[-1] = t_f
-            xs[-1] = np.asarray(x_f).copy()
-        return Segment(branch=None, t=np.array(ts), x=np.vstack(xs))
-
-    return record_step, flush_grid, finish
-
-
-def _run_branch(sys, branch, t0, x0, t_end, opts, traj, note_event):
+def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj):
     f = sys.f_plus if branch == "+" else sys.f_minus
     sgn = 1.0 if branch == "+" else -1.0
     sigma = sys.switching.sigma
-    stepper = _Stepper(f, t0, x0, opts)
-    record_step, flush_grid, finish = _segment_recorder(opts, t0, x0)
     # arm crossing detection only once the state sits on the branch's valid
     # side, so segments that begin on the surface cannot retrigger instantly
-    armed = sgn * sigma(x0) > 10 * EPS_EVENT
-    while stepper.step(t_end):
-        g_new = sgn * sigma(stepper.x)
-        if armed and g_new < 0.0:
-            # bracket the surface hit inside the last step
-            t_ev, x_ev = _bisect_event(sigma, stepper.t_old, stepper.t,
-                                       stepper.interpolate, EPS_EVENT)
-            flush_grid(stepper, t_ev)
-            seg = finish(t_ev, x_ev)
-            seg.branch = branch
-            traj.segments.append(seg)
-            cls = classify_boundary(sys, x_ev, t_ev)
-            if cls.kind == BoundaryKind.REPELLING_SLIDING:
-                raise RepellingSlidingError(t_ev, x_ev)
-            if cls.kind == BoundaryKind.ATTRACTING_SLIDING:
-                note_event(t_ev, x_ev, EventKind.STICK_ENTRY)
-                return t_ev, x_ev, "sigma"
-            if cls.kind == BoundaryKind.TANGENTIAL:
-                note_event(t_ev, x_ev, EventKind.TANGENTIAL)
-                # micro-step with the incoming field, then reclassify by sign
-                h_micro = max(1e-12, 1e-8 * max(1.0, abs(t_end - t0)))
-                x_next = x_ev + h_micro * f(t_ev, x_ev)
-                t_next = t_ev + h_micro
-                s_next = sigma(x_next)
-                nxt = "+" if s_next > 0 else "-"
-                return t_next, x_next, nxt
-            note_event(t_ev, x_ev, EventKind.CROSSING)
-            return t_ev, x_ev, ("+" if cls.direction > 0 else "-")
-        if not armed and g_new > 10 * EPS_EVENT:
-            armed = True
-        record_step(stepper)
-    seg = finish(stepper.t, stepper.x)
+    seg, hit = _integrate_segment(f, t0, x0, t_end, opts, t_grid0,
+                                  event=lambda t, x: sgn * sigma(x),
+                                  arm_above=10 * EPS_EVENT)
     seg.branch = branch
     traj.segments.append(seg)
-    return stepper.t, stepper.x, branch
+    t_ev, x_ev = seg.t[-1], seg.x[-1]
+    if not hit:
+        return t_ev, x_ev, branch
+    cls = classify_boundary(sys, x_ev, t_ev)
+    if cls.kind == BoundaryKind.REPELLING_SLIDING:
+        raise RepellingSlidingError(t_ev, x_ev)
+    if cls.kind == BoundaryKind.ATTRACTING_SLIDING:
+        traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
+        return t_ev, x_ev, "sigma"
+    if cls.kind == BoundaryKind.TANGENTIAL:
+        traj.add_event(t_ev, x_ev, EventKind.TANGENTIAL, opts.max_events)
+        # micro-step with the incoming field, then reclassify by sign
+        h_micro = max(1e-12, 1e-8 * max(1.0, abs(t_end - t0)))
+        x_next = x_ev + h_micro * f(t_ev, x_ev)
+        t_next = t_ev + h_micro
+        s_next = sigma(x_next)
+        nxt = "+" if s_next > 0 else "-"
+        return t_next, x_next, nxt
+    traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
+    return t_ev, x_ev, ("+" if cls.direction > 0 else "-")
 
 
-def _run_sliding(sys, t0, x0, t_end, opts, traj, note_event):
+def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj):
     grad = sys.switching.grad_sigma
 
     def project(x):
@@ -472,43 +508,22 @@ def _run_sliding(sys, t0, x0, t_end, opts, traj, note_event):
         _, fs = filippov_field(sys, x, t)
         return fs
 
-    x0 = project(np.asarray(x0, dtype=float))
-    stepper = _Stepper(f_slide, t0, x0, opts)
-    record_step, flush_grid, finish = _segment_recorder(opts, t0, x0)
-
     def lam_margin(t, x):
+        # sliding ends where |lambda| reaches 1
         lam, _ = filippov_field(sys, x, t)
         return 1.0 - lam * lam
 
-    while stepper.step(t_end):
-        stepper.x = project(stepper.x)
-        m_new = lam_margin(stepper.t, stepper.x)
-        if m_new < 0.0:
-            # locate where |lambda| reaches 1 by bisection on the interpolant
-            t_lo, t_hi = stepper.t_old, stepper.t
-            for _ in range(200):
-                t_mid = 0.5 * (t_lo + t_hi)
-                x_mid = project(stepper.interpolate(t_mid))
-                m_mid = lam_margin(t_mid, x_mid)
-                if abs(m_mid) <= 1e-12 or (t_hi - t_lo) <= 1e-15 * max(1.0, abs(t_mid)):
-                    break
-                if m_mid > 0.0:
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
-            t_ev, x_ev = t_mid, x_mid
-            flush_grid(stepper, t_ev)
-            seg = finish(t_ev, x_ev)
-            seg.branch = "sigma"
-            traj.segments.append(seg)
-            note_event(t_ev, x_ev, EventKind.STICK_EXIT)
-            lam, _ = filippov_field(sys, x_ev, t_ev)
-            return t_ev, x_ev, ("+" if lam > 0 else "-")
-        record_step(stepper)
-    seg = finish(stepper.t, stepper.x)
+    seg, hit = _integrate_segment(f_slide, t0, np.asarray(x0, dtype=float),
+                                  t_end, opts, t_grid0, event=lam_margin,
+                                  eps=1e-12, project=project)
     seg.branch = "sigma"
     traj.segments.append(seg)
-    return stepper.t, stepper.x, "sigma"
+    t_ev, x_ev = seg.t[-1], seg.x[-1]
+    if not hit:
+        return t_ev, x_ev, "sigma"
+    traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
+    lam, _ = filippov_field(sys, x_ev, t_ev)
+    return t_ev, x_ev, ("+" if lam > 0 else "-")
 
 
 def finite_difference_gradient(sigma, x, h=1e-6):

@@ -13,9 +13,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (EPS_EVENT, ChatteringError, Event, EventKind,
-                   IntegratorOptions, SwitchingFunction, _bisect_event,
-                   _Stepper)
+from .core import (EPS_EVENT, EventKind, HybridTrajectory, IntegratorOptions,
+                   SwitchingFunction, _integrate_segment)
 from .ssm_model import SsmModel
 
 IC_STRATEGIES = ("projection", "min_all_vars", "continuity_q1", "continuity_q1q2")
@@ -65,10 +64,6 @@ class NonsmoothRom:
         return self.model_plus if branch == "+" else self.model_minus
 
 
-def lift(model: SsmModel, y, t: Optional[float] = None) -> np.ndarray:
-    return model.lift(y, t)
-
-
 # ---------------------------------------------------------------------------
 # initial-condition matching across the switching surface
 
@@ -89,31 +84,38 @@ def _correct_onto_surface(rom: NonsmoothRom, model: SsmModel, y, t):
     raise StrategyError("could not project reduced state onto the surface")
 
 
-def _surface_candidates(rom, model, y_center, t, span, n=121):
-    """Points on {sigma(lift(y)) = 0} around y_center, traced by arclength."""
-    y0 = _correct_onto_surface(rom, model, y_center, t)
-    x = model.lift(y0, t)
-    gs = np.asarray(rom.switching.grad_sigma(x)) @ model.lift_jacobian(y0)
-    tang = np.array([-gs[1], gs[0]])
-    tang /= np.linalg.norm(tang)
+def _trace_surface(rom, model, y_start, t, step, n_half):
+    """Points of {sigma(lift(y)) = 0} through the projection of y_start,
+    n_half arclength steps each way, in order along the curve. A direction
+    stops early where the projection fails or the tangent vanishes."""
+
+    def tangent(y):
+        x = model.lift(y, t)
+        gs = np.asarray(rom.switching.grad_sigma(x)) @ model.lift_jacobian(y)
+        tg = np.array([-gs[1], gs[0]])
+        nt = np.linalg.norm(tg)
+        return tg / nt if nt >= 1e-30 else None
+
+    y0 = _correct_onto_surface(rom, model, y_start, t)
     out = [y0]
+    tg0 = tangent(y0)
+    if tg0 is None:
+        return out
     for direction in (1.0, -1.0):
-        y = y0.copy()
-        step = span / (n // 2)
-        for _ in range(n // 2):
-            y = y + direction * step * tang
+        y, tg_prev, side = y0, direction * tg0, []
+        for _ in range(n_half):
+            tg = tangent(y)
+            if tg is None:
+                break
+            if tg @ tg_prev < 0:
+                tg = -tg
             try:
-                y = _correct_onto_surface(rom, model, y, t)
+                y = _correct_onto_surface(rom, model, y + step * tg, t)
             except StrategyError:
                 break
-            x = model.lift(y, t)
-            gs = np.asarray(rom.switching.grad_sigma(x)) @ model.lift_jacobian(y)
-            tg = np.array([-gs[1], gs[0]])
-            nt = np.linalg.norm(tg)
-            if nt < 1e-30:
-                break
-            tang = tg / nt if direction > 0 else tg / nt
-            out.append(y.copy())
+            tg_prev = tg
+            side.append(y)
+        out = out + side if direction > 0 else side[::-1] + out
     return out
 
 
@@ -152,7 +154,7 @@ def switch_ic(rom: NonsmoothRom, y_from: np.ndarray, from_branch: str,
 
     # remaining strategies search along the surface curve on the target model
     span = 2.0 * max(np.linalg.norm(y_proj), 0.2)
-    cand = _surface_candidates(rom, m_to, y_proj, t, span)
+    cand = _trace_surface(rom, m_to, y_proj, t, span / 60, 60)
     if strategy == "min_all_vars":
         def objective(y):
             return float(np.linalg.norm(m_to.lift(y, t) - x_from))
@@ -200,75 +202,18 @@ def switch_ic(rom: NonsmoothRom, y_from: np.ndarray, from_branch: str,
 # switched reduced simulation
 
 
-@dataclass
-class RomSegment:
-    branch: str
-    t: np.ndarray
-    y: np.ndarray        # (N, d) reduced coordinates
-    x: np.ndarray        # (N, n) reconstructed observables
-
-
-@dataclass
-class RomTrajectory:
-    segments: list = field(default_factory=list)
-    events: list = field(default_factory=list)
-
-    @property
-    def t_end(self):
-        return self.segments[-1].t[-1]
-
-    def times(self):
-        return np.concatenate([s.t for s in self.segments])
-
-    def states(self):
-        return np.vstack([s.x for s in self.segments])
-
-    def reduced(self):
-        return np.vstack([s.y for s in self.segments])
-
-    def sample(self, t_grid):
-        t_all = self.times()
-        x_all = self.states()
-        out = np.empty((len(t_grid), x_all.shape[1]))
-        for j in range(x_all.shape[1]):
-            out[:, j] = np.interp(t_grid, t_all, x_all[:, j])
-        return out
-
-    def write_csv(self, path, events_path=None):
-        import csv
-        n = self.states().shape[1]
-        d = self.reduced().shape[1]
-        code = {"+": 1, "-": -1, "sigma": 0}
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t"] + [f"x{i+1}" for i in range(n)] + ["branch"]
-                       + [f"xi{i+1}" for i in range(d)])
-            for seg in self.segments:
-                for ti, xi, yi in zip(seg.t, seg.x, seg.y):
-                    w.writerow([repr(float(ti))] + [repr(float(v)) for v in xi]
-                               + [code[seg.branch]]
-                               + [repr(float(v)) for v in yi])
-        if events_path is not None:
-            with open(events_path, "w", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["t_event", "kind"] + [f"x{i+1}" for i in range(n)])
-                for ev in self.events:
-                    w.writerow([repr(float(ev.t)), ev.kind.value]
-                               + [repr(float(v)) for v in ev.x])
-
-
 def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
-                 opts: IntegratorOptions | None = None) -> RomTrajectory:
+                 opts: IntegratorOptions | None = None) -> HybridTrajectory:
     """Run the switched reduced model over t_span.
 
-    Crossings of the reconstructed switching function are located by
-    bisection; the configured IC strategy transfers the reduced state to the
-    other branch. When a sticking rule is present and its condition holds at
+    Crossings of the reconstructed switching function are located by the
+    event kernel of pwsrom.core; the configured IC strategy transfers the
+    reduced state to the other branch. When a sticking rule is present and its condition holds at
     a surface hit, the in-surface reduced field runs until the condition
     releases, then integration resumes on the exit branch.
     """
     opts = opts or IntegratorOptions()
-    traj = RomTrajectory()
+    traj = HybridTrajectory()
     t0, t_end = float(t_span[0]), float(t_span[1])
     t = t0
     y = np.asarray(y0, dtype=float).copy()
@@ -282,108 +227,34 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
         if (abs(rom.switching.sigma(model0.lift(y, t0))) < 1e-6
                 and rom.sticking.condition(t0, x_start)):
             mode = "sticking"
-    n_events = 0
-
-    def note(t, x, kind):
-        nonlocal n_events
-        traj.events.append(Event(t=t, x=np.asarray(x).copy(), kind=kind))
-        n_events += 1
-        if n_events > opts.max_events:
-            raise ChatteringError(f"more than {opts.max_events} events")
-
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
-        if mode == "branch":
-            t, y, branch, mode = _rom_branch_segment(
-                rom, branch, t, y, t_end, opts, traj, note)
-        else:
-            t, y, branch, mode = _rom_sticking_segment(
-                rom, branch, t, y, t_end, opts, traj, note)
+        run = _rom_branch_segment if mode == "branch" else _rom_sticking_segment
+        t, y, branch, mode = run(rom, branch, t, y, t_end, opts, t0, traj)
     return traj
 
 
-def _collect(model, ts, ys, branch):
-    Y = np.vstack(ys)
-    X = np.vstack([model.lift(yy, tt) for tt, yy in zip(ts, Y)])
-    return RomSegment(branch=branch, t=np.asarray(ts), y=Y, x=X)
-
-
-def _reduced_recorder(opts, t0, y0):
-    ts, ys = [t0], [np.asarray(y0, dtype=float).copy()]
-    grid_next = [t0 + opts.t_eval_dt] if opts.t_eval_dt else [None]
-
-    def flush(stepper, t_limit):
-        if opts.t_eval_dt:
-            while grid_next[0] is not None and grid_next[0] <= t_limit:
-                ts.append(grid_next[0])
-                ys.append(stepper.interpolate(grid_next[0]))
-                grid_next[0] += opts.t_eval_dt
-
-    def record(stepper):
-        flush(stepper, stepper.t)
-        if opts.record_steps:
-            ts.append(stepper.t)
-            ys.append(stepper.x.copy())
-
-    def finish(t_f, y_f):
-        if ts[-1] < t_f - 1e-15 * max(1.0, abs(t_f)):
-            ts.append(t_f)
-            ys.append(np.asarray(y_f).copy())
-        else:
-            ts[-1] = t_f
-            ys[-1] = np.asarray(y_f).copy()
-        return ts, ys
-
-    return record, flush, finish
-
-
-def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, traj, note):
+def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     model = rom.model(branch)
     sgn = 1.0 if branch == "+" else -1.0
     sigma = rom.switching.sigma
-
-    def g_of(t, y):
-        return sgn * sigma(model.lift(y, t))
-
-    stepper = _Stepper(model.reduced_field, t0, y0, opts)
-    record, flush, finish = _reduced_recorder(opts, t0, y0)
-    armed = g_of(t0, y0) > 10 * EPS_EVENT
-    while stepper.step(t_end):
-        g_new = g_of(stepper.t, stepper.x)
-        if armed and g_new < 0.0:
-            t_lo, t_hi = stepper.t_old, stepper.t
-            g_fun = lambda tt: sigma(model.lift(stepper.interpolate(tt), tt))
-            g_lo = g_fun(t_lo)
-            for _ in range(200):
-                t_mid = 0.5 * (t_lo + t_hi)
-                g_mid = g_fun(t_mid)
-                if abs(g_mid) <= EPS_EVENT or (t_hi - t_lo) <= 1e-15 * max(1.0, abs(t_mid)):
-                    break
-                if (g_lo < 0) == (g_mid < 0):
-                    t_lo, g_lo = t_mid, g_mid
-                else:
-                    t_hi = t_mid
-            t_ev = t_mid
-            y_ev = stepper.interpolate(t_ev)
-            x_ev = model.lift(y_ev, t_ev)
-            flush(stepper, t_ev)
-            ts, ys = finish(t_ev, y_ev)
-            traj.segments.append(_collect(model, ts, ys, branch))
-            if rom.sticking is not None and rom.sticking.condition(t_ev, x_ev):
-                note(t_ev, x_ev, EventKind.STICK_ENTRY)
-                return t_ev, y_ev, branch, "sticking"
-            note(t_ev, x_ev, EventKind.CROSSING)
-            new_branch = "-" if branch == "+" else "+"
-            y_new = switch_ic(rom, y_ev, branch, t_ev)
-            return t_ev, y_new, new_branch, "branch"
-        if not armed and g_new > 10 * EPS_EVENT:
-            armed = True
-        record(stepper)
-    ts, ys = finish(stepper.t, stepper.x)
-    traj.segments.append(_collect(model, ts, ys, branch))
-    return stepper.t, stepper.x, branch, "branch"
+    seg, hit = _integrate_segment(
+        model.reduced_field, t0, y0, t_end, opts, t_grid0,
+        event=lambda t, y: sgn * sigma(model.lift(y, t)),
+        arm_above=10 * EPS_EVENT, observe=lambda t, y: model.lift(y, t))
+    seg.branch = branch
+    traj.segments.append(seg)
+    t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
+    if not hit:
+        return t_ev, y_ev, branch, "branch"
+    if rom.sticking is not None and rom.sticking.condition(t_ev, x_ev):
+        traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
+        return t_ev, y_ev, branch, "sticking"
+    traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
+    new_branch = "-" if branch == "+" else "+"
+    return t_ev, switch_ic(rom, y_ev, branch, t_ev), new_branch, "branch"
 
 
-def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, traj, note):
+def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     rule = rom.sticking
     model = rom.model(branch)
 
@@ -396,41 +267,19 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, traj, note):
         return rule.reduced_field(t, y, model)
 
     _validate_sticking_chart(rom, model, f_slide, t0, y0)
-    stepper = _Stepper(f_slide, t0, y0, opts)
-    record, flush, finish = _reduced_recorder(opts, t0, y0)
-    while stepper.step(t_end):
-        x_new = x_of(stepper.t, stepper.x)
-        if not rule.condition(stepper.t, x_new):
-            # bisect the release time
-            t_lo, t_hi = stepper.t_old, stepper.t
-            for _ in range(200):
-                t_mid = 0.5 * (t_lo + t_hi)
-                y_mid = stepper.interpolate(t_mid)
-                if rule.condition(t_mid, x_of(t_mid, y_mid)):
-                    t_lo = t_mid
-                else:
-                    t_hi = t_mid
-                if (t_hi - t_lo) <= 1e-14 * max(1.0, abs(t_mid)):
-                    break
-            t_ev = t_hi
-            y_ev = stepper.interpolate(t_ev)
-            x_ev = x_of(t_ev, y_ev)
-            flush(stepper, t_ev)
-            ts, ys = finish(t_ev, y_ev)
-            traj.segments.append(_collect_with(x_of, ts, ys, "sigma"))
-            note(t_ev, x_ev, EventKind.STICK_EXIT)
-            nxt = rule.exit_branch(t_ev, x_ev)
-            return t_ev, y_ev, nxt, "branch"
-        record(stepper)
-    ts, ys = finish(stepper.t, stepper.x)
-    traj.segments.append(_collect_with(x_of, ts, ys, "sigma"))
-    return stepper.t, stepper.x, branch, "sticking"
-
-
-def _collect_with(x_of, ts, ys, branch):
-    Y = np.vstack(ys)
-    X = np.vstack([x_of(tt, yy) for tt, yy in zip(ts, Y)])
-    return RomSegment(branch=branch, t=np.asarray(ts), y=Y, x=X)
+    # the boolean release condition as a +-1 event: the bisection brackets
+    # the release time to the time resolution
+    seg, hit = _integrate_segment(
+        f_slide, t0, y0, t_end, opts, t_grid0,
+        event=lambda t, y: 1.0 if rule.condition(t, x_of(t, y)) else -1.0,
+        observe=x_of)
+    seg.branch = "sigma"
+    traj.segments.append(seg)
+    t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
+    if not hit:
+        return t_ev, y_ev, branch, "sticking"
+    traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
+    return t_ev, y_ev, rule.exit_branch(t_ev, x_ev), "branch"
 
 
 def _validate_sticking_chart(rom, model, f_slide, t, y):

@@ -250,10 +250,6 @@ def nmte_arrays(reference: np.ndarray, reconstruction: np.ndarray,
     return float(np.mean(np.linalg.norm(ref - rec, axis=1)) / nv)
 
 
-def nmte(reference, reconstruction, normalization=None) -> float:
-    return nmte_arrays(reference, reconstruction, normalization)
-
-
 def model_from_fits(fit: ManifoldFit, dyn: DynamicsFit, branch: str,
                     correction: Optional[PeriodicCorrection] = None) -> SsmModel:
     return SsmModel(branch=branch, x0=fit.x0, tangent=fit.v_matrix,

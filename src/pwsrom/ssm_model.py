@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .poly2 import Poly2, monomials, vector_poly
+from .poly2 import Poly2, vector_poly
 
 
 @dataclass(frozen=True)
@@ -85,10 +85,6 @@ class SsmModel:
             x = x + self.correction.lift_term(t)
         return x
 
-    def lift_many(self, Y: np.ndarray) -> np.ndarray:
-        """Lift reduced samples of shape (2, N) to observables (n, N)."""
-        return self.x0[:, None] + self._lift_poly.eval_many(Y)
-
     def lift_jacobian(self, y) -> np.ndarray:
         return np.column_stack([self._jac[0](y), self._jac[1](y)])
 
@@ -123,6 +119,10 @@ class SsmModel:
     def to_dict(self) -> dict:
         def key(p):
             return f"({p[0]},{p[1]})"
+
+        def graded_lex(kv):
+            return (kv[0][0] + kv[0][1], kv[0][1])
+
         out = {
             "branch": self.branch,
             "fixed_point": self.x0.tolist(),
@@ -133,13 +133,11 @@ class SsmModel:
             "chart_w": self.chart_w.tolist(),
             "h": {key(p): np.asarray(v).tolist() for p, v in
                   sorted(self.meta.get("h", self.nl_coeffs).items(),
-                         key=lambda kv: monomials(2, 9).index(kv[0]))},
+                         key=graded_lex)},
             "nl": {key(p): np.asarray(v).tolist()
-                   for p, v in sorted(self.nl_coeffs.items(),
-                                      key=lambda kv: monomials(2, 9).index(kv[0]))},
+                   for p, v in sorted(self.nl_coeffs.items(), key=graded_lex)},
             "r": {key(p): np.asarray(v).tolist()
-                  for p, v in sorted(self.rdyn.items(),
-                                     key=lambda kv: monomials(1, 9).index(kv[0]))},
+                  for p, v in sorted(self.rdyn.items(), key=graded_lex)},
             "source": self.source,
         }
         if self.correction is not None:
@@ -153,6 +151,8 @@ class SsmModel:
             }
         else:
             out["correction"] = None
+        if self.trust_radius is not None:
+            out["trust_radius"] = self.trust_radius
         return out
 
     def to_json(self, path) -> None:
@@ -188,6 +188,7 @@ class SsmModel:
             correction=corr,
             source=d.get("source", "analytic"),
             meta=meta,
+            trust_radius=d.get("trust_radius"),
         )
 
     @classmethod

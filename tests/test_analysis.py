@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from pwsrom import analysis
+from pwsrom import analysis, cli
 from pwsrom.core import EventKind, IntegratorOptions, integrate_hybrid
 from pwsrom.rom import make_sp_rom
 from pwsrom.shaw_pierre import SpParams, make_system, sp_elastic_term
@@ -69,20 +69,26 @@ def test_frc_amplitude_linear_in_forcing():
     assert abs(amps[2e-3] / amps[1e-3] - 2.0) < 0.01
 
 
+def _warm_chain(task):
+    """run_chunked worker: warm-starts along its chunk, returns the starts."""
+    _, omegas = task
+    warm, out = None, []
+    for om in omegas:
+        out.append((om, warm))
+        warm = om
+    return out
+
+
 def test_frc_sweep_chunks_deterministic():
-    calls = []
-
-    def runner(om, warm):
-        calls.append((om, warm))
-        return analysis.FrcPoint(omega=om, amplitude=om * 2, converged=True,
-                                 n_periods=1), om
-
     grid = np.linspace(1.0, 2.0, 7)
-    pts = analysis.frc_sweep(runner, grid, chunk=3)
-    assert [p.omega for p in pts] == list(grid)
+    pts = cli.run_chunked(_warm_chain, {}, grid, chunk=3, threads=1)
+    assert [om for om, _ in pts] == list(grid)
     # warm state resets at chunk boundaries only
-    assert calls[0][1] is None and calls[3][1] is None and calls[6][1] is None
-    assert calls[1][1] == grid[0]
+    warm = [w for _, w in pts]
+    assert warm[0] is None and warm[3] is None and warm[6] is None
+    assert warm[1] == grid[0]
+    # chunk boundaries do not depend on the worker count
+    assert cli.run_chunked(_warm_chain, {}, grid, chunk=3, threads=2) == pts
 
 
 def test_poincare_map_and_edges():

@@ -158,3 +158,22 @@ def test_poincare_outputs(tmp_path):
     assert len(head) > 3
     edges = json.loads((tmp_path / "edges.json").read_text())
     assert edges["reduced_edge_plus"] is not None
+
+
+def test_fit_beam_writes_fitted_dataset(tmp_path):
+    # the datasets written are the six decays the models were fitted on
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, {"model": "vk_beam",
+                    "vk_beam": {"n_elements": 2, "variant": "coulomb",
+                                "delta_tilde": 1e-3},
+                    "fit": {"order_m": 2, "order_r": 3, "t_span": [0.0, 0.02],
+                            "dt": 1e-4}})
+    r = run_cli(["fit", "--config", str(cfg), "--out-dir", str(tmp_path)],
+                tmp_path)
+    assert r.returncode == 0, r.stderr
+    for tag in ("plus", "minus"):
+        dd = tmp_path / f"dataset_{tag}"
+        man = json.loads((dd / "manifest.json").read_text())
+        assert man["n_trajectories"] == 6
+        assert len(list(dd.glob("traj_*.csv"))) == 6
+        assert SsmModel.from_json(tmp_path / f"ssm_model_{tag}.json").source == "data"

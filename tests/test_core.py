@@ -279,3 +279,36 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(erows) == len(traj.events) + 1
     branches = {r.rsplit(",", 1)[1] for r in rows[1:]}
     assert branches <= {"1", "-1", "0"}
+
+
+def _assert_uniform_grid(traj, dt):
+    """Samples that are not event or span-end times lie on k * dt exactly."""
+    special = {float(ev.t) for ev in traj.events}
+    special |= {float(traj.segments[0].t[0]), float(traj.t_end)}
+    ks = []
+    for t in traj.times():
+        if float(t) in special:
+            continue
+        k = int(round(t / dt))
+        assert t == k * dt, (t, k)
+        ks.append(k)
+    assert ks == list(range(1, len(ks) + 1))
+
+
+def test_sample_grid_uniform_across_events():
+    sys = make_system(SpParams(delta=0.01))
+    traj = integrate_hybrid(sys, [0.5, 0.3, -0.2, 0.1], (0.0, 10.0),
+                            IntegratorOptions(t_eval_dt=0.1, record_steps=False))
+    assert any(ev.kind == EventKind.CROSSING for ev in traj.events)
+    _assert_uniform_grid(traj, 0.1)
+
+
+def test_rom_sample_grid_uniform_across_events():
+    from pwsrom.rom import make_sp_rom, simulate_rom
+    rom = make_sp_rom(SpParams(delta=0.01))
+    y0 = rom.model("+").chart(np.array([0.5, 0.3, -0.2, 0.1]))
+    traj = simulate_rom(rom, y0, "+", (0.0, 40.0),
+                        IntegratorOptions(t_eval_dt=0.1, record_steps=False))
+    kinds = {ev.kind for ev in traj.events}
+    assert {EventKind.CROSSING, EventKind.STICK_ENTRY, EventKind.STICK_EXIT} <= kinds
+    _assert_uniform_grid(traj, 0.1)

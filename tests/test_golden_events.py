@@ -2,9 +2,12 @@
 
 `golden_events.json` pins, for four fixed runs, the kinds, times and states of
 every event in order. Full-model events must match it exactly. Reduced-model
-events must match within ROM_T_TOL and ROM_X_TOL: their sticking releases are
-located on a boolean condition, so a change of bisection tolerance moves them
-by a few ulps of t, which the reduced flow carries on.
+events must match within ROM_T_TOL and ROM_X_TOL. Their sticking releases are
+bisected on a boolean condition down to the time resolution, and the IC
+transfer searches along a traced surface curve, so a change in either moves
+the reduced state by round-off. Surface hits are located only to
+|sigma| <= EPS_EVENT, which near a sticking entry (dq1 -> 0 slowly) fixes the
+event time to about 1e-9 to 1e-8.
 
 Regenerate (only when a change of results is intended) with
 `PYTHONPATH=src python -m tests.test_golden_events`.
@@ -22,7 +25,7 @@ from pwsrom.rom import make_sp_rom, simulate_rom
 from pwsrom.shaw_pierre import SpParams, make_system
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_events.json")
-ROM_T_TOL = 1e-9
+ROM_T_TOL = 2e-8
 ROM_X_TOL = 1e-9
 
 

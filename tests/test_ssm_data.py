@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -65,12 +68,12 @@ def test_derivative_estimator_order():
 
 
 def test_nmte_examples():
-    assert sd.nmte(np.ones((5, 2)), np.ones((5, 2))) == 0.0
+    assert sd.nmte_arrays(np.ones((5, 2)), np.ones((5, 2))) == 0.0
     ref = np.array([[2.0, 0.0]])
     rec = np.array([[1.0, 0.0]])
-    assert np.isclose(sd.nmte(ref, rec, normalization=np.array([2.0, 0.0])), 0.5)
+    assert np.isclose(sd.nmte_arrays(ref, rec, normalization=np.array([2.0, 0.0])), 0.5)
     with pytest.raises(ZeroDivisionError):
-        sd.nmte(ref, rec, normalization=np.zeros(2))
+        sd.nmte_arrays(ref, rec, normalization=np.zeros(2))
 
 
 @pytest.fixture(scope="module")
@@ -196,3 +199,15 @@ def test_data_model_json_roundtrip(tmp_path, sp_fit_bundle):
     y = np.array([0.1, 0.05])
     assert np.allclose(back.lift(y), model.lift(y), atol=1e-14)
     assert back.source == "data"
+    assert "trust_radius" not in model.to_dict()
+    # a trust radius and terms of order >= 10 round-trip exactly too
+    big = dataclasses.replace(
+        model, trust_radius=1.15,
+        nl_coeffs={**model.nl_coeffs, (3, 7): np.full(4, 1e-3)},
+        rdyn={**model.rdyn, (10, 0): np.array([2e-4, -1e-4])})
+    big.to_json(p)
+    back = SsmModel.from_json(p)
+    assert back.trust_radius == 1.15
+    assert json.dumps(back.to_dict()) == json.dumps(big.to_dict())
+    y = np.array([1.0, 0.9])
+    assert np.array_equal(back.reduced_field(0.0, y), big.reduced_field(0.0, y))
