@@ -12,7 +12,7 @@ import numpy as np
 
 from .core import (EventKind, IntegratorOptions, _integrate_segment,
                    integrate_hybrid)
-from .rom import NonsmoothRom, _trace_surface, simulate_rom
+from .rom import NonsmoothRom, StrategyError, _trace_surface, simulate_rom
 
 
 # ---------------------------------------------------------------------------
@@ -151,9 +151,16 @@ def _cross_dir(sys, ev):
 
 def surface_arc(rom: NonsmoothRom, branch: str, span: float, n: int = 201,
                 t: float = 0.0) -> np.ndarray:
-    """Points of {sigma(lift(y)) = 0} on one branch, as reduced coordinates."""
-    return np.vstack(_trace_surface(rom, rom.model(branch), np.zeros(2), t,
-                                    2.0 * span / n, n // 2))
+    """Points of {sigma(lift(y)) = 0} on one branch, as reduced coordinates.
+
+    Raises StrategyError when the curve cannot be traced over the full span.
+    """
+    pts = _trace_surface(rom, rom.model(branch), np.zeros(2), t,
+                         2.0 * span / n, n // 2)
+    if len(pts) < 2 * (n // 2) + 1:
+        raise StrategyError(f"surface arc of branch {branch} ends after "
+                            f"{len(pts)} of {2 * (n // 2) + 1} points")
+    return np.vstack(pts)
 
 
 def approx_invariant_curve(rom: NonsmoothRom,
@@ -234,13 +241,20 @@ def _advect_to_surface(rom, branch, y0, t_max=50.0):
 
     The start sits essentially on the surface, so the relevant hit is the
     first sign change of the reconstructed switching value after the state
-    has measurably (1e-7) left the surface on its starting side (grazing
-    starts re-hit almost at once).
+    has measurably (1e-7) left the surface (grazing starts re-hit almost at
+    once). The flow leaves on the side of sigma at the start; within 1e-7 of
+    the surface that sign is round-off, and the side is the sign of
+    d sigma / dt there instead.
     """
     model = rom.model(branch)
     sigma = rom.switching.sigma
     y0 = np.asarray(y0, dtype=float)
-    sgn = 1.0 if sigma(model.lift(y0)) >= 0 else -1.0
+    x0 = model.lift(y0)
+    s0 = sigma(x0)
+    if abs(s0) <= 1e-7:
+        s0 = float(np.asarray(rom.switching.grad_sigma(x0))
+                   @ model.lift_jacobian(y0) @ model.reduced_field(0.0, y0))
+    sgn = 1.0 if s0 >= 0 else -1.0
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
     seg, hit = _integrate_segment(model.reduced_field, 0.0, y0, t_max, opts,
                                   0.0, event=lambda t, y: sgn * sigma(model.lift(y)),

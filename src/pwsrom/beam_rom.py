@@ -46,33 +46,6 @@ def physical_chart_rows(assembly: BeamAssembly,
     return W
 
 
-def decay_training_data(assembly: BeamAssembly, variant, branch: str,
-                        static_load: float = 12e3, t_span=(0.0, 0.35),
-                        dt: float = 1e-4, trim_fraction: float = 0.05,
-                        rtol: float = 1e-8):
-    """Decays of one branch's smooth extension from six static deflections.
-
-    The starts are the deflections under +-1, +-0.65 and +-0.4 times the
-    reference load: decays from several load levels fill the reduced disc
-    radially, which keeps the high-order regression away from collinear
-    blow-up.
-    """
-    from . import ssm_data as sd
-    from .core import IntegratorOptions
-    from .vk_beam import static_deflection
-
-    n = assembly.n_dof
-    ics = []
-    for frac in (1.0, 0.65, 0.4):
-        for sign in (1.0, -1.0):
-            q = static_deflection(assembly, sign * frac * static_load)
-            ics.append(np.concatenate([q, np.zeros(n)]))
-    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, first_step=1e-6)
-    return sd.generate_training(
-        lambda t, x: beam_field(assembly, variant, branch, t, x),
-        ics, t_span, dt, branch=branch, trim_fraction=trim_fraction, opts=opts)
-
-
 def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
                       order_r: int = 5, chart: str = "modal",
                       static_load: float = 12e3, t_span=(0.0, 0.35),
@@ -80,19 +53,36 @@ def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
                       rtol: float = 1e-8, dyn_ridge: float = 1e-7):
     """Per-branch manifold + dynamics fits from decaying training data.
 
-    Training data come from decay_training_data; fitting runs on
-    per-coordinate scaled observables. chart='physical' recharts onto the
-    (scaled) midpoint displacement/velocity pair.
-    Returns {branch: SsmModel} with fit diagnostics in model.meta.
+    Training starts at the +-1, +-0.65 and +-0.4 times static-load
+    deflections; fitting runs on per-coordinate scaled observables.
+    chart='physical' recharts onto the (scaled) midpoint displacement/velocity
+    pair. Returns ({branch: SsmModel}, {branch: TrainingData}): the models,
+    with fit diagnostics in model.meta, and the decays they were fitted on.
     """
-    models = {}
+    from . import ssm_data as sd
+    from .core import IntegratorOptions
+    from .vk_beam import static_deflection
+
+    n = assembly.n_dof
+    # decays from several load levels fill the reduced disc radially, which
+    # keeps the high-order regression away from collinear blow-up
+    ics = []
+    for frac in (1.0, 0.65, 0.4):
+        for sign in (1.0, -1.0):
+            q = static_deflection(assembly, sign * frac * static_load)
+            ics.append(np.concatenate([q, np.zeros(n)]))
+    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, first_step=1e-6)
+    models, datasets = {}, {}
     for branch in ("+", "-"):
-        data = decay_training_data(assembly, variant, branch, static_load,
-                                   t_span, dt, trim_fraction, rtol)
+        data = sd.generate_training(
+            lambda t, x, b=branch: beam_field(assembly, variant, b, t, x),
+            ics, t_span, dt, branch=branch, trim_fraction=trim_fraction,
+            opts=opts)
         models[branch] = fit_branch_from_data(
             assembly, variant, branch, data, order_m=order_m, order_r=order_r,
             chart=chart, dyn_ridge=dyn_ridge)
-    return models
+        datasets[branch] = data
+    return models, datasets
 
 
 def fit_branch_from_data(assembly: BeamAssembly, variant, branch: str,

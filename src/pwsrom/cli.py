@@ -222,15 +222,12 @@ def cmd_simulate(cfg, out_dir) -> int:
 def fit_beam_models(asm, variant, fc):
     """Per-branch manifold/dynamics fits (physical chart when requested) and
     the training datasets they were fitted on."""
-    datasets = {b: beam_rom.decay_training_data(
-        asm, variant, b, static_load=fc.get("static_load", 12e3),
+    return beam_rom.fit_branch_models(
+        asm, variant, order_m=fc.get("order_m", 5),
+        order_r=fc.get("order_r", 5), chart=fc.get("chart", "modal"),
+        static_load=fc.get("static_load", 12e3),
         t_span=fc.get("t_span", (0.0, 0.35)), dt=fc.get("dt", 1e-4),
-        trim_fraction=fc.get("trim_fraction", 0.05)) for b in ("+", "-")}
-    models = {b: beam_rom.fit_branch_from_data(
-        asm, variant, b, data, order_m=fc.get("order_m", 5),
-        order_r=fc.get("order_r", 5), chart=fc.get("chart", "modal"))
-        for b, data in datasets.items()}
-    return models, datasets
+        trim_fraction=fc.get("trim_fraction", 0.05))
 
 
 def cmd_fit(cfg, out_dir) -> int:

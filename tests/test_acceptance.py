@@ -541,9 +541,9 @@ def test_criterion_11_data_driven_fits(beam_assembly):
     t0 = time.time()
     asm = beam_assembly
     variant = vkb.NonsmoothVariant(kind="coulomb", delta=12.0)
-    models = beam_rom.fit_branch_models(asm, variant, order_m=5, order_r=5,
-                                        chart="modal", static_load=12e3,
-                                        trim_fraction=0.20, t_span=(0.0, 0.3))
+    models, _ = beam_rom.fit_branch_models(asm, variant, order_m=5, order_r=5,
+                                           chart="modal", static_load=12e3,
+                                           trim_fraction=0.20, t_span=(0.0, 0.3))
     in_sample = max(m.meta["in_sample_nmte"] for m in models.values())
 
     # held-out decay reconstruction through the reduced dynamics
@@ -664,9 +664,9 @@ def _beam_rom_sweep(asm, variant, band):
     """Fit the branch models of `variant` and run the reduced model's warm
     up-sweep from rest over `band`. Returns (amplitude, converged) per point.
     """
-    models = beam_rom.fit_branch_models(asm, variant, chart="physical",
-                                        static_load=60e3, trim_fraction=0.10,
-                                        t_span=(0.0, 0.3))
+    models, _ = beam_rom.fit_branch_models(asm, variant, chart="physical",
+                                           static_load=60e3, trim_fraction=0.10,
+                                           t_span=(0.0, 0.3))
     state = None
     out = []
     for om in band:

@@ -3,7 +3,7 @@ import pytest
 
 from pwsrom import analysis, cli
 from pwsrom.core import EventKind, IntegratorOptions, integrate_hybrid
-from pwsrom.rom import make_sp_rom
+from pwsrom.rom import StrategyError, _correct_onto_surface, make_sp_rom
 from pwsrom.shaw_pierre import SpParams, make_system, sp_elastic_term
 
 
@@ -132,6 +132,34 @@ def test_surface_arcs_pass_near_fixed_points():
         assert np.abs(X[:, 1]).max() <= 1e-8   # on the surface
     assert out["edge_plus"] is not None
     assert out["edge_minus"] is not None
+
+
+def test_advect_from_surface_takes_the_side_the_flow_leaves_on():
+    # a start 1e-9 off the surface on the side against the flow: the first
+    # hit is the short hop on the side the flow leaves on, not the crossing
+    # half an orbit later that sign(sigma0) would select
+    rom = make_sp_rom(SpParams(delta=0.05))
+    m = rom.model("+")
+    y0 = _correct_onto_surface(rom, m, np.array([0.3, 0.1]), 0.0)
+    x0 = m.lift(y0)
+    gs = np.asarray(rom.switching.grad_sigma(x0)) @ m.lift_jacobian(y0)
+    sdot = gs @ m.reduced_field(0.0, y0)
+    y_start = y0 - np.sign(sdot) * 1e-9 * gs / (gs @ gs)
+    assert rom.switching.sigma(m.lift(y_start)) * sdot < 0
+    edge = analysis._advect_to_surface(rom, "+", y_start)
+    expected = [0.005887267736383907, 4.685888374413746e-11,
+                0.020518937624123282, 0.005489665214542148]
+    assert np.allclose(edge, expected, rtol=0.0, atol=1e-9)
+
+
+def test_surface_arc_fails_loudly_when_cut_short(monkeypatch):
+    rom = make_sp_rom(SpParams(delta=0.05))
+    full = analysis.surface_arc(rom, "+", 0.5, 21)
+    assert full.shape == (21, 2)
+    monkeypatch.setattr(analysis, "_trace_surface",
+                        lambda *a: list(full[:15]))
+    with pytest.raises(StrategyError):
+        analysis.surface_arc(rom, "+", 0.5, 21)
 
 
 def test_spectrum_peaks_two_tone():
