@@ -180,7 +180,7 @@ def approx_invariant_curve(rom: NonsmoothRom,
     obs = {}
     for b in ("+", "-"):
         Y = surface_arc(rom, b, span, n)
-        X = np.vstack([rom.model(b).lift(y) for y in Y])
+        X = rom.model(b).lift_many(Y)
         arcs[b] = (Y, X)
         obs[b] = X
     # common parametrization over the first observed coordinate

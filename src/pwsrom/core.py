@@ -381,8 +381,9 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
 def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
     """Samples of one segment: accepted steps (opts.record_steps) and the
     points t_grid0 + k * opts.t_eval_dt after t0 from the dense output. With
-    observe(t, y) the integrated state is kept as Segment.y and the segment's
-    x holds the observed state."""
+    observe(T, Y), which maps sample times (N,) and integrated states (N, d)
+    to observed states (N, n), the integrated states are kept as Segment.y
+    and the segment's x holds the observed states."""
     ts = [t0]
     xs = [np.asarray(x0).copy()]
     dt = opts.t_eval_dt
@@ -414,8 +415,8 @@ def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
         X = np.vstack(xs)
         if observe is None:
             return Segment(branch=None, t=np.array(ts), x=X)
-        X_obs = np.vstack([observe(t, y) for t, y in zip(ts, X)])
-        return Segment(branch=None, t=np.array(ts), x=X_obs, y=X)
+        T = np.array(ts)
+        return Segment(branch=None, t=T, x=observe(T, X), y=X)
 
     return record_step, finish
 

@@ -102,15 +102,6 @@ class Poly2:
             return 0.0
         return tot
 
-    def eval_many(self, Y: np.ndarray) -> np.ndarray:
-        """Evaluate at Y of shape (2, N); returns (m, N) or (N,) for scalars."""
-        tot = None
-        for (i, j), c in self.terms.items():
-            mono = Y[0] ** i * Y[1] ** j
-            term = np.multiply.outer(np.asarray(c), mono) if np.ndim(c) else c * mono
-            tot = term if tot is None else tot + term
-        return tot
-
     def compose(self, u: "Poly2", v: "Poly2", max_degree: int) -> "Poly2":
         """Substitute y1 <- u(y), y2 <- v(y), truncating at max_degree.
 

@@ -240,7 +240,7 @@ def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     seg, hit = _integrate_segment(
         model.reduced_field, t0, y0, t_end, opts, t_grid0,
         event=lambda t, y: sgn * sigma(model.lift(y, t)),
-        arm_above=10 * EPS_EVENT, observe=lambda t, y: model.lift(y, t))
+        arm_above=10 * EPS_EVENT, observe=lambda T, Y: model.lift_many(Y, T))
     seg.branch = branch
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
@@ -272,7 +272,7 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     seg, hit = _integrate_segment(
         f_slide, t0, y0, t_end, opts, t_grid0,
         event=lambda t, y: 1.0 if rule.condition(t, x_of(t, y)) else -1.0,
-        observe=x_of)
+        observe=lambda T, Y: np.vstack([x_of(t, y) for t, y in zip(T, Y)]))
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]

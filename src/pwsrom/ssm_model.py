@@ -1,21 +1,43 @@
 """Container for one SSM branch: chart, polynomial parametrization, reduced
 dynamics and optional time-periodic forcing correction, with JSON round-trip.
 
-The parametrization maps reduced coordinates y (dim d) to observables
+The parametrization maps reduced coordinates y = (y1, y2) to observables
 x = x0 + tangent @ y + sum_p nl(p) y^p (+ eps * 2 Re[v_hat1 e^{i omega t}]);
 the chart maps back through y = chart_w @ (x - x0). Reduced dynamics are a
 polynomial map of y plus the periodic forcing term when a correction is set.
+
+The coefficient dicts are the model's data and its JSON form. Evaluation
+runs on a dense form compiled from them once, at construction:
+
+- phi(y, t) holds every monomial y1^p1 y2^p2 up to the model's degree in
+  graded-lex order, (0,0) included, then a constant 1, cos(omega t) and
+  sin(omega t) (zeros when no time is given);
+- C, J and R are coefficient matrices over phi: the lift (x0 against the
+  constant), its two partials interleaved by row, and the reduced dynamics;
+- the forcing enters as real amplitudes, 2 eps Re a against cos(omega t)
+  and -2 eps Im a against sin(omega t), for a = v_hat_1 (lift) and r_hat_1
+  (reduced dynamics).
+
+Each call builds the power table y1^0..y1^deg, y2^0..y2^deg, gathers phi from
+it and contracts: reduced_field = R phi, lift_jacobian = J phi and
+lift = C^T phi. The lift sums its terms one at a time in table order, x0
+last, so an unforced lift is bit-identical to the term-by-term Poly2 sum of
+the coefficient dicts: full-model runs started from lifted states do not
+move. lift_many lifts a whole recorded segment in one matrix product.
+trust_radius is read at each reduced_field call, so it may be set after
+construction.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .poly2 import Poly2, vector_poly
+from .poly2 import monomials
 
 
 @dataclass(frozen=True)
@@ -36,12 +58,6 @@ class PeriodicCorrection:
     @property
     def h_hat_minus_1(self):
         return None if self.h_hat_1 is None else np.conj(self.h_hat_1)
-
-    def lift_term(self, t: float) -> np.ndarray:
-        return self.eps * 2.0 * (self.v_hat_1 * np.exp(1j * self.omega * t)).real
-
-    def forcing_term(self, t: float) -> np.ndarray:
-        return self.eps * 2.0 * (self.r_hat_1 * np.exp(1j * self.omega * t)).real
 
 
 @dataclass
@@ -64,48 +80,92 @@ class SsmModel:
         self.x0 = np.asarray(self.x0, dtype=float)
         self.tangent = np.asarray(self.tangent, dtype=float)
         self.chart_w = np.asarray(self.chart_w, dtype=float)
-        self._lift_poly = vector_poly(
-            {(1, 0): self.tangent[:, 0], (0, 1): self.tangent[:, 1],
-             **self.nl_coeffs})
-        self._rdyn_poly = vector_poly(self.rdyn)
-        self._jac = [self._lift_poly.diff(0), self._lift_poly.diff(1)]
+        self._compile()
         self._pull = 2.0 * np.linalg.norm(self.linear_block(), 2) if self.rdyn else 0.0
+
+    def _compile(self) -> None:
+        """Dense coefficient matrices over one exponent table (module doc)."""
+        lift = {(1, 0): self.tangent[:, 0], (0, 1): self.tangent[:, 1],
+                **self.nl_coeffs}
+        deg = max(p1 + p2 for p1, p2 in [*lift, *self.rdyn])
+        exps = monomials(0, deg)
+        col = {p: k for k, p in enumerate(exps)}
+        n, d, K = self.dim, self.tangent.shape[1], len(exps)
+        # rows/columns: the K monomials, then x0 against a constant 1, then
+        # the cos and sin forcing slots
+        C = np.zeros((K + 3, n))
+        J = np.zeros((n, d, K + 3))
+        R = np.zeros((d, K + 3))
+        for (i, j), v in lift.items():
+            v = np.asarray(v, dtype=float)
+            C[col[i, j]] += v
+            if i:
+                J[:, 0, col[i - 1, j]] += i * v
+            if j:
+                J[:, 1, col[i, j - 1]] += j * v
+        C[K] = self.x0
+        for p, v in self.rdyn.items():
+            R[:, col[p]] += np.asarray(v, dtype=float)
+        self._omega = 0.0
+        if self.correction is not None:
+            c = self.correction
+            self._omega = c.omega
+            C[K + 1] = 2.0 * c.eps * np.real(c.v_hat_1)
+            C[K + 2] = -2.0 * c.eps * np.imag(c.v_hat_1)
+            R[:, K + 1] = 2.0 * c.eps * np.real(c.r_hat_1)
+            R[:, K + 2] = -2.0 * c.eps * np.imag(c.r_hat_1)
+        self._deg = deg
+        self._C, self._J, self._R = C, J.reshape(n * d, K + 3), R
+        # phi = P[e1] * P[e2] on P = [y1^0..y1^deg, y2^0..y2^deg, cos, sin]
+        one = deg + 1                                   # y2^0
+        self._e1 = np.array([i for i, _ in exps] + [one, 2 * one, 2 * one + 1])
+        self._e2 = np.array([one + j for _, j in exps] + [one, one, one])
+
+    def _phi(self, y, t) -> np.ndarray:
+        y1, y2 = float(y[0]), float(y[1])
+        cs = [0.0, 0.0] if t is None else [math.cos(self._omega * t),
+                                           math.sin(self._omega * t)]
+        pows = range(self._deg + 1)
+        P = np.array([y1 ** k for k in pows] + [y2 ** k for k in pows] + cs)
+        return P[self._e1] * P[self._e2]
 
     @property
     def dim(self) -> int:
         return len(self.x0)
 
-    @property
-    def lift_poly(self) -> Poly2:
-        return self._lift_poly
-
     def lift(self, y, t: Optional[float] = None) -> np.ndarray:
-        x = self.x0 + self._lift_poly(y)
-        if self.correction is not None and t is not None:
-            x = x + self.correction.lift_term(t)
-        return x
+        """Observable state at reduced state y (forced term only with t)."""
+        return np.add.reduce(self._C * self._phi(y, t)[:, None])
+
+    def lift_many(self, Y, t=None) -> np.ndarray:
+        """Lift of the rows of Y (N, d) at times t (N,), or unforced without
+        t: shape (N, n), equal to row-wise lift up to round-off."""
+        Y = np.asarray(Y, dtype=float)
+        P = np.zeros((len(Y), 2 * self._deg + 4))
+        P[:, :-2] = (Y[:, :, None] ** np.arange(self._deg + 1)).reshape(
+            len(Y), 2 * self._deg + 2)
+        if t is not None:
+            wt = self._omega * np.asarray(t, dtype=float)
+            P[:, -2] = np.cos(wt)
+            P[:, -1] = np.sin(wt)
+        return (P[:, self._e1] * P[:, self._e2]) @ self._C
 
     def lift_jacobian(self, y) -> np.ndarray:
-        return np.column_stack([self._jac[0](y), self._jac[1](y)])
+        """d lift / d y, shape (n, d)."""
+        return (self._J @ self._phi(y, None)).reshape(self.dim, -1)
 
     def chart(self, x) -> np.ndarray:
         return self.chart_w @ (np.asarray(x, dtype=float) - self.x0)
 
     def reduced_field(self, t: float, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=float)
-        if self.trust_radius is not None:
-            r = float(np.linalg.norm(y))
-            if r > self.trust_radius:
-                u = y / r
-                y_c = self.trust_radius * u
-                dy = self._rdyn_poly(y_c)
-                if self.correction is not None:
-                    dy = dy + self.correction.forcing_term(t)
-                return dy - self._pull * (r - self.trust_radius) * u
-        dy = self._rdyn_poly(y)
-        if self.correction is not None:
-            dy = dy + self.correction.forcing_term(t)
-        return dy
+        rho = self.trust_radius
+        if rho is not None:
+            r = math.hypot(y[0], y[1])
+            if r > rho:
+                u = np.asarray(y, dtype=float) / r
+                return (self._R @ self._phi(rho * u, t)
+                        - self._pull * (r - rho) * u)
+        return self._R @ self._phi(y, t)
 
     def linear_block(self) -> np.ndarray:
         d = self.tangent.shape[1]

@@ -7,7 +7,8 @@ those tests assert the contradiction and the computed values against the
 consistent delta = 0.1 entries; the "b" tests pin where the other constants
 come from. Criteria that still fail state their measured cause in their
 docstring and failure message. Run with `pytest -s tests/test_acceptance.py`
-to see every report line.
+to see every report line; every test here carries the `acceptance` marker, so
+`pytest -m "not acceptance"` runs the module suite alone.
 """
 
 import math
@@ -29,6 +30,8 @@ from pwsrom.rom import make_sp_rom, simulate_rom
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_elastic_term,
                                 sp_shifted)
 from pwsrom.ssm_model import SsmModel
+
+pytestmark = pytest.mark.acceptance
 
 
 def report(num, ok, detail):

@@ -28,12 +28,11 @@ def test_diff():
     assert p.diff(1).terms == {(2, 0): 3.0}
 
 
-def test_vector_poly_eval_many():
+def test_vector_poly_call():
     p = vector_poly({(1, 0): [1.0, 0.0], (0, 2): [0.0, 2.0]})
-    Y = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = p.eval_many(Y)
-    assert out.shape == (2, 2)
-    assert np.allclose(out[:, 1], [2.0, 32.0])
+    out = p(np.array([2.0, 4.0]))
+    assert out.shape == (2,)
+    assert np.allclose(out, [2.0, 32.0])
 
 
 def test_compose_truncation():
