@@ -6,26 +6,17 @@ x = x0 + tangent @ y + sum_p nl(p) y^p (+ eps * 2 Re[v_hat1 e^{i omega t}]);
 the chart maps back through y = chart_w @ (x - x0). Reduced dynamics are a
 polynomial map of y plus the periodic forcing term when a correction is set.
 
-The coefficient dicts are the model's data and its JSON form. Evaluation
-runs on a dense form compiled from them once, at construction:
-
-- phi(y, t) holds every monomial y1^p1 y2^p2 up to the model's degree in
-  graded-lex order, (0,0) included, then a constant 1, cos(omega t) and
-  sin(omega t) (zeros when no time is given);
-- C, J and R are coefficient matrices over phi: the lift (x0 against the
-  constant), its two partials interleaved by row, and the reduced dynamics;
-- the forcing enters as real amplitudes, 2 eps Re a against cos(omega t)
-  and -2 eps Im a against sin(omega t), for a = v_hat_1 (lift) and r_hat_1
-  (reduced dynamics).
-
-Each call builds the power table y1^0..y1^deg, y2^0..y2^deg, gathers phi from
-it and contracts: reduced_field = R phi, lift_jacobian = J phi and
-lift = C^T phi. The lift sums its terms one at a time in table order, x0
-last, so an unforced lift is bit-identical to the term-by-term Poly2 sum of
-the coefficient dicts: full-model runs started from lifted states do not
-move. lift_many lifts a whole recorded segment in one matrix product.
-trust_radius is read at each reduced_field call, so it may be set after
-construction.
+The coefficient dicts are the model's data and JSON form; evaluation runs
+on a dense form compiled from them at construction. phi(y, t) lists every
+monomial up to the model's degree in graded-lex order, (0,0) included, then
+1, cos(omega t) and sin(omega t) (zeros without a time). C, J and R hold the
+lift (x0 against the 1), its two partials interleaved by row, and the
+reduced dynamics over phi; the forcing enters as the real amplitudes
+2 eps Re a and -2 eps Im a against cos and sin. A call builds the power table
+of y1 and y2, gathers phi from it, and contracts. The lift adds its terms one
+at a time in table order, x0 last, so an unforced lift is bit-identical to
+the term-by-term (Poly2) sum of the dicts and full-model runs started from
+lifted states do not move. trust_radius is read at every call.
 """
 
 from __future__ import annotations
@@ -91,8 +82,6 @@ class SsmModel:
         exps = monomials(0, deg)
         col = {p: k for k, p in enumerate(exps)}
         n, d, K = self.dim, self.tangent.shape[1], len(exps)
-        # rows/columns: the K monomials, then x0 against a constant 1, then
-        # the cos and sin forcing slots
         C = np.zeros((K + 3, n))
         J = np.zeros((n, d, K + 3))
         R = np.zeros((d, K + 3))
