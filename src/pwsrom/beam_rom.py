@@ -189,11 +189,6 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
         ap, am = a_pm(t, x)
         return "+" if ap + am > 0.0 else "-"
 
-    def reconstruct(t, y, model):
-        x = model.lift(y, t).copy()
-        x[i_vel] = v_hold
-        return x
-
     sticking = None
     if with_sticking and variant.kind != "soft_impact":
         # the in-surface field presumes a chart whose coordinates are the
@@ -216,7 +211,7 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
             return np.array([v_hold / float(model.tangent[i_q, 0]), 0.0])
 
         sticking = StickingRule(condition=condition, reduced_field=reduced_field,
-                                exit_branch=exit_branch, reconstruct=reconstruct)
+                                exit_branch=exit_branch, pin=(i_vel, v_hold))
     return NonsmoothRom(model_plus=model_plus, model_minus=model_minus,
                         switching=switching, ic_strategy=ic_strategy,
                         sticking=sticking,

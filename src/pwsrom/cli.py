@@ -289,23 +289,29 @@ def cmd_fit(cfg, out_dir) -> int:
 # frc
 
 
-def _sp_frc_full_chunk(task):
-    cfg, omegas = task
+def _sp_frc_point(cfg, om):
+    """Forced parameters and integrator options at one FRC frequency, shared
+    by the full and the reduced chunk: frc.rtol/frc.atol, max step period/64."""
     params = sp_params_from(cfg)
     fc = cfg.get("frc", {})
-    eps = fc.get("eps", 0.15)
+    p = SpParams(m1=params.m1, m2=params.m2, c=params.c, k=params.k,
+                 alpha=params.alpha, delta=params.delta,
+                 eps=fc.get("eps", 0.15), omega=om)
+    opts = IntegratorOptions(rtol=fc.get("rtol", 1e-8), atol=fc.get("atol", 1e-10),
+                             max_step=2 * np.pi / om / 64)
+    return p, opts
+
+
+def _sp_frc_full_chunk(task):
+    cfg, omegas = task
+    fc = cfg.get("frc", {})
     amp_coord = fc.get("amp_coord", 0)
-    opts = IntegratorOptions(rtol=fc.get("rtol", 1e-8), atol=fc.get("atol", 1e-10))
     out = []
     state = None
     for om in omegas:
-        p = SpParams(m1=params.m1, m2=params.m2, c=params.c, k=params.k,
-                     alpha=params.alpha, delta=params.delta, eps=eps, omega=om)
-        period = 2 * np.pi / om
-        opts_l = IntegratorOptions(rtol=opts.rtol, atol=opts.atol,
-                                   max_step=period / 64)
+        p, opts = _sp_frc_point(cfg, om)
         step, period = analysis.hybrid_period_stepper(
-            lambda w: make_system(p), om, amp_coord, opts_l)
+            lambda w: make_system(p), om, amp_coord, opts)
         x0 = state if state is not None else np.zeros(4)
         amp, conv, nper, state = analysis.steady_state_amplitude(
             step, x0, period, max_periods=fc.get("max_periods", 500))
@@ -316,23 +322,18 @@ def _sp_frc_full_chunk(task):
 
 def _sp_frc_rom_chunk(task):
     cfg, omegas = task
-    params = sp_params_from(cfg)
     fc = cfg.get("frc", {})
-    eps = fc.get("eps", 0.15)
     amp_coord = fc.get("amp_coord", 0)
     out = []
     state = None
     for om in omegas:
-        p = SpParams(m1=params.m1, m2=params.m2, c=params.c, k=params.k,
-                     alpha=params.alpha, delta=params.delta, eps=eps, omega=om)
+        p, opts = _sp_frc_point(cfg, om)
         nrom = rom_mod.make_sp_rom(p, order=fc.get("order", 3))
-        period = 2 * np.pi / om
-        opts = IntegratorOptions(rtol=1e-9, atol=1e-11, max_step=period / 64)
         step = analysis.rom_period_stepper(nrom, amp_coord, opts)
         if state is None:
             state = (np.zeros(2), "+")
         amp, conv, nper, state = analysis.steady_state_amplitude(
-            step, state, period, max_periods=fc.get("max_periods", 500))
+            step, state, 2 * np.pi / om, max_periods=fc.get("max_periods", 500))
         out.append(analysis.FrcPoint(omega=om, amplitude=amp, converged=conv,
                                      n_periods=nper))
     return out

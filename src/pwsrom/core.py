@@ -9,11 +9,18 @@ bisects the event on the continuous extension (to |sigma| <= EPS_EVENT for
 surface hits). Branch segments, Filippov sliding and the switched reduced
 model (pwsrom.rom, pwsrom.analysis) all run through it and record into one
 trajectory type, HybridTrajectory.
+
+A step costs mostly per-call overhead on these small states, so the stepper
+keeps its stages in two preallocated buffers that swap on acceptance (no
+copies), uses Python-float scalars, and records accepted states without
+copying them. Its arithmetic and matrix products are those of a stepper
+with one buffer and copies, so the results are the same to the bit.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Optional
@@ -248,7 +255,7 @@ class IntegratorOptions:
 
 
 # Dormand-Prince 5(4) tableau
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
+_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)     # Python floats: scalar nodes
 _A = [
     np.array([]),
     np.array([1 / 5]),
@@ -274,7 +281,13 @@ _P = np.array([
 
 
 class _Stepper:
-    """Adaptive DP5(4) stepper with quartic dense output for one smooth field."""
+    """Adaptive DP5(4) stepper with quartic dense output for one smooth field.
+
+    The stages live in two preallocated (7, n) buffers: an accepted step
+    hands its buffer to the dense output (K_old) and continues in the other,
+    whose first row takes the last stage (FSAL), so no step copies its
+    stages. Each buffer keeps its stage views K[:i].T for the products.
+    """
 
     def __init__(self, f, t, x, opts: IntegratorOptions):
         self.f = f
@@ -282,7 +295,9 @@ class _Stepper:
         self.x = np.asarray(x, dtype=float)
         self.opts = opts
         self.h = min(opts.first_step, opts.max_step)
-        self.K = np.empty((7, len(self.x)))
+        self.K, self.K_old = np.empty((7, len(self.x))), np.empty((7, len(self.x)))
+        self._KT = [self.K[:i].T for i in range(8)]
+        self._KT_old = [self.K_old[:i].T for i in range(8)]
         self.K[0] = f(self.t, self.x)
         self.t_old = self.t
         self.x_old = self.x.copy()
@@ -290,30 +305,31 @@ class _Stepper:
     def step(self, t_limit: float) -> bool:
         """Advance one accepted step, not beyond t_limit. False once t==t_limit."""
         opts = self.opts
-        if self.t >= t_limit:
+        t, x, f = self.t, self.x, self.f
+        if t >= t_limit:
             return False
-        h = min(self.h, opts.max_step, t_limit - self.t)
+        h = min(self.h, opts.max_step, t_limit - t)
+        h_min = opts.min_step * max(1.0, abs(t))
+        atol, rtol = opts.atol, opts.rtol
+        K, KT = self.K, self._KT
         while True:
-            if h < opts.min_step * max(1.0, abs(self.t)):
-                raise StiffnessError(f"step size underflow at t={self.t:.6g}")
-            K = self.K
-            t, x = self.t, self.x
+            if h < h_min:
+                raise StiffnessError(f"step size underflow at t={t:.6g}")
             for i in range(1, 7):
-                xi = x + h * (K[:i].T @ _A[i])
-                K[i] = self.f(t + _C[i] * h, xi)
-            x_new = x + h * (K.T @ _B)
-            err_vec = h * (K.T @ _E)
-            scale = opts.atol + opts.rtol * np.maximum(np.abs(x), np.abs(x_new))
-            err = np.sqrt(np.mean((err_vec / scale) ** 2))
+                K[i] = f(t + _C[i] * h, x + h * (KT[i] @ _A[i]))
+            x_new = x + h * (KT[7] @ _B)
+            r = h * (KT[7] @ _E) / (atol + rtol * np.maximum(np.abs(x),
+                                                             np.abs(x_new)))
+            err = math.sqrt(np.add.reduce(r * r) / len(r))
             if err <= 1.0:
                 factor = 0.9 * (max(err, 1e-10)) ** -0.2
                 self.h = h * min(5.0, max(0.2, factor))
-                self.t_old, self.x_old = t, self.x
-                self.K_old = K.copy()
-                self.h_old = h
+                self.t_old, self.x_old, self.h_old = t, x, h
                 self.t = t + h
                 self.x = x_new
-                K[0] = K[6].copy()  # FSAL
+                self.K, self.K_old = self.K_old, K
+                self._KT, self._KT_old = self._KT_old, KT
+                self.K[0] = K[6]  # FSAL
                 return True
             h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
 
@@ -322,7 +338,7 @@ class _Stepper:
         h = self.h_old
         s = (t - self.t_old) / h
         q = np.array([s, s * s, s ** 3, s ** 4])
-        return self.x_old + h * (self.K_old.T @ (_P @ q))
+        return self.x_old + h * (self._KT_old[7] @ (_P @ q))
 
 
 def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
@@ -386,7 +402,7 @@ def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
     and the segment's x holds the observed states."""
     ts = [t0]
     xs = [np.asarray(x0).copy()]
-    dt = opts.t_eval_dt
+    dt, record_steps = opts.t_eval_dt, opts.record_steps
     k = int(np.floor((t0 - t_grid0) / dt)) if dt else 0
     while dt and t_grid0 + k * dt <= t0:
         k += 1
@@ -398,11 +414,14 @@ def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
             xs.append(stepper.interpolate(ts[-1]))
             k += 1
 
+    # accepted states are fresh arrays that nothing mutates, so they are
+    # recorded without a copy
     def record_step(stepper):
-        flush_grid(stepper, stepper.t)
-        if opts.record_steps:
+        if dt:
+            flush_grid(stepper, stepper.t)
+        if record_steps:
             ts.append(stepper.t)
-            xs.append(stepper.x.copy())
+            xs.append(stepper.x)
 
     def finish(stepper, t_f, x_f):
         flush_grid(stepper, t_f)

@@ -35,14 +35,29 @@ class StickingRule:
     condition decides (on reconstructed observables) whether the state is
     inside the sticking region; reduced_field is the in-surface reduced
     dynamics; exit_branch names the branch whose field points away once the
-    condition fails. reconstruct may override the lift during sticking so the
-    recorded observable satisfies the surface constraint exactly.
+    condition fails. pin = (index, value), when set, holds that observable
+    coordinate at value during sticking, so the reconstructed state (the lift
+    with the coordinate pinned) satisfies the surface constraint exactly.
     """
 
     condition: Callable[[float, np.ndarray], bool]                 # (t, x)
     reduced_field: Callable[[float, np.ndarray, SsmModel], np.ndarray]  # (t, y, model)
     exit_branch: Callable[[float, np.ndarray], str]                # (t, x)
-    reconstruct: Optional[Callable[[float, np.ndarray, SsmModel], np.ndarray]] = None
+    pin: Optional[tuple[int, float]] = None
+
+    def state(self, model: SsmModel, t: float, y) -> np.ndarray:
+        """Reconstructed observable state while sticking."""
+        x = model.lift(y, t)
+        if self.pin is not None:
+            x[self.pin[0]] = self.pin[1]
+        return x
+
+    def states(self, model: SsmModel, T, Y) -> np.ndarray:
+        """Reconstructed states of the rows of Y (N, d) at times T (N,)."""
+        X = model.lift_many(Y, T)
+        if self.pin is not None:
+            X[:, self.pin[0]] = self.pin[1]
+        return X
 
 
 @dataclass
@@ -221,11 +236,8 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
     mode = "branch"
     if rom.sticking is not None:
         model0 = rom.model(branch)
-        x_start = (rom.sticking.reconstruct(t0, y, model0)
-                   if rom.sticking.reconstruct is not None
-                   else model0.lift(y, t0))
         if (abs(rom.switching.sigma(model0.lift(y, t0))) < 1e-6
-                and rom.sticking.condition(t0, x_start)):
+                and rom.sticking.condition(t0, rom.sticking.state(model0, t0, y))):
             mode = "sticking"
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         run = _rom_branch_segment if mode == "branch" else _rom_sticking_segment
@@ -258,11 +270,6 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     rule = rom.sticking
     model = rom.model(branch)
 
-    def x_of(t, y):
-        if rule.reconstruct is not None:
-            return rule.reconstruct(t, y, model)
-        return model.lift(y, t)
-
     def f_slide(t, y):
         return rule.reduced_field(t, y, model)
 
@@ -271,8 +278,8 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     # the release time to the time resolution
     seg, hit = _integrate_segment(
         f_slide, t0, y0, t_end, opts, t_grid0,
-        event=lambda t, y: 1.0 if rule.condition(t, x_of(t, y)) else -1.0,
-        observe=lambda T, Y: np.vstack([x_of(t, y) for t, y in zip(T, Y)]))
+        event=lambda t, y: 1.0 if rule.condition(t, rule.state(model, t, y)) else -1.0,
+        observe=lambda T, Y: rule.states(model, T, Y))
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
@@ -322,16 +329,12 @@ def make_sp_rom(params, order: int = 3, ic_strategy: str = "projection",
     model_m = build_analytic_model(params, "-", order=order,
                                    eps=params.eps, omega=params.omega)
 
-    def reconstruct(t, y, model):
-        x = model.lift(y, t).copy()
-        x[1] = 0.0
-        return x
-
     def condition(t, x):
         return sp_sticking_test(params, x, t)
 
     def reduced_field(t, y, model):
-        x = reconstruct(t, y, model)
+        x = model.lift(y, t)
+        x[1] = 0.0
         return model.chart_w @ sp_sliding_field(params, t, x)
 
     def exit_branch(t, x):
@@ -343,7 +346,7 @@ def make_sp_rom(params, order: int = 3, ic_strategy: str = "projection",
     sticking = None
     if with_sticking:
         sticking = StickingRule(condition=condition, reduced_field=reduced_field,
-                                exit_branch=exit_branch, reconstruct=reconstruct)
+                                exit_branch=exit_branch, pin=(1, 0.0))
     return NonsmoothRom(model_plus=model_p, model_minus=model_m,
                         switching=sp_switching(), ic_strategy=ic_strategy,
                         sticking=sticking)

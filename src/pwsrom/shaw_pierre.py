@@ -55,7 +55,7 @@ def sp_field(params: SpParams, branch: str, t: float, x: np.ndarray) -> np.ndarr
     """Branch vector field (smooth extension), with optional cosine forcing."""
     m1, m2, c, k, a = params.m1, params.m2, params.c, params.k, params.alpha
     s = -1.0 if branch == "+" else 1.0
-    x1, x2, x3, x4 = x
+    x1, x2, x3, x4 = x.tolist()     # Python floats: same values, cheaper ops
     force = 0.0
     if params.eps:
         force = params.eps * np.cos(params.omega * t) / np.sqrt(2.0)

@@ -9,14 +9,19 @@ polynomial map of y plus the periodic forcing term when a correction is set.
 The coefficient dicts are the model's data and JSON form; evaluation runs
 on a dense form compiled from them at construction. phi(y, t) lists every
 monomial up to the model's degree in graded-lex order, (0,0) included, then
-1, cos(omega t) and sin(omega t) (zeros without a time). C, J and R hold the
-lift (x0 against the 1), its two partials interleaved by row, and the
-reduced dynamics over phi; the forcing enters as the real amplitudes
-2 eps Re a and -2 eps Im a against cos and sin. A call builds the power table
-of y1 and y2, gathers phi from it, and contracts. The lift adds its terms one
-at a time in table order, x0 last, so an unforced lift is bit-identical to
-the term-by-term (Poly2) sum of the dicts and full-model runs started from
-lifted states do not move. trust_radius is read at every call.
+1, cos(omega t) and sin(omega t) (zeros without a time). C and J hold the
+lift (x0 against the 1) and its two partials interleaved by row over phi;
+the forcing enters as the real amplitudes 2 eps Re a and -2 eps Im a against
+cos and sin. A call builds the power table of y1 and y2, gathers phi from
+it, and contracts. The lift adds its terms one at a time in table order, x0
+last, so an unforced lift is bit-identical to the term-by-term (Poly2) sum
+of the dicts and full-model runs started from lifted states do not move.
+
+The reduced dynamics (always two coordinates) run in Python floats, which
+costs less than numpy calls at this size: the model's nonzero monomials in
+table order with libm powers, as the Poly2 sum takes them (so the unforced
+field is bit-identical to it), then the cos/sin forcing amplitudes.
+trust_radius is read at every call.
 """
 
 from __future__ import annotations
@@ -84,7 +89,6 @@ class SsmModel:
         n, d, K = self.dim, self.tangent.shape[1], len(exps)
         C = np.zeros((K + 3, n))
         J = np.zeros((n, d, K + 3))
-        R = np.zeros((d, K + 3))
         for (i, j), v in lift.items():
             v = np.asarray(v, dtype=float)
             C[col[i, j]] += v
@@ -93,18 +97,20 @@ class SsmModel:
             if j:
                 J[:, 1, col[i, j - 1]] += j * v
         C[K] = self.x0
-        for p, v in self.rdyn.items():
-            R[:, col[p]] += np.asarray(v, dtype=float)
-        self._omega = 0.0
+        # reduced dynamics: (i, j, coefficient of y1', of y2') per nonzero
+        # monomial in table order, and the cos/sin amplitudes of y1', y2'
+        self._rterms = [(i, j, *np.asarray(self.rdyn[i, j], dtype=float).tolist())
+                        for i, j in exps if np.any(self.rdyn.get((i, j), 0.0))]
+        self._omega, self._rforce = 0.0, None
         if self.correction is not None:
             c = self.correction
             self._omega = c.omega
             C[K + 1] = 2.0 * c.eps * np.real(c.v_hat_1)
             C[K + 2] = -2.0 * c.eps * np.imag(c.v_hat_1)
-            R[:, K + 1] = 2.0 * c.eps * np.real(c.r_hat_1)
-            R[:, K + 2] = -2.0 * c.eps * np.imag(c.r_hat_1)
+            self._rforce = (2.0 * c.eps * np.real(c.r_hat_1)).tolist() + (
+                -2.0 * c.eps * np.imag(c.r_hat_1)).tolist()
         self._deg = deg
-        self._C, self._J, self._R = C, J.reshape(n * d, K + 3), R
+        self._C, self._J = C, J.reshape(n * d, K + 3)
         # phi = P[e1] * P[e2] on P = [y1^0..y1^deg, y2^0..y2^deg, cos, sin]
         one = deg + 1                                   # y2^0
         self._e1 = np.array([i for i, _ in exps] + [one, 2 * one, 2 * one + 1])
@@ -117,6 +123,23 @@ class SsmModel:
         pows = range(self._deg + 1)
         P = np.array([y1 ** k for k in pows] + [y2 ** k for k in pows] + cs)
         return P[self._e1] * P[self._e2]
+
+    def _reduced(self, t, y1: float, y2: float) -> list:
+        """Reduced dynamics at (y1, y2) in Python floats (module doc)."""
+        pows = range(self._deg + 1)
+        p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
+        f1 = f2 = 0.0
+        for i, j, a1, a2 in self._rterms:
+            m = p1[i] * p2[j]
+            f1 += a1 * m
+            f2 += a2 * m
+        if t is not None and self._rforce is not None:
+            c1, c2, s1, s2 = self._rforce
+            wt = self._omega * t
+            cw, sw = math.cos(wt), math.sin(wt)
+            f1 += c1 * cw + s1 * sw
+            f2 += c2 * cw + s2 * sw
+        return [f1, f2]
 
     @property
     def dim(self) -> int:
@@ -147,14 +170,16 @@ class SsmModel:
         return self.chart_w @ (np.asarray(x, dtype=float) - self.x0)
 
     def reduced_field(self, t: float, y: np.ndarray) -> np.ndarray:
+        y1, y2 = float(y[0]), float(y[1])
         rho = self.trust_radius
         if rho is not None:
-            r = math.hypot(y[0], y[1])
+            r = math.hypot(y1, y2)
             if r > rho:
-                u = np.asarray(y, dtype=float) / r
-                return (self._R @ self._phi(rho * u, t)
-                        - self._pull * (r - rho) * u)
-        return self._R @ self._phi(y, t)
+                u1, u2 = y1 / r, y2 / r
+                f1, f2 = self._reduced(t, rho * u1, rho * u2)
+                pull = self._pull * (r - rho)
+                return np.array([f1 - pull * u1, f2 - pull * u2])
+        return np.array(self._reduced(t, y1, y2))
 
     def linear_block(self) -> np.ndarray:
         d = self.tangent.shape[1]

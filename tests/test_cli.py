@@ -177,3 +177,35 @@ def test_fit_beam_writes_fitted_dataset(tmp_path):
         assert man["n_trajectories"] == 6
         assert len(list(dd.glob("traj_*.csv"))) == 6
         assert SsmModel.from_json(tmp_path / f"ssm_model_{tag}.json").source == "data"
+
+
+def test_frc_chunks_share_configured_tolerances(monkeypatch):
+    # both chunks integrate at frc.rtol/frc.atol (defaults 1e-8/1e-10) with
+    # the same options at each frequency; the period steppers are stubbed,
+    # only the options they receive are checked
+    from pwsrom import analysis
+    seen = {"full": [], "rom": []}
+
+    def full_stepper(make_system, omega, amp_index, opts):
+        seen["full"].append(opts)
+        return (lambda t0, x: (x, 1.0)), 2 * np.pi / omega
+
+    def rom_stepper(rom, amp_index, opts):
+        seen["rom"].append(opts)
+        return lambda t0, state: (state, 1.0)
+
+    monkeypatch.setattr(analysis, "hybrid_period_stepper", full_stepper)
+    monkeypatch.setattr(analysis, "rom_period_stepper", rom_stepper)
+    omegas = [0.95, 1.05]
+    for frc, tols in (({"rtol": 1e-7, "atol": 1e-9}, (1e-7, 1e-9)),
+                      ({}, (1e-8, 1e-10))):
+        seen["full"].clear()
+        seen["rom"].clear()
+        cfg = {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01},
+               "frc": {"eps": 0.15, **frc}}
+        cli._sp_frc_full_chunk((cfg, omegas))
+        cli._sp_frc_rom_chunk((cfg, omegas))
+        assert [(o.rtol, o.atol) for o in seen["rom"]] == [tols] * 2
+        assert seen["rom"] == seen["full"]
+        assert [o.max_step for o in seen["rom"]] == [2 * np.pi / om / 64
+                                                     for om in omegas]

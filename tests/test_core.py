@@ -5,8 +5,8 @@ from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          DegenerateDenominatorError, IntegratorOptions,
                          PiecewiseSmoothSystem, RepellingSlidingError,
                          SwitchingFunction, classify_boundary,
-                         filippov_field, finite_difference_gradient,
-                         integrate_hybrid)
+                         _Stepper, filippov_field,
+                         finite_difference_gradient, integrate_hybrid)
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_sliding_field,
                                 sp_sticking_test, sp_switching)
 
@@ -312,3 +312,17 @@ def test_rom_sample_grid_uniform_across_events():
     kinds = {ev.kind for ev in traj.events}
     assert {EventKind.CROSSING, EventKind.STICK_ENTRY, EventKind.STICK_EXIT} <= kinds
     _assert_uniform_grid(traj, 0.1)
+
+
+def test_stepper_dense_output_spans_each_accepted_step():
+    # accepted steps swap two stage buffers; the dense output must keep the
+    # stages of the last accepted step, and the next step's FSAL stage must
+    # not overwrite them
+    f = make_system(SpParams(delta=0.05, eps=0.15, omega=1.1)).f_plus
+    st = _Stepper(f, 0.0, np.array([0.5, 0.3, -0.2, 0.1]),
+                  IntegratorOptions(rtol=1e-8, atol=1e-10))
+    for _ in range(50):
+        assert st.step(np.inf)
+        assert np.array_equal(st.interpolate(st.t_old), st.x_old)
+        err = np.linalg.norm(st.interpolate(st.t) - st.x)
+        assert err <= 1e-12 * np.linalg.norm(st.x)

@@ -149,6 +149,27 @@ def test_rom_sticking_fidelity_reconstruction(rom_01):
     assert saw
 
 
+def test_sticking_samples_are_pinned_lifts():
+    # a sticking segment is recorded by one batched lift with the pinned
+    # coordinate assigned; each sample equals its own lift with dq1 = 0
+    rom = make_sp_rom(SpParams(delta=0.05))
+    y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
+    traj = simulate_rom(rom, y0, "+", (0.0, 40.0),
+                        IntegratorOptions(t_eval_dt=0.05))
+    n = 0
+    for prev, seg in zip(traj.segments, traj.segments[1:]):
+        if seg.branch != "sigma":
+            continue
+        model = rom.model(prev.branch)
+        assert np.all(seg.x[:, 1] == 0.0)
+        for t, y, x in zip(seg.t, seg.y, seg.x):
+            ref = model.lift(y, t)
+            ref[1] = 0.0
+            assert np.linalg.norm(x - ref) <= 1e-13 * np.linalg.norm(ref)
+            n += 1
+    assert n > 20
+
+
 def test_sticking_chart_misconfiguration_detected(rom_01):
     base = rom_01
     bad_rule = StickingRule(

@@ -110,6 +110,14 @@ def test_lift_jacobian_matches_diff_and_central_difference(model):
         assert rel(J, fd) <= 1e-7
 
 
+def test_unforced_reduced_field_is_the_term_by_term_sum(model):
+    # the float evaluation takes the monomials in table order with libm
+    # powers, as the Poly2 sum does
+    for y in points(seed=4)[0]:
+        assert np.array_equal(model.reduced_field(None, y),
+                              vector_poly(model.rdyn)(y))
+
+
 def test_reduced_field_inside_and_outside_trust_radius(model):
     m = dataclasses.replace(model)
     assert m.trust_radius is None
