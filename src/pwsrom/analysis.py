@@ -10,9 +10,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (EventKind, IntegratorOptions, _integrate_segment,
+from .core import (EventKind, IntegratorOptions, _integrate_segment, _Stepper2,
                    integrate_hybrid)
-from .rom import NonsmoothRom, StrategyError, _trace_surface, simulate_rom
+from .rom import (NonsmoothRom, StrategyError, _trace_surface, simulate_rom,
+                  switching_value)
 
 
 # ---------------------------------------------------------------------------
@@ -247,18 +248,18 @@ def _advect_to_surface(rom, branch, y0, t_max=50.0):
     d sigma / dt there instead.
     """
     model = rom.model(branch)
-    sigma = rom.switching.sigma
+    value = switching_value(rom, model)
     y0 = np.asarray(y0, dtype=float)
     x0 = model.lift(y0)
-    s0 = sigma(x0)
+    s0 = rom.switching.sigma(x0)
     if abs(s0) <= 1e-7:
         s0 = float(np.asarray(rom.switching.grad_sigma(x0))
                    @ model.lift_jacobian(y0) @ model.reduced_field(0.0, y0))
     sgn = 1.0 if s0 >= 0 else -1.0
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
     seg, hit = _integrate_segment(model.reduced_field, 0.0, y0, t_max, opts,
-                                  0.0, event=lambda t, y: sgn * sigma(model.lift(y)),
-                                  arm_above=1e-7)
+                                  0.0, event=lambda t, y: sgn * value(y),
+                                  arm_above=1e-7, stepper_class=_Stepper2)
     return model.lift(seg.x[-1]) if hit else None
 
 

@@ -14,38 +14,6 @@ from .vk_beam import (BeamAssembly, NonsmoothVariant, beam_field,
                       beam_switching, branch_fixed_point, branch_jacobian)
 
 
-def slow_tangent_basis(assembly: BeamAssembly, variant, branch: str,
-                       x0: Optional[np.ndarray] = None):
-    """Orthonormal basis of the slowest eigenpair plane at the branch fixed
-    point, plus the fixed point and full Jacobian."""
-    if x0 is None:
-        x0 = (branch_fixed_point(assembly, variant, branch) if variant is not None
-              else np.zeros(2 * assembly.n_dof))
-    A = branch_jacobian(assembly, variant, branch, x0)
-    lin = spectral.decompose(A)
-    sub = spectral.subspace(lin, [0])
-    V, _ = np.linalg.qr(sub.v_basis)
-    return V, x0, A
-
-
-def physical_chart_rows(assembly: BeamAssembly,
-                        scale: Optional[np.ndarray] = None) -> np.ndarray:
-    """Chart rows selecting midpoint displacement and velocity.
-
-    With a scale vector the reduced coordinates become the scaled midpoint
-    pair, which keeps the chart numerically balanced while still expressing
-    the sticking constraint exactly.
-    """
-    n = assembly.n_dof
-    W = np.zeros((2, 2 * n))
-    i = assembly.mid_dof_index
-    sq = 1.0 if scale is None else scale[i]
-    sv = 1.0 if scale is None else scale[n + i]
-    W[0, i] = 1.0 / sq
-    W[1, n + i] = 1.0 / sv
-    return W
-
-
 def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
                       order_r: int = 5, chart: str = "modal",
                       static_load: float = 12e3, t_span=(0.0, 0.35),

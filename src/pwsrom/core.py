@@ -10,11 +10,17 @@ surface hits). Branch segments, Filippov sliding and the switched reduced
 model (pwsrom.rom, pwsrom.analysis) all run through it and record into one
 trajectory type, HybridTrajectory.
 
-A step costs mostly per-call overhead on these small states, so the stepper
-keeps its stages in two preallocated buffers that swap on acceptance (no
-copies), uses Python-float scalars, and records accepted states without
-copying them. Its arithmetic and matrix products are those of a stepper
-with one buffer and copies, so the results are the same to the bit.
+There are two steppers with one tableau, step control, FSAL and quartic
+dense output. _Stepper runs full states on numpy stages: a step costs
+mostly per-call overhead on these small states, so it keeps its stages in
+two preallocated buffers that swap on acceptance (no copies), uses
+Python-float scalars, and records accepted states without copying them. Its
+arithmetic and matrix products are those of a stepper with one buffer and
+copies, so the results are the same to the bit. _Stepper2 runs the
+two-coordinate reduced states as one pair of Python floats, with the stages
+unrolled and summed left to right; its stage sums do not go through BLAS,
+so it agrees with _Stepper to round-off, not to the bit. _integrate_segment
+takes the stepper class and runs the same event and record loop for both.
 """
 
 from __future__ import annotations
@@ -56,10 +62,15 @@ class DegenerateDenominatorError(RuntimeError):
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """Scalar switching function sigma and its gradient."""
+    """Scalar switching function sigma and its gradient.
+
+    affine = (g, c), when set, declares sigma(x) = g . x + c, which lets the
+    reduced model precompose sigma with its lift (SsmModel.affine_switching).
+    """
 
     sigma: Callable[[np.ndarray], float]
     grad_sigma: Callable[[np.ndarray], np.ndarray]
+    affine: Optional[tuple[np.ndarray, float]] = None
 
 
 @dataclass(frozen=True)
@@ -341,6 +352,113 @@ class _Stepper:
         return self.x_old + h * (self._KT_old[7] @ (_P @ q))
 
 
+class _Stepper2:
+    """_Stepper for one pair of Python floats: the same tableau, step control,
+    FSAL, StiffnessError and quartic dense output, with the stages unrolled.
+
+    f(t, (y1, y2)) returns a pair; the state x is a pair of floats. The stage
+    sums run left to right over the nonzero tableau entries, and the last
+    stage is evaluated at the new state (its row of the tableau is the
+    fifth-order weights). The entries of _A, _B, _E and _P are written out as
+    literal fractions, which the compiler folds into constants.
+    """
+
+    def __init__(self, f, t, x, opts: IntegratorOptions):
+        self.f = f
+        self.t = float(t)
+        self.x = (float(x[0]), float(x[1]))
+        self.opts = opts
+        self.h = min(opts.first_step, opts.max_step)
+        self.k1 = f(self.t, self.x)
+        self.t_old = self.t
+        self.x_old = self.x
+
+    def step(self, t_limit: float) -> bool:
+        """Advance one accepted step, not beyond t_limit. False once t==t_limit."""
+        t = self.t
+        if t >= t_limit:
+            return False
+        opts, f = self.opts, self.f
+        x1, x2 = self.x
+        k11, k12 = self.k1
+        h = min(self.h, opts.max_step, t_limit - t)
+        h_min = opts.min_step * max(1.0, abs(t))
+        atol, rtol = opts.atol, opts.rtol
+        while True:
+            if h < h_min:
+                raise StiffnessError(f"step size underflow at t={t:.6g}")
+            k21, k22 = f(t + 1 / 5 * h, (x1 + h * (1 / 5 * k11),
+                                         x2 + h * (1 / 5 * k12)))
+            k31, k32 = f(t + 3 / 10 * h,
+                         (x1 + h * (3 / 40 * k11 + 9 / 40 * k21),
+                          x2 + h * (3 / 40 * k12 + 9 / 40 * k22)))
+            k41, k42 = f(t + 4 / 5 * h,
+                         (x1 + h * (44 / 45 * k11 + -56 / 15 * k21
+                                    + 32 / 9 * k31),
+                          x2 + h * (44 / 45 * k12 + -56 / 15 * k22
+                                    + 32 / 9 * k32)))
+            k51, k52 = f(t + 8 / 9 * h,
+                         (x1 + h * (19372 / 6561 * k11 + -25360 / 2187 * k21
+                                    + 64448 / 6561 * k31 + -212 / 729 * k41),
+                          x2 + h * (19372 / 6561 * k12 + -25360 / 2187 * k22
+                                    + 64448 / 6561 * k32 + -212 / 729 * k42)))
+            k61, k62 = f(t + h,
+                         (x1 + h * (9017 / 3168 * k11 + -355 / 33 * k21
+                                    + 46732 / 5247 * k31 + 49 / 176 * k41
+                                    + -5103 / 18656 * k51),
+                          x2 + h * (9017 / 3168 * k12 + -355 / 33 * k22
+                                    + 46732 / 5247 * k32 + 49 / 176 * k42
+                                    + -5103 / 18656 * k52)))
+            n1 = x1 + h * (35 / 384 * k11 + 500 / 1113 * k31 + 125 / 192 * k41
+                           + -2187 / 6784 * k51 + 11 / 84 * k61)
+            n2 = x2 + h * (35 / 384 * k12 + 500 / 1113 * k32 + 125 / 192 * k42
+                           + -2187 / 6784 * k52 + 11 / 84 * k62)
+            k71, k72 = f(t + h, (n1, n2))
+            r1 = h * (71 / 57600 * k11 + -71 / 16695 * k31 + 71 / 1920 * k41
+                      + -17253 / 339200 * k51 + 22 / 525 * k61
+                      + -1 / 40 * k71) / (atol + rtol * max(abs(x1), abs(n1)))
+            r2 = h * (71 / 57600 * k12 + -71 / 16695 * k32 + 71 / 1920 * k42
+                      + -17253 / 339200 * k52 + 22 / 525 * k62
+                      + -1 / 40 * k72) / (atol + rtol * max(abs(x2), abs(n2)))
+            err = math.sqrt((r1 * r1 + r2 * r2) / 2)
+            if err <= 1.0:
+                factor = 0.9 * (max(err, 1e-10)) ** -0.2
+                self.h = h * min(5.0, max(0.2, factor))
+                self.t_old, self.x_old, self.h_old = t, self.x, h
+                self.t = t + h
+                self.x = (n1, n2)
+                self.k1 = (k71, k72)  # FSAL
+                self._dense = (k11, k12, k31, k32, k41, k42, k51, k52,
+                               k61, k62, k71, k72)
+                return True
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+
+    def interpolate(self, t: float) -> tuple:
+        """Dense output inside the last accepted step."""
+        h = self.h_old
+        s = (t - self.t_old) / h
+        s2, s3, s4 = s * s, s ** 3, s ** 4
+        w1 = (s + -8048581381 / 2820520608 * s2 + 8663915743 / 2820520608 * s3
+              + -12715105075 / 11282082432 * s4)
+        w3 = (131558114200 / 32700410799 * s2 + -68118460800 / 10900136933 * s3
+              + 87487479700 / 32700410799 * s4)
+        w4 = (-1754552775 / 470086768 * s2 + 14199869525 / 1410260304 * s3
+              + -10690763975 / 1880347072 * s4)
+        w5 = (127303824393 / 49829197408 * s2
+              + -318862633887 / 49829197408 * s3
+              + 701980252875 / 199316789632 * s4)
+        w6 = (-282668133 / 205662961 * s2 + 2019193451 / 616988883 * s3
+              + -1453857185 / 822651844 * s4)
+        w7 = (40617522 / 29380423 * s2 + -110615467 / 29380423 * s3
+              + 69997945 / 29380423 * s4)
+        k11, k12, k31, k32, k41, k42, k51, k52, k61, k62, k71, k72 = self._dense
+        x1, x2 = self.x_old
+        return (x1 + h * (w1 * k11 + w3 * k31 + w4 * k41 + w5 * k51
+                          + w6 * k61 + w7 * k71),
+                x2 + h * (w1 * k12 + w3 * k32 + w4 * k42 + w5 * k52
+                          + w6 * k62 + w7 * k72))
+
+
 def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
     """Locate g(t, state(t)) = 0 in [t_lo, t_hi], with g >= 0 at t_lo and
     g < 0 at t_hi, to |g| <= eps or to a bracket at the time resolution."""
@@ -359,8 +477,11 @@ def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
 
 def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
                        arm_above=None, eps=EPS_EVENT, project=None,
-                       observe=None):
+                       observe=None, stepper_class=_Stepper):
     """Integrate one smooth field from (t0, x0) until t_end or an event.
+
+    stepper_class is _Stepper for numpy states or _Stepper2 for float pairs,
+    with which f returns a pair.
 
     event(t, x) is a scalar event function. It is armed once it exceeds
     arm_above (from the start when arm_above is None) and fires at the first
@@ -372,7 +493,7 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
     """
     if project is not None:
         x0 = project(x0)
-    stepper = _Stepper(f, t0, x0, opts)
+    stepper = stepper_class(f, t0, x0, opts)
     record_step, finish = _segment_recorder(opts, t_grid0, t0, x0, observe)
     armed = arm_above is None or event(t0, x0) > arm_above
     if project is None:

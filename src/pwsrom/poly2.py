@@ -79,9 +79,6 @@ class Poly2:
     def truncate(self, max_degree: int) -> "Poly2":
         return Poly2({k: v for k, v in self.terms.items() if k[0] + k[1] <= max_degree})
 
-    def drop_constant_and_linear(self) -> "Poly2":
-        return Poly2({k: v for k, v in self.terms.items() if k[0] + k[1] >= 2})
-
     def diff(self, var: int) -> "Poly2":
         """Partial derivative with respect to y1 (var=0) or y2 (var=1)."""
         out = {}

@@ -4,6 +4,11 @@ Integrates the branch reduced dynamics, monitors the switching function on
 reconstructed observables with the same event machinery as the full model,
 transfers initial conditions across branches at crossings, and optionally
 tracks sticking through an in-surface reduced field.
+
+Every reduced segment runs on the float-pair stepper of pwsrom.core. When the
+switching function declares its affine form, the branch event evaluates sigma
+precomposed with the lift (SsmModel.affine_switching) instead of lifting the
+full state at every step; otherwise it lifts.
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (EPS_EVENT, EventKind, HybridTrajectory, IntegratorOptions,
-                   SwitchingFunction, _integrate_segment)
+                   SwitchingFunction, _integrate_segment, _Stepper2)
 from .ssm_model import SsmModel
 
 IC_STRATEGIES = ("projection", "min_all_vars", "continuity_q1", "continuity_q1q2")
@@ -245,14 +250,28 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
     return traj
 
 
+def switching_value(rom: NonsmoothRom, model: SsmModel):
+    """sigma(lift(y, t)) as a function value(y, t=None) of a reduced state:
+    precomposed when the switching function is affine, else by lifting."""
+    if rom.switching.affine is not None:
+        return model.affine_switching(*rom.switching.affine)
+    sigma = rom.switching.sigma
+
+    def value(y, t=None):
+        return sigma(model.lift(y, t))
+
+    return value
+
+
 def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     model = rom.model(branch)
     sgn = 1.0 if branch == "+" else -1.0
-    sigma = rom.switching.sigma
+    value = switching_value(rom, model)
     seg, hit = _integrate_segment(
         model.reduced_field, t0, y0, t_end, opts, t_grid0,
-        event=lambda t, y: sgn * sigma(model.lift(y, t)),
-        arm_above=10 * EPS_EVENT, observe=lambda T, Y: model.lift_many(Y, T))
+        event=lambda t, y: sgn * value(y, t),
+        arm_above=10 * EPS_EVENT, observe=lambda T, Y: model.lift_many(Y, T),
+        stepper_class=_Stepper2)
     seg.branch = branch
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
@@ -279,7 +298,8 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     seg, hit = _integrate_segment(
         f_slide, t0, y0, t_end, opts, t_grid0,
         event=lambda t, y: 1.0 if rule.condition(t, rule.state(model, t, y)) else -1.0,
-        observe=lambda T, Y: rule.states(model, T, Y))
+        observe=lambda T, Y: rule.states(model, T, Y),
+        stepper_class=_Stepper2)
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]

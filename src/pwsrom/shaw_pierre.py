@@ -71,7 +71,7 @@ def sp_switching() -> SwitchingFunction:
     """sigma(x) = dq1; the friction force flips sign with this velocity."""
     grad = np.array([0.0, 1.0, 0.0, 0.0])
     return SwitchingFunction(sigma=lambda x: float(x[1]),
-                             grad_sigma=lambda x: grad)
+                             grad_sigma=lambda x: grad, affine=(grad, 0.0))
 
 
 def sp_elastic_term(params: SpParams, x: np.ndarray) -> float:

@@ -97,9 +97,6 @@ class ManifoldFit:
     def nl_dict(self) -> dict:
         return {p: self.m_coeffs[:, i] for i, p in enumerate(self.monomial_indices)}
 
-    def reduced_coords(self, Y: np.ndarray) -> np.ndarray:
-        return (Y - self.x0) @ self.w_matrix.T
-
     def reconstruct(self, xi: np.ndarray) -> np.ndarray:
         """Observables from reduced samples xi of shape (N, d)."""
         phi = monomial_matrix(xi.T, 2, self.order)

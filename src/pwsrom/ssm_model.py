@@ -21,7 +21,15 @@ The reduced dynamics (always two coordinates) run in Python floats, which
 costs less than numpy calls at this size: the model's nonzero monomials in
 table order with libm powers, as the Poly2 sum takes them (so the unforced
 field is bit-identical to it), then the cos/sin forcing amplitudes.
-trust_radius is read at every call.
+reduced_field returns the float pair (y1', y2'), which the float-pair
+stepper of pwsrom.core consumes directly. trust_radius is read at every call.
+
+An affine switching function sigma(x) = g . x + c precomposes with the lift
+into one scalar polynomial in (y1, y2, cos omega t, sin omega t) whose
+coefficients are C @ g (affine_switching, compiled once per (g, c)). It is
+evaluated in Python floats in the lift's order: the nonzero monomials, then
+x0, cos and sin, then c. For a unit g, as every shipped switching function
+has, C @ g is exact and the value equals sigma(lift(y, t)) to the bit.
 """
 
 from __future__ import annotations
@@ -110,6 +118,7 @@ class SsmModel:
             self._rforce = (2.0 * c.eps * np.real(c.r_hat_1)).tolist() + (
                 -2.0 * c.eps * np.imag(c.r_hat_1)).tolist()
         self._deg = deg
+        self._affine = {}                               # (g, c) -> sigma o lift
         self._C, self._J = C, J.reshape(n * d, K + 3)
         # phi = P[e1] * P[e2] on P = [y1^0..y1^deg, y2^0..y2^deg, cos, sin]
         one = deg + 1                                   # y2^0
@@ -124,7 +133,7 @@ class SsmModel:
         P = np.array([y1 ** k for k in pows] + [y2 ** k for k in pows] + cs)
         return P[self._e1] * P[self._e2]
 
-    def _reduced(self, t, y1: float, y2: float) -> list:
+    def _reduced(self, t, y1: float, y2: float) -> tuple:
         """Reduced dynamics at (y1, y2) in Python floats (module doc)."""
         pows = range(self._deg + 1)
         p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
@@ -139,7 +148,7 @@ class SsmModel:
             cw, sw = math.cos(wt), math.sin(wt)
             f1 += c1 * cw + s1 * sw
             f2 += c2 * cw + s2 * sw
-        return [f1, f2]
+        return f1, f2
 
     @property
     def dim(self) -> int:
@@ -162,6 +171,39 @@ class SsmModel:
             P[:, -1] = np.sin(wt)
         return (P[:, self._e1] * P[:, self._e2]) @ self._C
 
+    def affine_switching(self, g, c: float = 0.0):
+        """sigma(lift(y, t)) for sigma(x) = g . x + c, as a function
+        value(y, t=None) of a reduced pair, compiled once per (g, c)."""
+        g = np.asarray(g, dtype=float)
+        key = (g.tobytes(), float(c))
+        value = self._affine.get(key)
+        if value is None:
+            value = self._affine[key] = self._compose_affine(g, float(c))
+        return value
+
+    def _compose_affine(self, g, c):
+        s = (self._C @ g).tolist()
+        K, deg, omega = len(s) - 3, self._deg, self._omega
+        exps = monomials(0, deg)
+        terms = [(i, j, s[k]) for k, (i, j) in enumerate(exps) if s[k]]
+        s_x0, s_cos, s_sin = s[K:]
+        pows = range(deg + 1)
+
+        def value(y, t=None) -> float:
+            y1, y2 = float(y[0]), float(y[1])
+            p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
+            v = 0.0
+            for i, j, a in terms:
+                v += a * (p1[i] * p2[j])
+            v += s_x0
+            if t is not None:
+                wt = omega * t
+                v += s_cos * math.cos(wt)
+                v += s_sin * math.sin(wt)
+            return v + c
+
+        return value
+
     def lift_jacobian(self, y) -> np.ndarray:
         """d lift / d y, shape (n, d)."""
         return (self._J @ self._phi(y, None)).reshape(self.dim, -1)
@@ -169,7 +211,8 @@ class SsmModel:
     def chart(self, x) -> np.ndarray:
         return self.chart_w @ (np.asarray(x, dtype=float) - self.x0)
 
-    def reduced_field(self, t: float, y: np.ndarray) -> np.ndarray:
+    def reduced_field(self, t: float, y) -> tuple:
+        """(y1', y2') at reduced state y as a pair of floats."""
         y1, y2 = float(y[0]), float(y[1])
         rho = self.trust_radius
         if rho is not None:
@@ -178,8 +221,8 @@ class SsmModel:
                 u1, u2 = y1 / r, y2 / r
                 f1, f2 = self._reduced(t, rho * u1, rho * u2)
                 pull = self._pull * (r - rho)
-                return np.array([f1 - pull * u1, f2 - pull * u2])
-        return np.array(self._reduced(t, y1, y2))
+                return f1 - pull * u1, f2 - pull * u2
+        return self._reduced(t, y1, y2)
 
     def linear_block(self) -> np.ndarray:
         d = self.tangent.shape[1]

@@ -280,14 +280,14 @@ def beam_switching(assembly: BeamAssembly,
     if variant.kind == "soft_impact":
         g[i] = 1.0
         return SwitchingFunction(sigma=lambda x: float(x[i]),
-                                 grad_sigma=lambda x: g)
+                                 grad_sigma=lambda x: g, affine=(g, 0.0))
     g[n + i] = 1.0
     if variant.kind == "coulomb":
         return SwitchingFunction(sigma=lambda x: float(x[n + i]),
-                                 grad_sigma=lambda x: g)
+                                 grad_sigma=lambda x: g, affine=(g, 0.0))
     v_g = variant.v_ground
     return SwitchingFunction(sigma=lambda x: float(x[n + i] - v_g),
-                             grad_sigma=lambda x: g)
+                             grad_sigma=lambda x: g, affine=(g, -v_g))
 
 
 def make_beam_system(assembly: BeamAssembly, variant: NonsmoothVariant,

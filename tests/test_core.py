@@ -5,7 +5,7 @@ from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          DegenerateDenominatorError, IntegratorOptions,
                          PiecewiseSmoothSystem, RepellingSlidingError,
                          SwitchingFunction, classify_boundary,
-                         _Stepper, filippov_field,
+                         StiffnessError, _Stepper, _Stepper2, filippov_field,
                          finite_difference_gradient, integrate_hybrid)
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_sliding_field,
                                 sp_sticking_test, sp_switching)
@@ -326,3 +326,83 @@ def test_stepper_dense_output_spans_each_accepted_step():
         assert np.array_equal(st.interpolate(st.t_old), st.x_old)
         err = np.linalg.norm(st.interpolate(st.t) - st.x)
         assert err <= 1e-12 * np.linalg.norm(st.x)
+
+
+def _counted_reduced_field():
+    """The forced two-state reduced field of the oscillator ROM, counting
+    its calls."""
+    from pwsrom.rom import make_sp_rom
+    model = make_sp_rom(SpParams(eps=0.15, omega=1.0)).model("+")
+    calls = [0]
+
+    def f(t, y):
+        calls[0] += 1
+        return model.reduced_field(t, y)
+
+    return f, calls
+
+
+def test_float_pair_stepper_takes_the_numpy_steppers_steps():
+    # both steppers run the same tableau and step control; only the order of
+    # the stage sums differs. The error estimate is a cancelling sum, so that
+    # round-off moves each new step size by about 1e-11 relative and free
+    # runs drift apart slowly: they must reject at the same steps and stay
+    # within 1e-9 in time. Started from the numpy stepper's state and its
+    # accepted step size, each step must agree to 1e-12.
+    f, calls = _counted_reduced_field()
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
+    a = _Stepper(f, 0.0, np.array([0.3, -0.2]), opts)
+    b = _Stepper2(f, 0.0, (0.3, -0.2), opts)
+    for _ in range(200):
+        n0 = calls[0]
+        assert a.step(np.inf)
+        n_a, n0 = calls[0] - n0, calls[0]
+        assert b.step(np.inf)
+        assert calls[0] - n0 == n_a
+        assert abs(b.t - a.t) <= 1e-9 * abs(a.t)
+    assert a.t > 10.0 and n_a >= 6
+
+    a = _Stepper(f, 0.0, np.array([0.3, -0.2]), opts)
+    for _ in range(200):
+        t, x, k1 = a.t, a.x, tuple(a.K[0])
+        assert a.step(np.inf)
+        b.t, b.x, b.h, b.k1 = t, tuple(x), a.h_old, k1
+        n0 = calls[0]
+        assert b.step(np.inf) and calls[0] - n0 == 6
+        assert abs(b.t - a.t) <= 1e-12 * abs(a.t)
+        assert np.linalg.norm(np.subtract(b.x, a.x)) <= 1e-12 * np.linalg.norm(a.x)
+        t_mid = t + 0.37 * a.h_old
+        assert (np.linalg.norm(np.subtract(b.interpolate(t_mid), a.interpolate(t_mid)))
+                <= 1e-12 * np.linalg.norm(a.x))
+
+
+def test_float_pair_stepper_dense_output_and_fsal():
+    f, calls = _counted_reduced_field()
+    st = _Stepper2(f, 0.0, (0.3, -0.2), IntegratorOptions(rtol=1e-8, atol=1e-10))
+    assert calls[0] == 1
+    for _ in range(200):
+        n0 = calls[0]
+        assert st.step(np.inf)
+        # six new stages per attempt: the first is the last one of the
+        # previous step (FSAL)
+        assert (calls[0] - n0) % 6 == 0
+        assert st.interpolate(st.t_old) == st.x_old
+        err = np.linalg.norm(np.subtract(st.interpolate(st.t), st.x))
+        assert err <= 1e-12 * np.linalg.norm(st.x)
+    # a step that is accepted at once costs exactly six field calls
+    n = [0]
+
+    def g(t, y):
+        n[0] += 1
+        return 1.0, -y[1]
+
+    free = _Stepper2(g, 0.0, (0.0, 1.0), IntegratorOptions(first_step=1e-3))
+    assert free.step(np.inf) and n[0] == 1 + 6
+
+
+def test_float_pair_stepper_step_underflow_names_time():
+    f, _ = _counted_reduced_field()
+    for cls, x0 in ((_Stepper2, (0.3, -0.2)), (_Stepper, np.array([0.3, -0.2]))):
+        st = cls(f, 2.5, x0, IntegratorOptions(first_step=1e-3, min_step=1e-2))
+        with pytest.raises(StiffnessError, match="t=2.5"):
+            st.step(10.0)

@@ -7,12 +7,16 @@ bisected on a boolean condition down to the time resolution, and the IC
 transfer searches along a traced surface curve, so a change in either moves
 the reduced state by round-off. Surface hits are located only to
 |sigma| <= EPS_EVENT, which near a sticking entry (dq1 -> 0 slowly) fixes the
-event time to about 1e-9 to 1e-8.
+event time to about 1e-9 to 1e-8. The reduced runs step on the float-pair
+stepper, whose stage sums differ from the numpy stepper's by round-off, and
+their branch events evaluate sigma precomposed with the lift (sigma = dq1 is
+affine); the same runs with a lifting event must match the same list.
 
 Regenerate (only when a change of results is intended) with
 `PYTHONPATH=src python -m tests.test_golden_events`.
 """
 
+import functools
 import json
 import os
 
@@ -20,7 +24,7 @@ import numpy as np
 import pytest
 
 from pwsrom import vk_beam as vkb
-from pwsrom.core import IntegratorOptions, integrate_hybrid
+from pwsrom.core import IntegratorOptions, SwitchingFunction, integrate_hybrid
 from pwsrom.rom import make_sp_rom, simulate_rom
 from pwsrom.shaw_pierre import SpParams, make_system
 
@@ -44,17 +48,27 @@ def _belt_beam():
                                               first_step=1e-6))
 
 
-def _rom(delta, strategy):
+def _rom(delta, strategy, lifting_event=False):
     rom = make_sp_rom(SpParams(delta=delta), ic_strategy=strategy)
+    if lifting_event:
+        # rebuilt from sigma and grad_sigma only, as a wrapper of sigma would
+        # rebuild it: no affine form, so the branch events lift
+        sw = rom.switching
+        rom.switching = SwitchingFunction(sigma=sw.sigma,
+                                          grad_sigma=sw.grad_sigma)
     y0 = rom.model("+").chart(np.array([0.5, 0.3, -0.2, 0.1]))
     return simulate_rom(rom, y0, "+", (0.0, 40.0))
 
 
+ROM_RUNS = {
+    "rom_continuity_q1_sticking": (0.05, "continuity_q1"),
+    "rom_min_all_vars": (0.01, "min_all_vars"),
+}
 RUNS = {
     "full_oscillator_sticking": (_oscillator_sticking, False),
     "full_belt_beam": (_belt_beam, False),
-    "rom_continuity_q1_sticking": (lambda: _rom(0.05, "continuity_q1"), True),
-    "rom_min_all_vars": (lambda: _rom(0.01, "min_all_vars"), True),
+    **{name: (functools.partial(_rom, *args), True)
+       for name, args in ROM_RUNS.items()},
 }
 
 
@@ -65,10 +79,19 @@ def _event_list(traj):
 
 @pytest.mark.parametrize("name", sorted(RUNS))
 def test_golden_event_list(name):
+    run, is_rom = RUNS[name]
+    _assert_golden(name, run(), is_rom)
+
+
+@pytest.mark.parametrize("name", sorted(ROM_RUNS))
+def test_lifting_rom_event_matches_golden(name):
+    _assert_golden(name, _rom(*ROM_RUNS[name], lifting_event=True), True)
+
+
+def _assert_golden(name, traj, is_rom):
     with open(GOLDEN) as fh:
         want = json.load(fh)[name]
-    run, is_rom = RUNS[name]
-    got = _event_list(run())
+    got = _event_list(traj)
     assert [e[0] for e in got] == [e[0] for e in want]
     for (_, t, x), (_, t_ref, x_ref) in zip(got, want):
         if is_rom:

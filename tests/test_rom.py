@@ -1,10 +1,14 @@
 import numpy as np
 import pytest
 
-from pwsrom.core import EventKind, IntegratorOptions, _Stepper, integrate_hybrid
+from pwsrom import vk_beam as vkb
+from pwsrom.core import (EventKind, IntegratorOptions, SwitchingFunction,
+                         _Stepper, integrate_hybrid)
+from pwsrom.poly2 import monomials
 from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StickingRule,
-                        make_sp_rom, simulate_rom, switch_ic)
+                        make_sp_rom, simulate_rom, switch_ic, switching_value)
 from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
+from pwsrom.ssm_model import PeriodicCorrection, SsmModel
 
 
 @pytest.fixture(scope="module")
@@ -209,3 +213,74 @@ def test_rom_csv_schema(tmp_path, rom_01):
     traj.write_csv(p)
     header = p.read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,x4,branch,xi1,xi2"
+
+
+def test_precomposed_switching_value_is_sigma_of_the_lift():
+    # sigma = dq1 has a unit gradient, so the precomposed polynomial holds
+    # the lift's own coefficients and sums them in the lift's order
+    rng = np.random.default_rng(7)
+    for eps in (0.15, 0.0):
+        rom = make_sp_rom(SpParams(delta=0.1, eps=eps, omega=1.1))
+        sigma = rom.switching.sigma
+        for branch in "+-":
+            model = rom.model(branch)
+            value = switching_value(rom, model)
+            for _ in range(500):
+                y = rng.uniform(-0.8, 0.8, 2)
+                t = rng.uniform(0.0, 60.0)
+                assert value(y, t) == sigma(model.lift(y, t))
+                assert value(y) == sigma(model.lift(y))
+
+
+def test_precomposed_belt_switching_value():
+    # sigma = dq_mid - v_ground on a forced order-5 model of the beam's size
+    asm = vkb.assemble_beam()
+    sw = vkb.beam_switching(asm, vkb.NonsmoothVariant(kind="moving_belt",
+                                                      delta=8.0))
+    g, c = sw.affine
+    assert c != 0.0
+    n = 2 * asm.n_dof
+    rng = np.random.default_rng(2)
+    tangent = rng.standard_normal((n, 2))
+    amp = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    model = SsmModel(
+        branch="+", x0=rng.standard_normal(n), tangent=tangent,
+        chart_w=np.linalg.pinv(tangent),
+        nl_coeffs={p: rng.standard_normal(n) for p in monomials(2, 5)},
+        rdyn={(1, 0): np.array([-0.1, -1.0]), (0, 1): np.array([1.0, -0.1])},
+        correction=PeriodicCorrection(omega=659.0, eps=0.3,
+                                      r_hat_1=np.array([0.1j, 0.2]),
+                                      v_hat_1=amp))
+    value = model.affine_switching(g, c)
+    i = int(np.argmax(g))
+    for _ in range(300):
+        y = rng.uniform(-1.5, 1.5, 2)
+        t = rng.uniform(0.0, 0.1)
+        terms = model._C[:, i] * model._phi(y, t)
+        scale = np.abs(terms).sum() + abs(c)
+        assert abs(value(y, t) - sw.sigma(model.lift(y, t))) <= 1e-15 * scale
+        assert abs(value(y) - sw.sigma(model.lift(y))) <= 1e-15 * scale
+
+
+def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
+    rom = make_sp_rom(SpParams(delta=0.01), with_sticking=False)
+    y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
+    lift = SsmModel.lift
+    calls = []
+
+    def counted(self, y, t=None):
+        calls.append(t)
+        return lift(self, y, t)
+
+    monkeypatch.setattr(SsmModel, "lift", counted)
+    traj = simulate_rom(rom, y0, "+", (0.0, 40.0))
+    crossings = [ev.t for ev in traj.events if ev.kind == EventKind.CROSSING]
+    assert len(crossings) >= 4
+    # the projection transfer lifts once per crossing, at its time
+    assert calls == crossings
+    # without the affine form the event lifts at every accepted step
+    calls.clear()
+    rom.switching = SwitchingFunction(sigma=rom.switching.sigma,
+                                      grad_sigma=rom.switching.grad_sigma)
+    simulate_rom(rom, y0, "+", (0.0, 40.0))
+    assert len(calls) > 10 * len(crossings)
