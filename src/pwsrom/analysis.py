@@ -90,13 +90,10 @@ def rom_period_stepper(rom: NonsmoothRom, amp_index: int,
 
 @dataclass
 class PoincareData:
-    crossings: list                   # per IC: list of (t, state, direction)
     invariant_points: np.ndarray      # (N, n) post-transient crossing states
     directions: np.ndarray            # (N,) +1 entering sigma>0, -1 entering <0
     edge_plus: Optional[np.ndarray] = None
     edge_minus: Optional[np.ndarray] = None
-    reduced_edge_plus: Optional[np.ndarray] = None
-    reduced_edge_minus: Optional[np.ndarray] = None
 
 
 def poincare_map(sys, ic_set, t_span, margin_fn: Callable[[np.ndarray], float],
@@ -109,27 +106,21 @@ def poincare_map(sys, ic_set, t_span, margin_fn: Callable[[np.ndarray], float],
     configurations closest to sticking.
     """
     opts = opts or IntegratorOptions()
-    all_cross = []
     pts = []
     dirs = []
     min_margin = {1: (np.inf, None), -1: (np.inf, None)}
     for ic in ic_set:
         traj = integrate_hybrid(sys, ic, t_span, opts)
-        seq = []
         events = [e for e in traj.events if e.kind == EventKind.CROSSING]
-        for j, ev in enumerate(events):
+        for j, ev in enumerate(events[skip:], skip):
             d = 1 if _cross_dir(sys, ev) > 0 else -1
-            seq.append((ev.t, ev.x.copy(), d))
-            if j >= skip:
-                pts.append(ev.x.copy())
-                dirs.append(d)
-                m = margin_fn(ev.x)
-                if m < min_margin[d][0] and j + 1 < len(events):
-                    min_margin[d] = (m, events[j + 1].x.copy())
-        all_cross.append(seq)
+            pts.append(ev.x.copy())
+            dirs.append(d)
+            m = margin_fn(ev.x)
+            if m < min_margin[d][0] and j + 1 < len(events):
+                min_margin[d] = (m, events[j + 1].x.copy())
     inv = np.vstack(pts) if pts else np.empty((0, len(ic_set[0])))
-    data = PoincareData(crossings=all_cross, invariant_points=inv,
-                        directions=np.asarray(dirs))
+    data = PoincareData(invariant_points=inv, directions=np.asarray(dirs))
     # the iterates of the minimum-margin crossings are the edge points; label
     # them by the sign of the first coordinate (they mirror each other)
     edges = [v[1] for v in min_margin.values() if v[1] is not None]
@@ -166,31 +157,23 @@ def surface_arc(rom: NonsmoothRom, branch: str, span: float, n: int = 201,
 
 def approx_invariant_curve(rom: NonsmoothRom,
                            margin_fn: Callable[[np.ndarray], float],
-                           span: float = 0.6, n: int = 401,
-                           observe=(0, 2, 3)) -> dict:
+                           span: float = 0.6, n: int = 401) -> dict:
     """Invariant-curve approximation using the reduced model only.
 
-    Arcs are the branch-manifold intersections with the switching surface.
-    The centerline averages the two arcs, both viewed over the first observed
-    coordinate. Each edge estimate intersects the opposite-branch arc and the
-    centerline with the sticking boundary, averages the two points, projects
-    the result onto the edge's branch manifold and advects the reduced
-    dynamics to the next surface hit.
+    Arcs are the branch-manifold intersections with the switching surface,
+    as observable states. The centerline averages the two arcs, both viewed
+    over the first observable. Each edge estimate intersects the
+    opposite-branch arc and the centerline with the sticking boundary,
+    averages the two points, projects the result onto the edge's branch
+    manifold and advects the reduced dynamics to the next surface hit.
     """
-    arcs = {}
-    obs = {}
-    for b in ("+", "-"):
-        Y = surface_arc(rom, b, span, n)
-        X = rom.model(b).lift_many(Y)
-        arcs[b] = (Y, X)
-        obs[b] = X
-    # common parametrization over the first observed coordinate
-    c0 = observe[0]
+    arcs = {b: rom.model(b).lift_many(surface_arc(rom, b, span, n))
+            for b in ("+", "-")}
+    # common parametrization over the first observable
     grids = []
-    for b in ("+", "-"):
-        X = obs[b]
-        order = np.argsort(X[:, c0])
-        grids.append((X[order, c0], X[order]))
+    for X in arcs.values():
+        order = np.argsort(X[:, 0])
+        grids.append((X[order, 0], X[order]))
     lo = max(g[0][0] for g in grids)
     hi = min(g[0][-1] for g in grids)
     s = np.linspace(lo, hi, n)
@@ -209,18 +192,18 @@ def approx_invariant_curve(rom: NonsmoothRom,
                 roots.append(X[i] * (1 - w) + X[i + 1] * w)
         return roots
 
-    # crossings happen at extrema of the first observed coordinate, so a
-    # branch's grazing configuration is its arc's extreme-side boundary root;
-    # the advected edge is labeled by that coordinate's sign
+    # crossings happen at extrema of the first observable, so a branch's
+    # grazing configuration is its arc's extreme-side boundary root; the
+    # advected edge is labeled by that coordinate's sign
     edges = {"+": None, "-": None}
+    cand_cen = curve_margin_roots(centerline)
     for from_branch, arc in (("+", interp[0]), ("-", interp[1])):
         cand_arc = curve_margin_roots(arc)
-        cand_cen = curve_margin_roots(centerline)
         if not cand_arc or not cand_cen:
             continue
         pick = max if from_branch == "+" else min
-        pa = pick(cand_arc, key=lambda p: p[c0])
-        pc = pick(cand_cen, key=lambda p: p[c0])
+        pa = pick(cand_arc, key=lambda p: p[0])
+        pc = pick(cand_cen, key=lambda p: p[0])
         mid = 0.5 * (pa + pc)
         to_branch = "-" if from_branch == "+" else "+"
         model = rom.model(to_branch)
@@ -230,11 +213,8 @@ def approx_invariant_curve(rom: NonsmoothRom,
         edge = _advect_to_surface(rom, to_branch, y)
         if edge is None:
             continue
-        edges["+" if edge[c0] >= 0 else "-"] = edge
-    return {"arcs": {b: arcs[b][1] for b in arcs},
-            "arcs_reduced": {b: arcs[b][0] for b in arcs},
-            "centerline": centerline,
-            "edge_plus": edges["+"], "edge_minus": edges["-"]}
+        edges["+" if edge[0] >= 0 else "-"] = edge
+    return {"arcs": arcs, "edge_plus": edges["+"], "edge_minus": edges["-"]}
 
 
 def _advect_to_surface(rom, branch, y0, t_max=50.0):
@@ -272,28 +252,25 @@ class LimitCycle:
     period: float
     frequency: float
     amplitude: float
-    t_samples: np.ndarray
-    x_samples: np.ndarray
-    marker: str = "stick_exit"
+    x_samples: np.ndarray             # (257, n) over the last period
 
 
-def detect_limit_cycle(traj, coord: int, event_kind=EventKind.STICK_EXIT,
-                       settle: int = 4, rel_tol: float = 1e-3,
-                       closure_tol: float = 1e-6) -> Optional[LimitCycle]:
-    """Period from recurrence of typed events on a converged trajectory.
+def detect_limit_cycle(traj, coord: int) -> Optional[LimitCycle]:
+    """Period from recurrence of stick-exit events on a converged trajectory.
 
-    Uses the later event intervals (after `settle` cycles); returns None if
-    the intervals have not stabilized. The closure requirement compares the
-    states one period apart, scaled by the cycle amplitude.
+    Uses the last three event intervals, after four settling cycles, and
+    returns None unless they agree to 1e-3 relative. The closure requirement
+    compares the event states one period apart against 1e-6 times the
+    cycle's state-space radius.
     """
-    evts = [e for e in traj.events if e.kind == event_kind]
-    if len(evts) < settle + 3:
+    evts = [e for e in traj.events if e.kind == EventKind.STICK_EXIT]
+    if len(evts) < 7:
         return None
     times = np.array([e.t for e in evts])
     gaps = np.diff(times)
     tail = gaps[-3:]
     period = float(np.mean(tail))
-    if np.max(np.abs(tail - period)) > rel_tol * period:
+    if np.max(np.abs(tail - period)) > 1e-3 * period:
         return None
     t1 = times[-1] - period
     grid = np.linspace(t1, times[-1], 257)
@@ -303,18 +280,18 @@ def detect_limit_cycle(traj, coord: int, event_kind=EventKind.STICK_EXIT,
     # the state-space radius of the cycle
     closure = np.linalg.norm(evts[-1].x - evts[-2].x)
     radius = np.linalg.norm(X - X.mean(axis=0), axis=1).max()
-    if closure > closure_tol * max(radius, 1e-300):
+    if closure > 1e-6 * max(radius, 1e-300):
         return None
     return LimitCycle(period=period, frequency=1.0 / period, amplitude=amp,
-                      t_samples=grid, x_samples=X)
+                      x_samples=X)
 
 
-def spectrum_peaks(t: np.ndarray, x: np.ndarray, n_peaks: int = 4,
-                   min_rel_power: float = 1e-4):
+def spectrum_peaks(t: np.ndarray, x: np.ndarray, n_peaks: int = 4):
     """Dominant cyclic frequencies of a uniformly sampled signal.
 
-    Hann-windowed rFFT with parabolic peak interpolation; returns peak
-    frequencies sorted by descending power.
+    Hann-windowed rFFT with parabolic peak interpolation over the local
+    maxima above 1e-4 of the largest; returns peak frequencies sorted by
+    descending power.
     """
     t = np.asarray(t, dtype=float)
     x = np.asarray(x, dtype=float)
@@ -324,7 +301,7 @@ def spectrum_peaks(t: np.ndarray, x: np.ndarray, n_peaks: int = 4,
     Y = np.abs(np.fft.rfft(x * w))
     freqs = np.fft.rfftfreq(len(x), dt)
     pk = []
-    thresh = min_rel_power * Y.max()
+    thresh = 1e-4 * Y.max()
     for i in range(1, len(Y) - 1):
         if Y[i] > Y[i - 1] and Y[i] >= Y[i + 1] and Y[i] > thresh:
             # parabolic refinement in log amplitude

@@ -17,8 +17,7 @@ from .vk_beam import (BeamAssembly, NonsmoothVariant, beam_field,
 def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
                       order_r: int = 5, chart: str = "modal",
                       static_load: float = 12e3, t_span=(0.0, 0.35),
-                      dt: float = 1e-4, trim_fraction: float = 0.05,
-                      rtol: float = 1e-8, dyn_ridge: float = 1e-7):
+                      dt: float = 1e-4, trim_fraction: float = 0.05):
     """Per-branch manifold + dynamics fits from decaying training data.
 
     Training starts at the +-1, +-0.65 and +-0.4 times static-load
@@ -39,7 +38,7 @@ def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
         for sign in (1.0, -1.0):
             q = static_deflection(assembly, sign * frac * static_load)
             ics.append(np.concatenate([q, np.zeros(n)]))
-    opts = IntegratorOptions(rtol=rtol, atol=rtol * 1e-2, first_step=1e-6)
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10, first_step=1e-6)
     models, datasets = {}, {}
     for branch in ("+", "-"):
         data = sd.generate_training(
@@ -48,14 +47,14 @@ def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
             opts=opts)
         models[branch] = fit_branch_from_data(
             assembly, variant, branch, data, order_m=order_m, order_r=order_r,
-            chart=chart, dyn_ridge=dyn_ridge)
+            chart=chart)
         datasets[branch] = data
     return models, datasets
 
 
 def fit_branch_from_data(assembly: BeamAssembly, variant, branch: str,
                          data, order_m: int = 5, order_r: int = 5,
-                         chart: str = "modal", dyn_ridge: float = 1e-7):
+                         chart: str = "modal"):
     """Manifold + dynamics fit of one branch from a prepared dataset."""
     from . import ssm_data as sd
 
@@ -93,7 +92,7 @@ def fit_branch_from_data(assembly: BeamAssembly, variant, branch: str,
         A_slow = V0.T @ A_s @ V0
     # the slow linear block is known from the linearization
     dyn = sd.fit_dynamics(data_s, fit, order_r, known_linear=A_slow,
-                          ridge=dyn_ridge)
+                          ridge=1e-7)
     model_s = sd.model_from_fits(fit, dyn, branch)
     model = sd.unscale_model(model_s, x0, scale)
     model.meta["in_sample_nmte"] = fit.in_sample_nmte
@@ -130,7 +129,6 @@ def belt_training_data(assembly: BeamAssembly, variant, branch: str,
 def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
                   model_plus: SsmModel, model_minus: SsmModel,
                   ic_strategy: str = "projection",
-                  with_sticking: bool = True,
                   forcing: Optional[Callable[[float], np.ndarray]] = None
                   ) -> NonsmoothRom:
     """Switched beam ROM; sticking decisions evaluate the full branch fields
@@ -158,7 +156,7 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
         return "+" if ap + am > 0.0 else "-"
 
     sticking = None
-    if with_sticking and variant.kind != "soft_impact":
+    if variant.kind != "soft_impact":
         # the in-surface field presumes a chart whose coordinates are the
         # (possibly scaled) midpoint displacement/velocity pair; read each
         # model's scales off its tangent and verify the chart pins the
@@ -176,7 +174,7 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
                         "rechart the fitted models onto (q_mid, dq_mid)")
 
         def reduced_field(t, y, model):
-            return np.array([v_hold / float(model.tangent[i_q, 0]), 0.0])
+            return float(v_hold) / float(model.tangent[i_q, 0]), 0.0
 
         sticking = StickingRule(condition=condition, reduced_field=reduced_field,
                                 exit_branch=exit_branch, pin=(i_vel, v_hold))

@@ -210,10 +210,6 @@ class HybridTrajectory:
     def states(self) -> np.ndarray:
         return np.vstack([s.x for s in self.segments])
 
-    def branches(self) -> np.ndarray:
-        code = {"+": 1, "-": -1, "sigma": 0}
-        return np.concatenate([np.full(len(s.t), code[s.branch]) for s in self.segments])
-
     def sample(self, t_grid: np.ndarray) -> np.ndarray:
         """Linear-in-segment resampling onto an arbitrary time grid."""
         t_all = self.times()
@@ -666,13 +662,3 @@ def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj):
     lam, _ = filippov_field(sys, x_ev, t_ev)
     return t_ev, x_ev, ("+" if lam > 0 else "-")
 
-
-def finite_difference_gradient(sigma, x, h=1e-6):
-    """Central-difference gradient of a scalar function (testing utility)."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        dx = np.zeros_like(x)
-        dx[i] = h * max(1.0, abs(x[i]))
-        g[i] = (sigma(x + dx) - sigma(x - dx)) / (2 * dx[i])
-    return g

@@ -39,14 +39,16 @@ class StickingRule:
 
     condition decides (on reconstructed observables) whether the state is
     inside the sticking region; reduced_field is the in-surface reduced
-    dynamics; exit_branch names the branch whose field points away once the
-    condition fails. pin = (index, value), when set, holds that observable
-    coordinate at value during sticking, so the reconstructed state (the lift
-    with the coordinate pinned) satisfies the surface constraint exactly.
+    dynamics, which returns a pair of Python floats for the float-pair
+    stepper, as SsmModel.reduced_field does; exit_branch names the branch
+    whose field points away once the condition fails. pin = (index, value),
+    when set, holds that observable coordinate at value during sticking, so
+    the reconstructed state (the lift with the coordinate pinned) satisfies
+    the surface constraint exactly.
     """
 
     condition: Callable[[float, np.ndarray], bool]                 # (t, x)
-    reduced_field: Callable[[float, np.ndarray, SsmModel], np.ndarray]  # (t, y, model)
+    reduced_field: Callable[[float, tuple, SsmModel], tuple]       # (t, y, model)
     exit_branch: Callable[[float, np.ndarray], str]                # (t, x)
     pin: Optional[tuple[int, float]] = None
 
@@ -316,7 +318,7 @@ def _validate_sticking_chart(rom, model, f_slide, t, y):
     mask a chart that is unable to hold the constraint.
     """
     y = np.asarray(y, dtype=float)
-    dy = f_slide(t, y)
+    dy = np.asarray(f_slide(t, y))
     h = 1e-7
     s0 = rom.switching.sigma(model.lift(y, t))
     s1 = rom.switching.sigma(model.lift(y + h * dy, t + h))
@@ -333,8 +335,8 @@ def _validate_sticking_chart(rom, model, f_slide, t, y):
 # factory for the friction-oscillator reduced model
 
 
-def make_sp_rom(params, order: int = 3, ic_strategy: str = "projection",
-                with_sticking: bool = True) -> NonsmoothRom:
+def make_sp_rom(params, order: int = 3,
+                ic_strategy: str = "projection") -> NonsmoothRom:
     """Switched reduced model of the friction oscillator on its two slow SSMs.
 
     Sticking uses the in-surface dynamics (mass 1 pinned) projected through
@@ -355,7 +357,7 @@ def make_sp_rom(params, order: int = 3, ic_strategy: str = "projection",
     def reduced_field(t, y, model):
         x = model.lift(y, t)
         x[1] = 0.0
-        return model.chart_w @ sp_sliding_field(params, t, x)
+        return tuple((model.chart_w @ sp_sliding_field(params, t, x)).tolist())
 
     def exit_branch(t, x):
         e = sp_elastic_term(params, x)
@@ -363,10 +365,8 @@ def make_sp_rom(params, order: int = 3, ic_strategy: str = "projection",
             e += params.eps * np.cos(params.omega * t) / (np.sqrt(2.0) * params.m1)
         return "+" if e > 0 else "-"
 
-    sticking = None
-    if with_sticking:
-        sticking = StickingRule(condition=condition, reduced_field=reduced_field,
-                                exit_branch=exit_branch, pin=(1, 0.0))
+    sticking = StickingRule(condition=condition, reduced_field=reduced_field,
+                            exit_branch=exit_branch, pin=(1, 0.0))
     return NonsmoothRom(model_plus=model_p, model_minus=model_m,
                         switching=sp_switching(), ic_strategy=ic_strategy,
                         sticking=sticking)

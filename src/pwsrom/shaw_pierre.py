@@ -130,15 +130,6 @@ class SpShifted:
     c2: float
     c3: float
 
-    def quadratic_term(self, xi: np.ndarray) -> np.ndarray:
-        return np.array([0.0, self.c2 * xi[0] ** 2, 0.0, 0.0])
-
-    def cubic_term(self, xi: np.ndarray) -> np.ndarray:
-        return np.array([0.0, self.c3 * xi[0] ** 3, 0.0, 0.0])
-
-    def constant_term(self) -> np.ndarray:
-        return np.zeros(4)
-
 
 def sp_shifted(params: SpParams, branch: str) -> SpShifted:
     fp = sp_fixed_points(params)
@@ -157,15 +148,6 @@ def sp_shifted(params: SpParams, branch: str) -> SpShifted:
 def sp_forcing_vector(params: SpParams) -> np.ndarray:
     """Amplitude vector of the cosine forcing in first-order form."""
     return np.array([0.0, 1.0 / params.m1, 0.0, 1.0 / params.m2]) / np.sqrt(2.0)
-
-
-def sp_energy(params: SpParams, x: np.ndarray) -> float:
-    """Kinetic plus potential (quadratic springs + hardening quartic)."""
-    m1, m2, c, k, a = params.m1, params.m2, params.c, params.k, params.alpha
-    q1, v1, q2, v2 = x
-    kin = 0.5 * m1 * v1 ** 2 + 0.5 * m2 * v2 ** 2
-    pot = k * q1 ** 2 + k * q2 ** 2 - k * q1 * q2 + 0.25 * a * q1 ** 4
-    return kin + pot
 
 
 def make_system(params: SpParams) -> PiecewiseSmoothSystem:

@@ -4,20 +4,23 @@ The shifted branch system is split into slow (master) and fast (slave) modal
 coordinates; a cubic graph z = h(y) and the reduced dynamics on it are then
 solved order by order from the invariance equation. At delta = 0.1 every
 entry of the published reference tables is the computed coefficient at its
-printed precision: 56 of 64 rounded, the other 8 truncated.
+printed precision: 56 of 64 rounded, the other 8 truncated. A forced model
+takes its O(eps) correction from the chart-general solver of
+pwsrom.ssm_data, over the modal chart.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import spectral
 from .poly2 import Poly2, vector_poly
 from .shaw_pierre import SpParams, sp_fixed_points, sp_forcing_vector, sp_shifted
-from .ssm_model import PeriodicCorrection, SsmModel
+from .ssm_data import nonmodal_forcing_correction
+from .ssm_model import SsmModel
 
 
 class ResonanceError(RuntimeError):
@@ -213,31 +216,6 @@ def invariance_sides(split: ModalSplit, h: dict, y: np.ndarray):
     return lhs, rhs
 
 
-def invariance_residual_coeffs(split: ModalSplit, h: dict, rdyn: dict,
-                               max_degree: int = 3) -> float:
-    """Max monomial-coefficient residual of the invariance identity."""
-    r1 = Poly2({p: v[0] for p, v in rdyn.items()})
-    r2 = Poly2({p: v[1] for p, v in rdyn.items()})
-    h1 = Poly2({p: v[0] for p, v in h.items()})
-    h2 = Poly2({p: v[1] for p, v in h.items()})
-    d10, d11 = h1.diff(0), h1.diff(1)
-    d20, d21 = h2.diff(0), h2.diff(1)
-    lhs1 = d10.mul(r1, max_degree=max_degree) + d11.mul(r2, max_degree=max_degree)
-    lhs2 = d20.mul(r1, max_degree=max_degree) + d21.mul(r2, max_degree=max_degree)
-    # xi1 on the graph, then g(xi1)
-    xi1 = _master_poly(split) + Poly2({p: float(split.p_slave @ v) for p, v in h.items()})
-    g = xi1.power(2, max_degree=max_degree).scale(split.c2) + \
-        xi1.power(3, max_degree=max_degree).scale(split.c3)
-    res = 0.0
-    az, rz = split.a_z, split.r_z
-    rhs_1 = Poly2({p: az[0, 0] * v[0] + az[0, 1] * v[1] for p, v in h.items()}) + g.scale(rz[0])
-    rhs_2 = Poly2({p: az[1, 0] * v[0] + az[1, 1] * v[1] for p, v in h.items()}) + g.scale(rz[1])
-    for pol in (lhs1 - rhs_1, lhs2 - rhs_2):
-        for p, c in pol.truncate(max_degree).terms.items():
-            res = max(res, abs(float(c)))
-    return res
-
-
 def invariance_error(split: ModalSplit, h: dict, rho: float,
                      n_samples: int = 64) -> float:
     """Mean normalized residual of the invariance identity on |y| = rho."""
@@ -258,60 +236,31 @@ def invariance_error(split: ModalSplit, h: dict, rho: float,
     return float(np.mean(vals))
 
 
-def solve_periodic_correction(split: ModalSplit, params: SpParams,
-                              eps: float, omega: float) -> PeriodicCorrection:
-    """O(eps) time-periodic correction for cosine forcing, modes n = +-1."""
-    if eps == 0.0:
-        z = np.zeros(2, dtype=complex)
-        return PeriodicCorrection(omega=omega, eps=0.0, r_hat_1=z.copy(),
-                                  v_hat_1=np.zeros(split.v_matrix.shape[0],
-                                                   dtype=complex),
-                                  h_hat_1=z.copy())
-    f_hat = sp_forcing_vector(params)
-    c = split.v_inv @ f_hat
-    for lam in (split.lambda_fast, np.conj(split.lambda_fast),
-                split.lambda_slow, np.conj(split.lambda_slow)):
-        if abs(1j * omega - lam) < 1e-6:
-            raise ResonanceError(
-                f"forcing frequency resonant with eigenvalue {lam:.6g}")
-    M = 1j * omega * np.eye(2) - split.a_z
-    h_hat_1 = np.linalg.solve(M, c[2:] / 2.0)
-    resid = np.linalg.norm(M @ h_hat_1 - c[2:] / 2.0)
-    if resid > 1e-12 * max(1.0, np.linalg.norm(c)):
-        raise RuntimeError("periodic correction residual exceeds tolerance")
-    r_hat_1 = (c[:2] / 2.0).astype(complex)
-    v_hat_1 = split.v_matrix[:, 2:].astype(complex) @ h_hat_1
-    return PeriodicCorrection(omega=omega, eps=eps, r_hat_1=r_hat_1,
-                              v_hat_1=v_hat_1, h_hat_1=h_hat_1)
-
-
-def evaluate_manifold(params: SpParams, split: ModalSplit, h: dict,
-                      y: np.ndarray) -> np.ndarray:
-    """Observable state on the branch manifold: x0 + V (y, h(y))."""
-    hy = vector_poly(h)(y) if h else np.zeros(2)
-    eta = np.concatenate([np.asarray(y, dtype=float), hy])
-    x0 = sp_fixed_points(params).x0(split.branch)
-    return x0 + split.v_matrix @ eta
-
-
 def build_analytic_model(params: SpParams, branch: str, order: int = 3,
                          eps: float = 0.0, omega: float = 1.0) -> SsmModel:
-    """Assemble the branch SSM (graph + reduced dynamics) as an SsmModel."""
+    """Assemble the branch SSM (graph + reduced dynamics) as an SsmModel.
+
+    With eps the O(eps) forcing correction comes from the chart-general
+    solver of pwsrom.ssm_data over the modal chart.
+    """
     split = modal_split(params, branch)
     h = solve_invariance(split, order=order)
     rdyn = solve_reduced_dynamics(split, h)
-    corr = None
-    if eps:
-        corr = solve_periodic_correction(split, params, eps, omega)
     x0 = sp_fixed_points(params).x0(branch)
     V = split.v_matrix
     nl = {p: V[:, 2:] @ v for p, v in h.items()}
-    return SsmModel(
+    model = SsmModel(
         branch=branch, x0=x0, tangent=V[:, :2], chart_w=split.v_inv[:2, :],
-        nl_coeffs=nl, rdyn=rdyn, correction=corr, source="analytic",
+        nl_coeffs=nl, rdyn=rdyn, source="analytic",
         meta={"V": V, "h": h, "a_y": split.a_y, "a_z": split.a_z,
               "r_y": split.r_y, "r_z": split.r_z,
               "q_argument": split.q_argument})
+    if eps:
+        corr = nonmodal_forcing_correction(sp_shifted(params, branch).a_tilde,
+                                           model, sp_forcing_vector(params),
+                                           eps, omega)
+        model = replace(model, correction=corr)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ physical-coordinate charts) and the forcing correction for arbitrary charts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -28,7 +28,6 @@ class TrajectoryDataset:
     trajectories: list                 # [(t (N,), y (N, n)), ...]
     branch: str = "+"
     trim_fraction: float = 0.05
-    derivatives: Optional[list] = None
     full_state: bool = True
 
     def __post_init__(self):
@@ -107,7 +106,6 @@ class ManifoldFit:
 class DynamicsFit:
     r_coeffs: np.ndarray              # (d, K) coefficients for orders 1..r
     order: int
-    residual: float = np.nan
 
     @property
     def monomial_indices(self):
@@ -198,17 +196,12 @@ def fit_dynamics(data: TrajectoryDataset, fit: ManifoldFit, order: int,
     """
     xis = []
     dxis = []
-    trimmed = data.trimmed()
-    for k, (t, y) in enumerate(trimmed):
-        if data.derivatives is not None:
-            ym, dym = y, data.derivatives[k]
-        else:
-            ym, dym = estimate_derivatives(t, y)
+    for t, y in data.trimmed():
+        ym, dym = estimate_derivatives(t, y)
         xis.append((ym - fit.x0) @ fit.w_matrix.T)
         dxis.append(dym @ fit.w_matrix.T)
     Xi = np.vstack(xis)
     dXi = np.vstack(dxis)
-    d = Xi.shape[1]
     if known_linear is not None:
         target = dXi - Xi @ np.asarray(known_linear, dtype=float).T
         Phi = monomial_matrix(Xi.T, 2, order)
@@ -224,12 +217,9 @@ def fit_dynamics(data: TrajectoryDataset, fit: ManifoldFit, order: int,
     R_free = np.linalg.solve(A, Phi @ target).T
     if known_linear is not None:
         R = np.column_stack([np.asarray(known_linear, dtype=float), R_free])
-        resid = np.linalg.norm(R_free @ Phi - target.T) \
-            / max(np.linalg.norm(dXi), 1e-300)
     else:
         R = R_free
-        resid = np.linalg.norm(R @ Phi - dXi.T) / max(np.linalg.norm(dXi), 1e-300)
-    return DynamicsFit(r_coeffs=R, order=order, residual=resid)
+    return DynamicsFit(r_coeffs=R, order=order)
 
 
 def nmte_arrays(reference: np.ndarray, reconstruction: np.ndarray,
@@ -273,8 +263,6 @@ def scale_dataset(data: TrajectoryDataset, x0: np.ndarray,
     scaled = TrajectoryDataset(
         trajectories=[(t, (y - x0) / scale) for t, y in data.trajectories],
         branch=data.branch, trim_fraction=data.trim_fraction,
-        derivatives=None if data.derivatives is None else
-        [d / scale for d in data.derivatives],
         full_state=data.full_state)
     return scaled, scale
 
@@ -357,7 +345,7 @@ def rechart(model: SsmModel, w0: np.ndarray,
     if corr is not None:
         corr = PeriodicCorrection(omega=corr.omega, eps=corr.eps,
                                   r_hat_1=P @ corr.r_hat_1,
-                                  v_hat_1=corr.v_hat_1, h_hat_1=corr.h_hat_1)
+                                  v_hat_1=corr.v_hat_1)
     new_model = SsmModel(branch=model.branch, x0=model.x0, tangent=V0,
                          chart_w=w0, nl_coeffs=nl_new, rdyn=rdyn_new,
                          correction=corr, source=model.source,
@@ -374,7 +362,8 @@ def nonmodal_forcing_correction(a_matrix: np.ndarray, model: SsmModel,
 
     Solves the complement equation for the parametrization amplitude and the
     chart projection for the reduced-forcing amplitude; for a modal chart the
-    result reduces to the modal construction.
+    result reduces to the modal construction. Raises ResonanceError when
+    i omega meets the complement spectrum of a_matrix.
     """
     A = np.asarray(a_matrix, dtype=float)
     V0, W0 = model.tangent, model.chart_w
@@ -391,7 +380,12 @@ def nonmodal_forcing_correction(a_matrix: np.ndarray, model: SsmModel,
             raise ResonanceError(
                 f"forcing frequency resonant with eigenvalue {lv:.6g}")
     M = 1j * omega * np.eye(n) - Pc @ A
-    v_hat = np.linalg.solve(M, Pc @ f_hat / 2.0)
+    b = Pc @ f_hat / 2.0
+    v_hat = np.linalg.solve(M, b)
+    # backward error: a plain relative residual would scale with cond(M)
+    bound = np.linalg.norm(M, 2) * np.linalg.norm(v_hat) + np.linalg.norm(b)
+    if np.linalg.norm(M @ v_hat - b) > 1e-12 * bound:
+        raise RuntimeError("forcing correction residual exceeds tolerance")
     r_hat = W0 @ (A @ v_hat + f_hat / 2.0)
     return PeriodicCorrection(omega=omega, eps=eps, r_hat_1=r_hat,
                               v_hat_1=v_hat)

@@ -5,6 +5,9 @@ The parametrization maps reduced coordinates y = (y1, y2) to observables
 x = x0 + tangent @ y + sum_p nl(p) y^p (+ eps * 2 Re[v_hat1 e^{i omega t}]);
 the chart maps back through y = chart_w @ (x - x0). Reduced dynamics are a
 polynomial map of y plus the periodic forcing term when a correction is set.
+The JSON form stores a correction as omega, eps, r_hat_1 and v_hat_1, each
+complex vector as [re, im] pairs; files that also carry the retired
+slave-coordinate amplitude of the modal solver still load.
 
 The coefficient dicts are the model's data and JSON form; evaluation runs
 on a dense form compiled from them at construction. phi(y, t) lists every
@@ -48,20 +51,15 @@ from .poly2 import monomials
 class PeriodicCorrection:
     """Order-eps time-periodic correction, truncated to the n = +-1 modes.
 
-    h_hat_1 is the slave-coordinate Fourier amplitude (modal construction
-    only); v_hat_1 and r_hat_1 are the observable-space and reduced-dynamics
-    amplitudes. The n = -1 amplitudes are the complex conjugates.
+    v_hat_1 and r_hat_1 are the observable-space and reduced-dynamics
+    amplitudes (pwsrom.ssm_data.nonmodal_forcing_correction solves for them
+    on any chart). The n = -1 amplitudes are the complex conjugates.
     """
 
     omega: float
     eps: float
     r_hat_1: np.ndarray
     v_hat_1: np.ndarray
-    h_hat_1: Optional[np.ndarray] = None
-
-    @property
-    def h_hat_minus_1(self):
-        return None if self.h_hat_1 is None else np.conj(self.h_hat_1)
 
 
 @dataclass
@@ -262,7 +260,6 @@ class SsmModel:
             out["correction"] = {
                 "omega": c.omega,
                 "eps": c.eps,
-                "h_hat_1": _c2l(c.h_hat_1),
                 "r_hat_1": _c2l(c.r_hat_1),
                 "v_hat_1": _c2l(c.v_hat_1),
             }
@@ -286,8 +283,7 @@ class SsmModel:
             c = d["correction"]
             corr = PeriodicCorrection(
                 omega=c["omega"], eps=c["eps"],
-                r_hat_1=_l2c(c["r_hat_1"]), v_hat_1=_l2c(c["v_hat_1"]),
-                h_hat_1=_l2c(c["h_hat_1"]))
+                r_hat_1=_l2c(c["r_hat_1"]), v_hat_1=_l2c(c["v_hat_1"]))
         meta = {}
         if d.get("V") is not None:
             meta["V"] = np.asarray(d["V"], dtype=float)
@@ -315,13 +311,8 @@ class SsmModel:
 
 
 def _c2l(z):
-    if z is None:
-        return None
-    z = np.atleast_1d(z)
-    return [[float(v.real), float(v.imag)] for v in z]
+    return [[float(v.real), float(v.imag)] for v in np.atleast_1d(z)]
 
 
 def _l2c(pairs):
-    if pairs is None:
-        return None
     return np.array([complex(re, im) for re, im in pairs])

@@ -152,35 +152,6 @@ def assemble_beam(props: BeamProperties = BeamProperties()) -> BeamAssembly:
                         mid_dof_index=mid_free)
 
 
-def strain_energy(assembly: BeamAssembly, q: np.ndarray) -> float:
-    """Exact elastic energy: axial (with the quadratic coupling) plus bending."""
-    props = assembly.props
-    E, A, I = props.young_modulus, props.area, props.second_moment
-    L = props.length / props.n_elements
-    ndof = 3 * (props.n_elements + 1)
-    qf = np.zeros(ndof)
-    qf[3:ndof - 3] = q
-    Bu = np.array([-1.0, 0, 0, 1.0, 0, 0]) / L
-    total = 0.0
-    for e in range(props.n_elements):
-        d = qf[3 * e: 3 * e + 6]
-        for s, wgt in zip(_GP, _GW):
-            G = np.array([0, (-6 * s + 6 * s**2), L * (1 - 4 * s + 3 * s**2),
-                          0, (6 * s - 6 * s**2), L * (-2 * s + 3 * s**2)]) / L
-            Bb = np.array([0, -6 + 12 * s, L * (-4 + 6 * s),
-                           0, 6 - 12 * s, L * (-2 + 6 * s)]) / L**2
-            eps0 = Bu @ d + 0.5 * (G @ d) ** 2
-            kap = Bb @ d
-            total += wgt * L * (0.5 * E * A * eps0 ** 2 + 0.5 * E * I * kap ** 2)
-    return total
-
-
-def total_energy(assembly: BeamAssembly, x: np.ndarray) -> float:
-    n = assembly.n_dof
-    q, v = x[:n], x[n:]
-    return 0.5 * float(v @ assembly.mass_matrix @ v) + strain_energy(assembly, q)
-
-
 def static_deflection(assembly: BeamAssembly, load: float,
                       max_iter: int = 50) -> np.ndarray:
     """Newton solve of K q + f_nl(q) = load * e_mid."""

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pwsrom import vk_beam as vkb
+from pwsrom.beam_rom import make_beam_rom
 from pwsrom.core import (EventKind, IntegratorOptions, SwitchingFunction,
                          _Stepper, integrate_hybrid)
 from pwsrom.poly2 import monomials
@@ -84,7 +85,8 @@ def test_unknown_strategy_rejected():
 
 
 def test_rom_zero_friction_matches_smooth_reduced():
-    rom = make_sp_rom(SpParams(delta=0.0), with_sticking=False)
+    rom = make_sp_rom(SpParams(delta=0.0))
+    rom.sticking = None
     y0 = np.array([0.3, 0.0])
     traj = simulate_rom(rom, y0, "+", (0.0, 25.0),
                         IntegratorOptions(t_eval_dt=0.05))
@@ -124,7 +126,8 @@ def test_rom_branch_validity(rom_01):
 def test_rom_jump_scales_with_friction():
     jumps = {}
     for delta in (2e-3, 1e-3):
-        rom = make_sp_rom(SpParams(delta=delta), with_sticking=False)
+        rom = make_sp_rom(SpParams(delta=delta))
+        rom.sticking = None
         y0 = rom.model_plus.chart(np.array([0.5, 0.35, 0.0, 0.0]))
         traj = simulate_rom(rom, y0, "+", (0.0, 10.0))
         ev = [e for e in traj.events if e.kind == EventKind.CROSSING][0]
@@ -263,7 +266,8 @@ def test_precomposed_belt_switching_value():
 
 
 def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
-    rom = make_sp_rom(SpParams(delta=0.01), with_sticking=False)
+    rom = make_sp_rom(SpParams(delta=0.01))
+    rom.sticking = None
     y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
     lift = SsmModel.lift
     calls = []
@@ -284,3 +288,29 @@ def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
                                       grad_sigma=rom.switching.grad_sigma)
     simulate_rom(rom, y0, "+", (0.0, 40.0))
     assert len(calls) > 10 * len(crossings)
+
+
+def _is_float_pair(v):
+    return type(v) is tuple and len(v) == 2 and all(type(c) is float for c in v)
+
+
+def test_sticking_fields_return_float_pairs(rom_01):
+    # the float-pair stepper runs sticking segments on Python floats too
+    model = rom_01.model_plus
+    assert _is_float_pair(rom_01.sticking.reduced_field(0.3, (0.1, -0.05), model))
+    # the beam rule on a linear model over the physical midpoint chart
+    asm = vkb.assemble_beam()
+    n, i_q = asm.n_dof, asm.mid_dof_index
+    V = np.zeros((2 * n, 2))
+    W = np.zeros((2, 2 * n))
+    V[i_q, 0], V[n + i_q, 1] = 2e-3, 0.5
+    W[0, i_q], W[1, n + i_q] = 1 / 2e-3, 1 / 0.5
+    models = [SsmModel(branch=b, x0=np.zeros(2 * n), tangent=V, chart_w=W,
+                       nl_coeffs={}, rdyn={(1, 0): np.array([0.0, -1.0]),
+                                           (0, 1): np.array([1.0, 0.0])},
+                       source="data") for b in "+-"]
+    belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
+    rom = make_beam_rom(asm, belt, *models)
+    out = rom.sticking.reduced_field(0.0, (0.1, 0.2), models[0])
+    assert _is_float_pair(out)
+    assert out == (belt.v_ground / 2e-3, 0.0)

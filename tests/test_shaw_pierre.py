@@ -3,7 +3,7 @@ import pytest
 
 from pwsrom.core import (BoundaryKind, IntegratorOptions, classify_boundary,
                          integrate_hybrid)
-from pwsrom.shaw_pierre import (SpParams, make_system, sp_energy, sp_field,
+from pwsrom.shaw_pierre import (SpParams, make_system, sp_field,
                                 sp_fixed_points, sp_shifted, sp_sticking_test,
                                 sp_switching)
 
@@ -76,19 +76,27 @@ def test_fixed_points_odd_symmetry():
         assert np.isclose(fp.q0_plus, -fp.q0_minus, atol=1e-15)
 
 
+def _shifted_terms(sh, xi):
+    """Quadratic and cubic terms of the shifted field, from c2 and c3."""
+    return (np.array([0.0, sh.c2 * xi[0] ** 2, 0.0, 0.0]),
+            np.array([0.0, sh.c3 * xi[0] ** 3, 0.0, 0.0]))
+
+
 def test_shifted_constant_term_vanishes():
+    params = SpParams(delta=0.17)
+    fp = sp_fixed_points(params)
     for branch in "+-":
-        sh = sp_shifted(SpParams(delta=0.17), branch)
-        assert np.allclose(sh.constant_term(), 0.0)
-        # consistency of the shifted expansion against the raw field
-        params = SpParams(delta=0.17)
-        fp = sp_fixed_points(params)
+        sh = sp_shifted(params, branch)
         x0 = fp.x0(branch)
+        # the shifted system has no constant term: the field vanishes at x0
+        assert np.allclose(sp_field(params, branch, 0.0, x0), 0.0, atol=1e-15)
+        # consistency of the shifted expansion against the raw field
         rng = np.random.default_rng(2)
         for _ in range(5):
             xi = rng.uniform(-0.3, 0.3, 4)
             lhs = sp_field(params, branch, 0.0, x0 + xi)
-            rhs = sh.a_tilde @ xi + sh.quadratic_term(xi) + sh.cubic_term(xi)
+            quad, cub = _shifted_terms(sh, xi)
+            rhs = sh.a_tilde @ xi + quad + cub
             assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -102,7 +110,7 @@ def test_shifted_matrix_branch_independent():
 def test_shifted_quadratic_vanishes_at_zero_friction():
     sh = sp_shifted(SpParams(delta=0.0), "+")
     assert sh.c2 == 0.0
-    assert np.allclose(sh.quadratic_term(np.array([1.0, 0, 0, 0])), 0.0)
+    assert np.allclose(_shifted_terms(sh, np.array([1.0, 0, 0, 0]))[0], 0.0)
 
 
 def test_mirror_symmetry():
@@ -123,6 +131,15 @@ def test_repelling_sliding_never_occurs():
         x[1] = 0.0
         cls = classify_boundary(sys, x)
         assert cls.kind != BoundaryKind.REPELLING_SLIDING
+
+
+def sp_energy(params, x):
+    """Kinetic plus potential (quadratic springs + hardening quartic)."""
+    m1, m2, c, k, a = params.m1, params.m2, params.c, params.k, params.alpha
+    q1, v1, q2, v2 = x
+    kin = 0.5 * m1 * v1 ** 2 + 0.5 * m2 * v2 ** 2
+    pot = k * q1 ** 2 + k * q2 ** 2 - k * q1 * q2 + 0.25 * a * q1 ** 4
+    return kin + pot
 
 
 def test_energy_dissipation_along_hybrid_trajectory():

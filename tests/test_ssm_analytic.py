@@ -1,9 +1,14 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from pwsrom import ssm_analytic as sa
 from pwsrom.core import IntegratorOptions, _Stepper
-from pwsrom.shaw_pierre import SpParams, sp_field, sp_fixed_points
+from pwsrom.poly2 import Poly2, vector_poly
+from pwsrom.shaw_pierre import (SpParams, sp_field, sp_fixed_points,
+                                sp_forcing_vector, sp_shifted)
+from pwsrom.ssm_data import nonmodal_forcing_correction
 from pwsrom.ssm_model import SsmModel
 
 
@@ -60,9 +65,34 @@ def test_published_modal_constants_reproduce_at_implied_offset():
     assert np.abs(sp.q_argument - [0.1645, 0.3070, 0.0441, -0.4828]).max() < 5e-4
 
 
+def invariance_residual_coeffs(split, h, rdyn, max_degree=3):
+    """Max monomial-coefficient residual of the invariance identity."""
+    r1 = Poly2({p: v[0] for p, v in rdyn.items()})
+    r2 = Poly2({p: v[1] for p, v in rdyn.items()})
+    h1 = Poly2({p: v[0] for p, v in h.items()})
+    h2 = Poly2({p: v[1] for p, v in h.items()})
+    d10, d11 = h1.diff(0), h1.diff(1)
+    d20, d21 = h2.diff(0), h2.diff(1)
+    lhs1 = d10.mul(r1, max_degree=max_degree) + d11.mul(r2, max_degree=max_degree)
+    lhs2 = d20.mul(r1, max_degree=max_degree) + d21.mul(r2, max_degree=max_degree)
+    # xi1 on the graph, then g(xi1)
+    xi1 = Poly2({(1, 0): split.p_master[0], (0, 1): split.p_master[1]}) + \
+        Poly2({p: float(split.p_slave @ v) for p, v in h.items()})
+    g = xi1.power(2, max_degree=max_degree).scale(split.c2) + \
+        xi1.power(3, max_degree=max_degree).scale(split.c3)
+    res = 0.0
+    az, rz = split.a_z, split.r_z
+    rhs_1 = Poly2({p: az[0, 0] * v[0] + az[0, 1] * v[1] for p, v in h.items()}) + g.scale(rz[0])
+    rhs_2 = Poly2({p: az[1, 0] * v[0] + az[1, 1] * v[1] for p, v in h.items()}) + g.scale(rz[1])
+    for pol in (lhs1 - rhs_1, lhs2 - rhs_2):
+        for p, c in pol.truncate(max_degree).terms.items():
+            res = max(res, abs(float(c)))
+    return res
+
+
 def test_invariance_residual_machine_zero(split_plus, solved):
     h, r = solved
-    assert sa.invariance_residual_coeffs(split_plus, h, r) < 1e-10
+    assert invariance_residual_coeffs(split_plus, h, r) < 1e-10
 
 
 def test_invariance_requires_prior_order(split_plus):
@@ -137,22 +167,32 @@ def test_resonance_error_reported():
         sa.solve_invariance(bad, 2)
 
 
+def evaluate_manifold(params, split, h, y):
+    """Observable state on the branch manifold: x0 + V (y, h(y))."""
+    hy = vector_poly(h)(y) if h else np.zeros(2)
+    eta = np.concatenate([np.asarray(y, dtype=float), hy])
+    x0 = sp_fixed_points(params).x0(split.branch)
+    return x0 + split.v_matrix @ eta
+
+
 def test_evaluate_manifold_origin_and_tangency(split_plus, solved):
     h, _ = solved
     params = SpParams(delta=0.1)
     x0 = sp_fixed_points(params).x0("+")
-    assert np.allclose(sa.evaluate_manifold(params, split_plus, h, [0.0, 0.0]), x0)
+    assert np.allclose(evaluate_manifold(params, split_plus, h, [0.0, 0.0]), x0)
     eps = 1e-7
     J = np.column_stack([
-        (sa.evaluate_manifold(params, split_plus, h, [eps, 0.0]) - x0) / eps,
-        (sa.evaluate_manifold(params, split_plus, h, [0.0, eps]) - x0) / eps])
+        (evaluate_manifold(params, split_plus, h, [eps, 0.0]) - x0) / eps,
+        (evaluate_manifold(params, split_plus, h, [0.0, eps]) - x0) / eps])
     assert np.allclose(J, split_plus.v_matrix[:, :2], atol=1e-5)
 
 
 def test_invariance_error_zero_for_linear(split_plus):
     sp = sa.modal_split(SpParams(alpha=0.0, delta=0.1), "+")
     h = sa.solve_invariance(sp, 3)
-    assert sa.invariance_error(sp, h, 0.2) < 1e-14
+    # with alpha = 0 both sides vanish at every sample, which warns
+    with pytest.warns(UserWarning, match="RHS below 1e-14"):
+        assert sa.invariance_error(sp, h, 0.2) < 1e-14
 
 
 def test_invariance_error_decays(split_plus, solved):
@@ -169,39 +209,50 @@ def test_invariance_error_quadrature_stable(split_plus, solved):
     assert abs(a - b) / a < 0.01
 
 
-def test_periodic_correction_zero_eps(split_plus):
-    c = sa.solve_periodic_correction(split_plus, SpParams(delta=0.1), 0.0, 1.0)
-    assert np.allclose(c.h_hat_1, 0.0)
+def _correction(params, omega, eps=0.1, a_matrix=None):
+    """General forcing correction of the '+' branch over its modal chart."""
+    model = sa.build_analytic_model(params, "+")
+    A = sp_shifted(params, "+").a_tilde if a_matrix is None else a_matrix
+    return model, nonmodal_forcing_correction(A, model, sp_forcing_vector(params),
+                                              eps, omega)
 
 
-def test_periodic_correction_decays_with_frequency(split_plus):
+def test_periodic_correction_zero_eps():
     params = SpParams(delta=0.1)
-    n10 = np.linalg.norm(sa.solve_periodic_correction(split_plus, params,
-                                                      0.1, 10.0).h_hat_1)
-    n100 = np.linalg.norm(sa.solve_periodic_correction(split_plus, params,
-                                                       0.1, 100.0).h_hat_1)
+    assert sa.build_analytic_model(params, "+", eps=0.0).correction is None
+    model, corr = _correction(params, 1.0, eps=0.0)
+    forced = dataclasses.replace(model, correction=corr)
+    y = np.array([0.2, -0.1])
+    assert np.array_equal(forced.lift(y, 0.7), model.lift(y))
+    assert forced.reduced_field(0.7, y) == model.reduced_field(0.7, y)
+
+
+def test_periodic_correction_decays_with_frequency():
+    params = SpParams(delta=0.1)
+    n10 = np.linalg.norm(_correction(params, 10.0)[1].v_hat_1)
+    n100 = np.linalg.norm(_correction(params, 100.0)[1].v_hat_1)
     assert n100 < n10 / 5.0
 
 
-def test_periodic_correction_solves_mode_equation(split_plus):
+def test_periodic_correction_solves_mode_equation():
     params = SpParams(delta=0.1, eps=0.1, omega=1.2)
-    from pwsrom.shaw_pierre import sp_forcing_vector
-    c = sa.solve_periodic_correction(split_plus, params, 0.1, 1.2)
-    rhs = (split_plus.v_inv @ sp_forcing_vector(params))[2:] / 2
-    lhs = (1j * 1.2 * np.eye(2) - split_plus.a_z) @ c.h_hat_1
+    model, c = _correction(params, 1.2)
+    A = sp_shifted(params, "+").a_tilde
+    Pc = np.eye(4) - model.tangent @ model.chart_w
+    lhs = (1j * 1.2 * np.eye(4) - Pc @ A) @ c.v_hat_1
+    rhs = Pc @ sp_forcing_vector(params) / 2
     assert np.linalg.norm(lhs - rhs) < 1e-12
-    assert np.allclose(c.h_hat_minus_1, np.conj(c.h_hat_1))
+    # the parametrization amplitude lies in the complement of the chart
+    assert np.linalg.norm(model.chart_w @ c.v_hat_1) < 1e-12
 
 
 def test_periodic_correction_resonance_guard(split_plus):
-    fake = sa.ModalSplit(
-        branch="+", q0=split_plus.q0, v_matrix=split_plus.v_matrix,
-        v_inv=split_plus.v_inv, a_y=split_plus.a_y,
-        a_z=np.array([[0.0, 1.7], [-1.7, 0.0]]), r_y=split_plus.r_y,
-        r_z=split_plus.r_z, p_master=split_plus.p_master,
-        p_slave=split_plus.p_slave, c2=split_plus.c2, c3=split_plus.c3)
+    # the slow block kept, the fast pair moved onto +-1.7i
+    a_z = np.array([[0.0, 1.7], [-1.7, 0.0]])
+    B = np.block([[split_plus.a_y, np.zeros((2, 2))], [np.zeros((2, 2)), a_z]])
+    A = split_plus.v_matrix @ B @ split_plus.v_inv
     with pytest.raises(sa.ResonanceError):
-        sa.solve_periodic_correction(fake, SpParams(delta=0.1), 0.1, 1.7)
+        _correction(SpParams(delta=0.1), 1.7, a_matrix=A)
 
 
 def test_manifold_attracts_offset_initial_conditions(split_plus, solved):
@@ -212,7 +263,6 @@ def test_manifold_attracts_offset_initial_conditions(split_plus, solved):
     x0 = sp_fixed_points(params).x0("+")
     V = split_plus.v_matrix
     y_start = np.array([0.35, 0.0])
-    from pwsrom.poly2 import vector_poly
     hpoly = vector_poly(h)
     z_start = hpoly(y_start)
     slave_dir = V[:, 2] / np.linalg.norm(V[:, 2])
@@ -247,3 +297,10 @@ def test_build_model_roundtrip(tmp_path, split_plus):
                        model.reduced_field(0.2, y), atol=1e-14)
     assert back.branch == "+"
     assert back.source == "analytic"
+    # files written before the modal amplitude h_hat_1 was retired still load
+    legacy = model.to_dict()
+    assert "h_hat_1" not in legacy["correction"]
+    legacy["correction"]["h_hat_1"] = [[0.01, -0.02], [0.03, 0.04]]
+    old = SsmModel.from_dict(legacy)
+    assert np.array_equal(old.lift(y, 0.3), model.lift(y, 0.3))
+    assert old.reduced_field(0.2, y) == model.reduced_field(0.2, y)

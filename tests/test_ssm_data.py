@@ -6,7 +6,7 @@ import pytest
 
 from pwsrom import ssm_analytic as sa
 from pwsrom import ssm_data as sd
-from pwsrom.shaw_pierre import SpParams, sp_field, sp_forcing_vector
+from pwsrom.shaw_pierre import SpParams, sp_field, sp_forcing_vector, sp_shifted
 from pwsrom.ssm_model import SsmModel
 
 
@@ -174,20 +174,30 @@ def test_nonmodal_correction_zero_forcing(sp_fit_bundle):
     assert np.allclose(corr.r_hat_1, 0.0)
 
 
-def test_nonmodal_correction_reduces_to_modal(sp_fit_bundle):
+def _modal_correction(split, f_hat, omega):
+    """The slave-mode solve: h = (i omega - a_z)^-1 c_z / 2 for the modal
+    forcing c = V^-1 f_hat, then v_hat = V_z h and r_hat = c_y / 2."""
+    c = split.v_inv @ f_hat
+    h = np.linalg.solve(1j * omega * np.eye(2) - split.a_z, c[2:] / 2.0)
+    return split.v_matrix[:, 2:] @ h, c[:2] / 2.0
+
+
+def test_nonmodal_correction_reduces_to_modal():
     # with the modal chart the general construction must agree with the
-    # slave-mode solve
-    params, model, *_ = sp_fit_bundle
-    split = sa.modal_split(params, "+")
-    from pwsrom.shaw_pierre import sp_shifted
-    A = sp_shifted(params, "+").a_tilde
-    eps, omega = 0.1, 1.2
-    modal = sa.solve_periodic_correction(split, params, eps, omega)
-    general = sd.nonmodal_forcing_correction(A, model,
-                                             sp_forcing_vector(params),
-                                             eps, omega)
-    assert np.allclose(general.v_hat_1, modal.v_hat_1, atol=1e-10)
-    assert np.allclose(general.r_hat_1, modal.r_hat_1, atol=1e-10)
+    # slave-mode solve on both branches
+    params = SpParams(delta=0.1)
+    f_hat = sp_forcing_vector(params)
+    for branch in "+-":
+        split = sa.modal_split(params, branch)
+        model = sa.build_analytic_model(params, branch)
+        A = sp_shifted(params, branch).a_tilde
+        for omega in (0.8, 1.2, 1.6):
+            general = sd.nonmodal_forcing_correction(A, model, f_hat, 0.1, omega)
+            v_hat, r_hat = _modal_correction(split, f_hat, omega)
+            assert np.linalg.norm(general.v_hat_1 - v_hat) \
+                <= 1e-12 * np.linalg.norm(v_hat)
+            assert np.linalg.norm(general.r_hat_1 - r_hat) \
+                <= 1e-12 * np.linalg.norm(r_hat)
 
 
 def test_data_model_json_roundtrip(tmp_path, sp_fit_bundle):
