@@ -355,23 +355,24 @@ def rechart(model: SsmModel, w0: np.ndarray,
     return ChartChange(w0=w0, p_matrix=P, condition_number=cond), new_model
 
 
-def nonmodal_forcing_correction(a_matrix: np.ndarray, model: SsmModel,
-                                f_hat: np.ndarray, eps: float,
-                                omega: float) -> PeriodicCorrection:
-    """O(eps) periodic correction for an arbitrary chart (modes n = +-1).
+def nonmodal_forcing_correction(a_matrix: np.ndarray, tangent: np.ndarray,
+                                chart_w: np.ndarray, f_hat: np.ndarray,
+                                eps: float, omega: float,
+                                eigenvalues=None) -> PeriodicCorrection:
+    """O(eps) periodic correction over the chart (tangent, chart_w), n = +-1.
 
     Solves the complement equation for the parametrization amplitude and the
     chart projection for the reduced-forcing amplitude; for a modal chart the
-    result reduces to the modal construction. Raises ResonanceError when
-    i omega meets the complement spectrum of a_matrix.
+    result reduces to the modal construction. The eigenvalues of a_matrix may
+    be passed when known. Raises ResonanceError when i omega meets the
+    complement spectrum of a_matrix.
     """
     A = np.asarray(a_matrix, dtype=float)
-    V0, W0 = model.tangent, model.chart_w
     n = A.shape[0]
-    Pc = np.eye(n) - V0 @ W0
-    lam = np.linalg.eigvals(A)
+    Pc = np.eye(n) - tangent @ chart_w
+    lam = np.linalg.eigvals(A) if eigenvalues is None else eigenvalues
     # resonance only against the complement spectrum
-    slow = np.linalg.eigvals(W0 @ A @ V0)
+    slow = np.linalg.eigvals(chart_w @ A @ tangent)
     for lv in lam:
         if np.min(np.abs(lv - slow)) < 1e-9 * max(1.0, np.abs(lv)):
             continue
@@ -386,6 +387,6 @@ def nonmodal_forcing_correction(a_matrix: np.ndarray, model: SsmModel,
     bound = np.linalg.norm(M, 2) * np.linalg.norm(v_hat) + np.linalg.norm(b)
     if np.linalg.norm(M @ v_hat - b) > 1e-12 * bound:
         raise RuntimeError("forcing correction residual exceeds tolerance")
-    r_hat = W0 @ (A @ v_hat + f_hat / 2.0)
+    r_hat = chart_w @ (A @ v_hat + f_hat / 2.0)
     return PeriodicCorrection(omega=omega, eps=eps, r_hat_1=r_hat,
                               v_hat_1=v_hat)

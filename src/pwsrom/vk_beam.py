@@ -2,9 +2,11 @@
 
 Axial displacement uses linear shape functions, transverse displacement cubic
 Hermite ones; the axial strain carries the quadratic transverse coupling
-u' + (w')^2 / 2. The nonlinear internal force is assembled once into dense
-quadratic/cubic coefficient tensors so the right-hand side is a pair of
-einsum contractions. Damping is stiffness-proportional (material damping
+u' + (w')^2 / 2. The nonlinear internal force is the axial force beyond the
+linear part, summed over the Gauss points from the two scalars u' = B q and
+w' = G q at each; the first-order field is one product with a stacked
+strain operator and one with a first-order operator that carries M^-1
+(BeamAssembly). Damping is stiffness-proportional (material damping
 modulus over Young modulus).
 
 Three interchangeable non-smooth elements act at the midpoint transverse DOF:
@@ -14,6 +16,7 @@ belt moving at constant speed with a velocity-weakening law.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -54,64 +57,86 @@ _GW = np.array([5 / 18, 8 / 18, 5 / 18])
 
 
 def _element_matrices(props: BeamProperties):
+    """Element stiffness and mass, the axial strain row Bu (the same at every
+    Gauss point) and the slope rows G, one per Gauss point."""
     E, A, I = props.young_modulus, props.area, props.second_moment
     rho = props.density
     L = props.length / props.n_elements
-    Ke = np.zeros((6, 6))
-    Me = np.zeros((6, 6))
-    Qe = np.zeros((6, 6, 6))
-    Ce = np.zeros((6, 6, 6, 6))
+    Ke, Me = np.zeros((2, 6, 6))
+    Ge = np.zeros((3, 6))
     Bu = np.array([-1.0, 0, 0, 1.0, 0, 0]) / L
-    for s, wgt in zip(_GP, _GW):
+    for k, (s, wgt) in enumerate(zip(_GP, _GW)):
         w = wgt * L
         Nu = np.array([1 - s, 0, 0, s, 0, 0])
         H = np.array([0, 1 - 3 * s**2 + 2 * s**3, L * (s - 2 * s**2 + s**3),
                       0, 3 * s**2 - 2 * s**3, L * (-s**2 + s**3)])
-        G = np.array([0, (-6 * s + 6 * s**2), L * (1 - 4 * s + 3 * s**2),
-                      0, (6 * s - 6 * s**2), L * (-2 * s + 3 * s**2)]) / L
+        Ge[k] = np.array([0, (-6 * s + 6 * s**2), L * (1 - 4 * s + 3 * s**2),
+                          0, (6 * s - 6 * s**2), L * (-2 * s + 3 * s**2)]) / L
         Bb = np.array([0, -6 + 12 * s, L * (-4 + 6 * s),
                        0, 6 - 12 * s, L * (-2 + 6 * s)]) / L**2
         Ke += w * (E * A * np.outer(Bu, Bu) + E * I * np.outer(Bb, Bb))
         Me += w * rho * A * (np.outer(Nu, Nu) + np.outer(H, H))
-        Qe += w * E * A * (0.5 * np.einsum("a,b,c->abc", Bu, G, G)
-                           + np.einsum("a,b,c->abc", G, Bu, G))
-        Ce += w * E * A * 0.5 * np.einsum("a,b,c,d->abcd", G, G, G, G)
-    return Ke, Me, Qe, Ce
+    return Ke, Me, Bu, Ge
 
 
 @dataclass
 class BeamAssembly:
+    """Condensed beam matrices and the Gauss-point factors of the strain.
+
+    Row k of axial_strain (B) and slope (G) maps the free DOFs q to u' and w'
+    at Gauss point k (m = 3 per element); gauss_weights w is E A times the
+    quadrature weight. With u = B q and g = G q the nonlinear force is
+    B^T (w g^2/2) + G^T (w g (u + g^2/2)). beam_field uses two derived
+    operators: strain_operator S (2m x 2n, rows w B and sqrt(w/2) G, zero on
+    the velocities) gives S x = (w u, gamma), gamma^2 = w g^2/2; and
+    field_operator [0 I 0 0 0 0; -M^-1 K, -M^-1 D, -M^-1 B^T, -M^-1 G~^T,
+    M^-1 e_mid, M^-1], G~ = G / sqrt(w/2), acts on (x, gamma^2,
+    gamma (w u + gamma^2), midpoint force, forcing vector).
+    """
+
     props: BeamProperties
     mass_matrix: np.ndarray
     damping_matrix: np.ndarray
     stiffness_matrix: np.ndarray
-    quad_tensor: np.ndarray
-    cubic_tensor: np.ndarray
+    axial_strain: np.ndarray
+    slope: np.ndarray
+    gauss_weights: np.ndarray
     mid_dof_index: int
     minv: np.ndarray = field(init=False)
-    _q2: np.ndarray = field(init=False)
-    _c2: np.ndarray = field(init=False)
+    strain_operator: np.ndarray = field(init=False)
+    field_operator: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self.minv = np.linalg.inv(self.mass_matrix)
-        n = self.stiffness_matrix.shape[0]
-        self._q2 = self.quad_tensor.reshape(n, n * n)
-        self._c2 = self.cubic_tensor.reshape(n, n * n * n)
+        n, m = self.n_dof, len(self.gauss_weights)
+        root = np.sqrt(0.5 * self.gauss_weights)[:, None]
+        self.strain_operator = S = np.zeros((2 * m, 2 * n))
+        S[:, :n] = np.vstack([self.gauss_weights[:, None] * self.axial_strain,
+                              root * self.slope])
+        self.field_operator = op = np.zeros((2 * n, 3 * n + 2 * m + 1))
+        op[:n, n:2 * n] = np.eye(n)
+        op[n:, :2 * n + 2 * m] = -self.minv @ np.hstack([
+            self.stiffness_matrix, self.damping_matrix,
+            self.axial_strain.T, (self.slope / root).T])
+        op[n:, -n - 1] = self.minv[:, self.mid_dof_index]
+        op[n:, -n:] = self.minv
 
     @property
     def n_dof(self) -> int:
         return self.stiffness_matrix.shape[0]
 
-    def nonlinear_force(self, q: np.ndarray, qdot=None) -> np.ndarray:
-        """Quadratic-and-higher internal force (zero value/Jacobian at rest)."""
-        qq = np.multiply.outer(q, q).ravel()
-        return self._q2 @ qq + self._c2 @ np.multiply.outer(qq, q).ravel()
+    def nonlinear_force(self, q: np.ndarray) -> np.ndarray:
+        """Quadratic-and-cubic internal force (zero value/Jacobian at rest)."""
+        u, g = self.axial_strain @ q, self.slope @ q
+        wg = self.gauss_weights * g
+        return (self.axial_strain.T @ (0.5 * wg * g)
+                + self.slope.T @ (wg * (u + 0.5 * g * g)))
 
     def nonlinear_jacobian(self, q: np.ndarray) -> np.ndarray:
-        Jq = (np.einsum("abc,c->ab", self.quad_tensor, q)
-              + np.einsum("abc,b->ac", self.quad_tensor, q))
-        Jc = 3.0 * np.einsum("abcd,c,d->ab", self.cubic_tensor, q, q)
-        return Jq + Jc
+        B, G, w = self.axial_strain, self.slope, self.gauss_weights
+        u, g = B @ q, G @ q
+        BG = B.T @ ((w * g)[:, None] * G)
+        return BG + BG.T + G.T @ ((w * (u + 1.5 * g * g))[:, None] * G)
 
     def internal_force(self, q: np.ndarray) -> np.ndarray:
         return self.stiffness_matrix @ q + self.nonlinear_force(q)
@@ -125,31 +150,27 @@ def assemble_beam(props: BeamProperties = BeamProperties()) -> BeamAssembly:
     """Assemble and condense the clamped-clamped beam to its free DOFs."""
     ne = props.n_elements
     ndof = 3 * (ne + 1)
-    Ke, Me, Qe, Ce = _element_matrices(props)
-    K = np.zeros((ndof, ndof))
-    M = np.zeros((ndof, ndof))
-    Q = np.zeros((ndof, ndof, ndof))
-    C3 = np.zeros((ndof, ndof, ndof, ndof))
+    Ke, Me, Bu, Ge = _element_matrices(props)
+    K, M = np.zeros((2, ndof, ndof))
+    B, G = np.zeros((2, 3 * ne, ndof))
     for e in range(ne):
         sl = slice(3 * e, 3 * e + 6)
         K[sl, sl] += Ke
         M[sl, sl] += Me
-        Q[sl, sl, sl] += Qe
-        C3[sl, sl, sl, sl] += Ce
+        B[3 * e:3 * e + 3, sl] = Bu
+        G[3 * e:3 * e + 3, sl] = Ge
     free = np.arange(3, ndof - 3)
-    K = K[np.ix_(free, free)]
-    M = M[np.ix_(free, free)]
-    Q = Q[np.ix_(free, free, free)]
-    C3 = C3[np.ix_(free, free, free, free)]
+    K, M = K[np.ix_(free, free)], M[np.ix_(free, free)]
     if np.linalg.cond(K) > 1e14:
         raise RuntimeError("assembled stiffness matrix is singular")
     Cd = (props.damping_modulus / props.young_modulus) * K
-    mid_node = ne // 2
-    mid_global = 3 * mid_node + 1
-    mid_free = int(np.where(free == mid_global)[0][0])
+    weights = np.tile(_GW * (props.length / ne) * props.young_modulus
+                      * props.area, ne)
+    # transverse DOF of the middle node, 3 (ne // 2) + 1, less the 3 clamped
     return BeamAssembly(props=props, mass_matrix=M, damping_matrix=Cd,
-                        stiffness_matrix=K, quad_tensor=Q, cubic_tensor=C3,
-                        mid_dof_index=mid_free)
+                        stiffness_matrix=K, axial_strain=B[:, free],
+                        slope=G[:, free], gauss_weights=weights,
+                        mid_dof_index=3 * (ne // 2) - 2)
 
 
 def static_deflection(assembly: BeamAssembly, load: float,
@@ -203,20 +224,17 @@ def belt_friction(variant: NonsmoothVariant, rel: float, branch: str) -> float:
     """
     a, b = variant.alpha_fric, variant.beta_fric
     if branch == "+":
-        return -(1.0 + a / np.e * np.exp((b - rel) / b))
-    return 1.0 + a / np.e * np.exp((b + rel) / b)
+        return -(1.0 + a / math.e * math.exp((b - rel) / b))
+    return 1.0 + a / math.e * math.exp((b + rel) / b)
 
 
 def _branch_force(assembly, variant, branch, x):
     """Non-smooth midpoint force of the branch smooth extension."""
-    i = assembly.mid_dof_index
-    n = assembly.n_dof
+    n, i = assembly.n_dof, assembly.mid_dof_index
     if variant.kind == "coulomb":
         return -variant.delta if branch == "+" else variant.delta
     if variant.kind == "soft_impact":
-        if branch == "+":
-            return 0.0
-        return -variant.delta * x[i]
+        return 0.0 if branch == "+" else -variant.delta * x[i]
     rel = x[n + i] - variant.v_ground
     return variant.delta * belt_friction(variant, rel, branch)
 
@@ -224,29 +242,22 @@ def _branch_force(assembly, variant, branch, x):
 def beam_field(assembly: BeamAssembly, variant: Optional[NonsmoothVariant],
                branch: str, t: float, x: np.ndarray,
                forcing: Optional[Callable[[float], np.ndarray]] = None) -> np.ndarray:
-    """First-order form: x = (q, dq), 18 components for the 4-element beam."""
-    n = assembly.n_dof
-    q = x[:n]
-    v = x[n:]
-    f = -(assembly.stiffness_matrix @ q) - assembly.damping_matrix @ v \
-        - assembly.nonlinear_force(q)
-    if variant is not None:
-        fb = _branch_force(assembly, variant, branch, x)
-        if fb != 0.0:
-            f = f.copy()
-            f[assembly.mid_dof_index] += fb
-    if forcing is not None:
-        f = f + forcing(t)
-    out = np.empty(2 * n)
-    out[:n] = v
-    out[n:] = assembly.minv @ f
-    return out
+    """First-order form: x = (q, dq), 18 components for the 4-element beam.
+    A fresh array each call; the assembly holds no scratch state."""
+    s = assembly.strain_operator @ x
+    m = len(s) // 2
+    gam = s[m:]
+    g2 = gam * gam
+    fb = 0.0 if variant is None else _branch_force(assembly, variant, branch, x)
+    z = (x, g2, gam * (s[:m] + g2), (fb,))
+    if forcing is None:
+        return assembly.field_operator[:, :-assembly.n_dof] @ np.concatenate(z)
+    return assembly.field_operator @ np.concatenate(z + (forcing(t),))
 
 
 def beam_switching(assembly: BeamAssembly,
                    variant: NonsmoothVariant) -> SwitchingFunction:
-    i = assembly.mid_dof_index
-    n = assembly.n_dof
+    n, i = assembly.n_dof, assembly.mid_dof_index
     g = np.zeros(2 * n)
     if variant.kind == "soft_impact":
         g[i] = 1.0
@@ -288,8 +299,7 @@ def mid_forcing(assembly: BeamAssembly, amplitude: float,
 def branch_fixed_point(assembly: BeamAssembly, variant: NonsmoothVariant,
                        branch: str) -> np.ndarray:
     """Equilibrium of the branch smooth extension (18-vector, zero velocity)."""
-    n = assembly.n_dof
-    i = assembly.mid_dof_index
+    n, i = assembly.n_dof, assembly.mid_dof_index
     q = np.zeros(n)
     for _ in range(60):
         x = np.concatenate([q, np.zeros(n)])
@@ -299,7 +309,6 @@ def branch_fixed_point(assembly: BeamAssembly, variant: NonsmoothVariant,
             break
         J = assembly.stiffness_matrix + assembly.nonlinear_jacobian(q)
         if variant.kind == "soft_impact" and branch == "-":
-            J = J.copy()
             J[i, i] += variant.delta
         q = q - np.linalg.solve(J, r)
     return np.concatenate([q, np.zeros(n)])
@@ -308,29 +317,19 @@ def branch_fixed_point(assembly: BeamAssembly, variant: NonsmoothVariant,
 def branch_jacobian(assembly: BeamAssembly, variant: Optional[NonsmoothVariant],
                     branch: str, x0: np.ndarray) -> np.ndarray:
     """Linearization of the branch field at a fixed point."""
-    n = assembly.n_dof
-    i = assembly.mid_dof_index
-    q0 = x0[:n]
-    Kt = assembly.stiffness_matrix + assembly.nonlinear_jacobian(q0)
+    n, i = assembly.n_dof, assembly.mid_dof_index
+    Kt = assembly.stiffness_matrix + assembly.nonlinear_jacobian(x0[:n])
     Ct = assembly.damping_matrix.copy()
     if variant is not None and variant.kind == "soft_impact" and branch == "-":
-        Kt = Kt.copy()
         Kt[i, i] += variant.delta
     if variant is not None and variant.kind == "moving_belt":
-        a, b = variant.alpha_fric, variant.beta_fric
+        # d/drel of the friction factor is (|factor| - 1) / beta > 0 on both
+        # extensions, so it always weakens the damping carried by the mid DOF
         rel = x0[n + i] - variant.v_ground
-        if branch == "+":
-            dfd = variant.delta * (a / np.e) * np.exp((b - rel) / b) / b
-        else:
-            dfd = variant.delta * (a / np.e) * np.exp((b + rel) / b) / b
-        # the force slope in velocity is positive on both extensions, so it
-        # always weakens the damping carried by the mid DOF
-        Ct[i, i] -= dfd
-    A = np.zeros((2 * n, 2 * n))
-    A[:n, n:] = np.eye(n)
-    A[n:, :n] = -assembly.minv @ Kt
-    A[n:, n:] = -assembly.minv @ Ct
-    return A
+        Ct[i, i] -= variant.delta * (abs(belt_friction(variant, rel, branch))
+                                     - 1.0) / variant.beta_fric
+    return np.block([[np.zeros((n, n)), np.eye(n)],
+                     [-assembly.minv @ Kt, -assembly.minv @ Ct]])
 
 
 def normalized_delta(assembly: BeamAssembly, variant: NonsmoothVariant,
@@ -356,5 +355,4 @@ def delta_for_normalized(assembly: BeamAssembly, kind: str, delta_tilde: float,
                          reference_load: float = 12e3, **kw) -> float:
     """Invert the normalization: raw delta achieving a target delta-tilde."""
     probe = NonsmoothVariant(kind=kind, delta=1.0, **kw)
-    scale = normalized_delta(assembly, probe, reference_load)
-    return delta_tilde / scale
+    return delta_tilde / normalized_delta(assembly, probe, reference_load)

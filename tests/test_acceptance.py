@@ -608,7 +608,8 @@ def _beam_forced_rom(asm, variant, models, omega, eps_scale=1.0, amp=35e3):
         m = models[b]
         x0b = vkb.branch_fixed_point(asm, variant, b)
         A = vkb.branch_jacobian(asm, variant, b, x0b)
-        corr = sd.nonmodal_forcing_correction(A, m, f_hat, eps_scale, omega)
+        corr = sd.nonmodal_forcing_correction(A, m.tangent, m.chart_w, f_hat,
+                                              eps_scale, omega)
         out[b] = SsmModel(branch=b, x0=m.x0, tangent=m.tangent,
                           chart_w=m.chart_w, nl_coeffs=m.nl_coeffs,
                           rdyn=m.rdyn, correction=corr, source=m.source,

@@ -13,12 +13,18 @@ their branch events evaluate sigma precomposed with the lift (sigma = dq1 is
 affine); the same runs with a lifting event must match the same list.
 
 Regenerate (only when a change of results is intended) with
-`PYTHONPATH=src python -m tests.test_golden_events`.
+`PYTHONPATH=src python -m tests.test_golden_events [run ...]`: the named
+runs are rewritten and the others kept byte for byte (all runs without
+names). `full_belt_beam` was last regenerated when the beam field moved
+from dense force tensors to Gauss-point factors, a change at round-off: the
+same 37 events of the same kinds, times moved by at most 7.0e-12 s and
+states by at most 1.5e-9.
 """
 
 import functools
 import json
 import os
+import sys
 
 import numpy as np
 import pytest
@@ -102,6 +108,14 @@ def _assert_golden(name, traj, is_rom):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or list(RUNS)
+    unknown = sorted(set(names) - set(RUNS))
+    if unknown:
+        sys.exit(f"unknown runs {unknown}; choose from {sorted(RUNS)}")
+    golden = {}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+    golden.update({name: _event_list(RUNS[name][0]()) for name in names})
     with open(GOLDEN, "w") as fh:
-        json.dump({name: _event_list(run()) for name, (run, _) in RUNS.items()},
-                  fh, indent=1)
+        json.dump({name: golden[name] for name in RUNS}, fh, indent=1)

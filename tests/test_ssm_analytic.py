@@ -160,7 +160,7 @@ def test_resonance_error_reported():
         a_y=np.array([[-0.1, 1.0], [-1.0, -0.1]]),
         a_z=np.array([[-0.2, 2.0], [-2.0, -0.2]]),
         r_y=split.r_y, r_z=split.r_z, p_master=split.p_master,
-        p_slave=split.p_slave, c2=split.c2, c3=split.c3)
+        p_slave=split.p_slave, c2=split.c2, c3=split.c3, linear=split.linear)
     # 2 Re(lambda_y) = -0.2 = Re(lambda_z) and the imaginary parts match the
     # (2,0) combination, so the order-2 operator is singular
     with pytest.raises(sa.ResonanceError):
@@ -213,8 +213,9 @@ def _correction(params, omega, eps=0.1, a_matrix=None):
     """General forcing correction of the '+' branch over its modal chart."""
     model = sa.build_analytic_model(params, "+")
     A = sp_shifted(params, "+").a_tilde if a_matrix is None else a_matrix
-    return model, nonmodal_forcing_correction(A, model, sp_forcing_vector(params),
-                                              eps, omega)
+    return model, nonmodal_forcing_correction(A, model.tangent, model.chart_w,
+                                              sp_forcing_vector(params), eps,
+                                              omega)
 
 
 def test_periodic_correction_zero_eps():

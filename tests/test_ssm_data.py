@@ -168,8 +168,8 @@ def test_nonmodal_correction_zero_forcing(sp_fit_bundle):
     sh_a = sa.modal_split(params, "+")
     A4 = np.zeros((4, 4))
     corr = sd.nonmodal_forcing_correction(sh_a.v_matrix @ np.diag([0.0] * 4)
-                                          @ sh_a.v_inv, model,
-                                          np.zeros(4), 0.0, 1.3)
+                                          @ sh_a.v_inv, model.tangent,
+                                          model.chart_w, np.zeros(4), 0.0, 1.3)
     assert np.allclose(corr.v_hat_1, 0.0)
     assert np.allclose(corr.r_hat_1, 0.0)
 
@@ -192,7 +192,8 @@ def test_nonmodal_correction_reduces_to_modal():
         model = sa.build_analytic_model(params, branch)
         A = sp_shifted(params, branch).a_tilde
         for omega in (0.8, 1.2, 1.6):
-            general = sd.nonmodal_forcing_correction(A, model, f_hat, 0.1, omega)
+            general = sd.nonmodal_forcing_correction(
+                A, model.tangent, model.chart_w, f_hat, 0.1, omega)
             v_hat, r_hat = _modal_correction(split, f_hat, omega)
             assert np.linalg.norm(general.v_hat_1 - v_hat) \
                 <= 1e-12 * np.linalg.norm(v_hat)

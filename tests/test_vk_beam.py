@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -120,6 +122,127 @@ def test_belt_friction_law_values(asm):
                           -vkb.belt_friction(v, -rel, "-"))
 
 
+def _slope_row(s, L):
+    """d/dx of the element's cubic Hermite transverse shape functions."""
+    return np.array([0, (-6 * s + 6 * s**2), L * (1 - 4 * s + 3 * s**2),
+                     0, (6 * s - 6 * s**2), L * (-2 * s + 3 * s**2)]) / L
+
+
+def _tensor_oracle(props):
+    """Dense quadratic (n^3) and cubic (n^4) nonlinear-force tensors,
+    assembled by einsum from the element shape functions: the formulation
+    the Gauss-point factors replace, kept here as an independent check."""
+    E, A, ne = props.young_modulus, props.area, props.n_elements
+    L = props.length / ne
+    Bu = np.array([-1.0, 0, 0, 1.0, 0, 0]) / L
+    Qe = np.zeros((6, 6, 6))
+    Ce = np.zeros((6, 6, 6, 6))
+    for s, wgt in zip(vkb._GP, vkb._GW):
+        w = wgt * L
+        G = _slope_row(s, L)
+        Qe += w * E * A * (0.5 * np.einsum("a,b,c->abc", Bu, G, G)
+                           + np.einsum("a,b,c->abc", G, Bu, G))
+        Ce += w * E * A * 0.5 * np.einsum("a,b,c,d->abcd", G, G, G, G)
+    ndof = 3 * (ne + 1)
+    Q = np.zeros((ndof,) * 3)
+    C = np.zeros((ndof,) * 4)
+    for e in range(ne):
+        sl = slice(3 * e, 3 * e + 6)
+        Q[sl, sl, sl] += Qe
+        C[sl, sl, sl, sl] += Ce
+    free = np.arange(3, ndof - 3)
+    return Q[np.ix_(free, free, free)], C[np.ix_(free, free, free, free)]
+
+
+def _oracle_force(Q, C, q):
+    return (np.einsum("abc,b,c->a", Q, q, q)
+            + np.einsum("abcd,b,c,d->a", C, q, q, q))
+
+
+def _oracle_jacobian(Q, C, q):
+    return (np.einsum("abc,c->ab", Q, q) + np.einsum("abc,b->ac", Q, q)
+            + 3.0 * np.einsum("abcd,c,d->ab", C, q, q))
+
+
+def _rel_err(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+@pytest.mark.parametrize("n_elements", [2, 4, 6])
+def test_gauss_point_force_matches_tensor_oracle(n_elements):
+    props = vkb.BeamProperties(n_elements=n_elements)
+    a = vkb.assemble_beam(props)
+    Q, C = _tensor_oracle(props)
+    rng = np.random.default_rng(n_elements)
+    for scale in (1e-4, 1e-2):
+        for _ in range(20):
+            q = rng.uniform(-scale, scale, a.n_dof)
+            assert _rel_err(a.nonlinear_force(q),
+                            _oracle_force(Q, C, q)) <= 1e-13
+            assert _rel_err(a.nonlinear_jacobian(q),
+                            _oracle_jacobian(Q, C, q)) <= 1e-13
+
+
+def _oracle_field(asm, Q, C, variant, branch, t, x, forcing):
+    """The tensor-path field: -Kq - Dv - f_nl + fb e_mid + forcing, then M^-1."""
+    n = asm.n_dof
+    q, v = x[:n], x[n:]
+    f = (-asm.stiffness_matrix @ q - asm.damping_matrix @ v
+         - _oracle_force(Q, C, q))
+    if variant is not None:
+        f[asm.mid_dof_index] += vkb._branch_force(asm, variant, branch, x)
+    if forcing is not None:
+        f = f + forcing(t)
+    return np.concatenate([v, np.linalg.solve(asm.mass_matrix, f)])
+
+
+_VARIANTS = [None, vkb.NonsmoothVariant(kind="coulomb", delta=12.0),
+             vkb.NonsmoothVariant(kind="soft_impact", delta=1792.0),
+             vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)]
+
+
+@pytest.mark.parametrize("variant", _VARIANTS,
+                         ids=["none", "coulomb", "soft_impact", "moving_belt"])
+def test_beam_field_matches_tensor_oracle(asm, variant):
+    Q, C = _tensor_oracle(asm.props)
+    rng = np.random.default_rng(3)
+    for forcing in (None, vkb.mid_forcing(asm, 35e3, 650.0)):
+        for branch in "+-":
+            for _ in range(20):
+                x = rng.uniform(-1e-2, 1e-2, 2 * asm.n_dof)
+                t = rng.uniform(0.0, 0.1)
+                got = vkb.beam_field(asm, variant, branch, t, x, forcing)
+                want = _oracle_field(asm, Q, C, variant, branch, t, x, forcing)
+                assert _rel_err(got, want) <= 1e-13
+
+
+def test_beam_field_is_stateless(asm):
+    forcing = vkb.mid_forcing(asm, 35e3, 650.0)
+    rng = np.random.default_rng(4)
+    xa, xb = rng.uniform(-1e-3, 1e-3, (2, 2 * asm.n_dof))
+    clone = pickle.loads(pickle.dumps(asm))
+    for variant in _VARIANTS:
+        for branch in "+-":
+            for f in (None, forcing):
+                args = (variant, branch, 0.01)
+                alone_a = vkb.beam_field(asm, *args, xa.copy(), f)
+                alone_b = vkb.beam_field(asm, *args, xb.copy(), f)
+                x = xa.copy()
+                ya = vkb.beam_field(asm, *args, x, f)
+                yb = vkb.beam_field(asm, *args, xb, f)
+                # fresh arrays, x untouched, no state carried between calls
+                assert ya is not x and ya is not yb
+                assert np.array_equal(x, xa)
+                assert np.array_equal(ya, alone_a)
+                assert np.array_equal(yb, alone_b)
+                ya[:] = 0.0
+                assert np.array_equal(vkb.beam_field(asm, *args, xa, f),
+                                      alone_a)
+                # a pickled assembly (as sent to pool workers) gives the bits
+                assert np.array_equal(vkb.beam_field(clone, *args, xa, f),
+                                      alone_a)
+
+
 def strain_energy(assembly, q):
     """Exact elastic energy: axial (with the quadratic coupling) plus bending."""
     props = assembly.props
@@ -133,8 +256,7 @@ def strain_energy(assembly, q):
     for e in range(props.n_elements):
         d = qf[3 * e: 3 * e + 6]
         for s, wgt in zip(vkb._GP, vkb._GW):
-            G = np.array([0, (-6 * s + 6 * s**2), L * (1 - 4 * s + 3 * s**2),
-                          0, (6 * s - 6 * s**2), L * (-2 * s + 3 * s**2)]) / L
+            G = _slope_row(s, L)
             Bb = np.array([0, -6 + 12 * s, L * (-4 + 6 * s),
                            0, 6 - 12 * s, L * (-2 + 6 * s)]) / L**2
             eps0 = Bu @ d + 0.5 * (G @ d) ** 2
