@@ -33,8 +33,7 @@ class ModalSplit:
 
     eta' = blkdiag(a_y, a_z) eta + (r_y, r_z) g(xi1) with
     g(s) = c2 s^2 + c3 s^3 and xi1 = p_master . y + p_slave . z (first row of
-    the modal matrix). The quadratic scale c2 flips sign between branches;
-    linear is the eigendecomposition of the shifted branch matrix.
+    the modal matrix). The quadratic scale c2 flips sign between branches.
     """
 
     branch: str
@@ -49,7 +48,6 @@ class ModalSplit:
     p_slave: np.ndarray
     c2: float
     c3: float
-    linear: spectral.LinearizedSystem
 
     @property
     def q_argument(self) -> np.ndarray:
@@ -75,7 +73,7 @@ def modal_split(params: SpParams, branch: str) -> ModalSplit:
     return ModalSplit(
         branch=branch, q0=sh.q0, v_matrix=V, v_inv=V_inv,
         a_y=B[:2, :2], a_z=B[2:, 2:], r_y=r[:2], r_z=r[2:],
-        p_master=V[0, :2], p_slave=V[0, 2:], c2=sh.c2, c3=sh.c3, linear=lin)
+        p_master=V[0, :2], p_slave=V[0, 2:], c2=sh.c2, c3=sh.c3)
 
 
 # ---------------------------------------------------------------------------
@@ -244,20 +242,23 @@ def build_analytic_model(params: SpParams, branch: str, order: int = 3,
 
     With eps the O(eps) forcing correction comes from the chart-general
     solver of pwsrom.ssm_data over the modal chart, solved before the one
-    model is built and with the eigenvalues the modal split already has.
+    model is built.
     """
     split = modal_split(params, branch)
     h = solve_invariance(split, order=order)
-    V, lin = split.v_matrix, split.linear
-    tangent, chart_w = V[:, :2], split.v_inv[:2, :]
-    corr = nonmodal_forcing_correction(
-        lin.a_matrix, tangent, chart_w, sp_forcing_vector(params), eps, omega,
-        eigenvalues=lin.eigenvalues) if eps else None
+    rdyn = solve_reduced_dynamics(split, h)
+    x0 = sp_fixed_points(params).x0(branch)
+    V = split.v_matrix
+    nl = {p: V[:, 2:] @ v for p, v in h.items()}
+    corr = None
+    if eps:
+        corr = nonmodal_forcing_correction(sp_shifted(params, branch).a_tilde,
+                                           V[:, :2], split.v_inv[:2, :],
+                                           sp_forcing_vector(params), eps,
+                                           omega)
     return SsmModel(
-        branch=branch, x0=sp_fixed_points(params).x0(branch), tangent=tangent,
-        chart_w=chart_w, nl_coeffs={p: V[:, 2:] @ v for p, v in h.items()},
-        rdyn=solve_reduced_dynamics(split, h), correction=corr,
-        source="analytic",
+        branch=branch, x0=x0, tangent=V[:, :2], chart_w=split.v_inv[:2, :],
+        nl_coeffs=nl, rdyn=rdyn, correction=corr, source="analytic",
         meta={"V": V, "h": h, "a_y": split.a_y, "a_z": split.a_z,
               "r_y": split.r_y, "r_z": split.r_z,
               "q_argument": split.q_argument})

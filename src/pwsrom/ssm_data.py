@@ -357,20 +357,18 @@ def rechart(model: SsmModel, w0: np.ndarray,
 
 def nonmodal_forcing_correction(a_matrix: np.ndarray, tangent: np.ndarray,
                                 chart_w: np.ndarray, f_hat: np.ndarray,
-                                eps: float, omega: float,
-                                eigenvalues=None) -> PeriodicCorrection:
+                                eps: float, omega: float) -> PeriodicCorrection:
     """O(eps) periodic correction over the chart (tangent, chart_w), n = +-1.
 
     Solves the complement equation for the parametrization amplitude and the
     chart projection for the reduced-forcing amplitude; for a modal chart the
-    result reduces to the modal construction. The eigenvalues of a_matrix may
-    be passed when known. Raises ResonanceError when i omega meets the
-    complement spectrum of a_matrix.
+    result reduces to the modal construction. Raises ResonanceError when
+    i omega meets the complement spectrum of a_matrix.
     """
     A = np.asarray(a_matrix, dtype=float)
     n = A.shape[0]
     Pc = np.eye(n) - tangent @ chart_w
-    lam = np.linalg.eigvals(A) if eigenvalues is None else eigenvalues
+    lam = np.linalg.eigvals(A)
     # resonance only against the complement spectrum
     slow = np.linalg.eigvals(chart_w @ A @ tangent)
     for lv in lam:

@@ -6,8 +6,8 @@ u' + (w')^2 / 2. The nonlinear internal force is the axial force beyond the
 linear part, summed over the Gauss points from the two scalars u' = B q and
 w' = G q at each; the first-order field is one product with a stacked
 strain operator and one with a first-order operator that carries M^-1
-(BeamAssembly). Damping is stiffness-proportional (material damping
-modulus over Young modulus).
+(BeamAssembly). Damping is stiffness-proportional (material damping modulus
+over Young modulus).
 
 Three interchangeable non-smooth elements act at the midpoint transverse DOF:
 dry friction, a one-sided linear spring (soft impact), and friction against a
@@ -58,11 +58,12 @@ _GW = np.array([5 / 18, 8 / 18, 5 / 18])
 
 def _element_matrices(props: BeamProperties):
     """Element stiffness and mass, the axial strain row Bu (the same at every
-    Gauss point) and the slope rows G, one per Gauss point."""
+    Gauss point) and the slope rows Ge, one per Gauss point."""
     E, A, I = props.young_modulus, props.area, props.second_moment
     rho = props.density
     L = props.length / props.n_elements
-    Ke, Me = np.zeros((2, 6, 6))
+    Ke = np.zeros((6, 6))
+    Me = np.zeros((6, 6))
     Ge = np.zeros((3, 6))
     Bu = np.array([-1.0, 0, 0, 1.0, 0, 0]) / L
     for k, (s, wgt) in enumerate(zip(_GP, _GW)):
@@ -91,7 +92,8 @@ class BeamAssembly:
     the velocities) gives S x = (w u, gamma), gamma^2 = w g^2/2; and
     field_operator [0 I 0 0 0 0; -M^-1 K, -M^-1 D, -M^-1 B^T, -M^-1 G~^T,
     M^-1 e_mid, M^-1], G~ = G / sqrt(w/2), acts on (x, gamma^2,
-    gamma (w u + gamma^2), midpoint force, forcing vector).
+    gamma (w u + gamma^2), midpoint force, forcing vector): two products
+    per call in place of about a dozen small ones.
     """
 
     props: BeamProperties
@@ -151,8 +153,10 @@ def assemble_beam(props: BeamProperties = BeamProperties()) -> BeamAssembly:
     ne = props.n_elements
     ndof = 3 * (ne + 1)
     Ke, Me, Bu, Ge = _element_matrices(props)
-    K, M = np.zeros((2, ndof, ndof))
-    B, G = np.zeros((2, 3 * ne, ndof))
+    K = np.zeros((ndof, ndof))
+    M = np.zeros((ndof, ndof))
+    B = np.zeros((3 * ne, ndof))
+    G = np.zeros((3 * ne, ndof))
     for e in range(ne):
         sl = slice(3 * e, 3 * e + 6)
         K[sl, sl] += Ke
@@ -160,17 +164,20 @@ def assemble_beam(props: BeamProperties = BeamProperties()) -> BeamAssembly:
         B[3 * e:3 * e + 3, sl] = Bu
         G[3 * e:3 * e + 3, sl] = Ge
     free = np.arange(3, ndof - 3)
-    K, M = K[np.ix_(free, free)], M[np.ix_(free, free)]
+    K = K[np.ix_(free, free)]
+    M = M[np.ix_(free, free)]
     if np.linalg.cond(K) > 1e14:
         raise RuntimeError("assembled stiffness matrix is singular")
     Cd = (props.damping_modulus / props.young_modulus) * K
+    mid_node = ne // 2
+    mid_global = 3 * mid_node + 1
+    mid_free = int(np.where(free == mid_global)[0][0])
     weights = np.tile(_GW * (props.length / ne) * props.young_modulus
                       * props.area, ne)
-    # transverse DOF of the middle node, 3 (ne // 2) + 1, less the 3 clamped
     return BeamAssembly(props=props, mass_matrix=M, damping_matrix=Cd,
                         stiffness_matrix=K, axial_strain=B[:, free],
                         slope=G[:, free], gauss_weights=weights,
-                        mid_dof_index=3 * (ne // 2) - 2)
+                        mid_dof_index=mid_free)
 
 
 def static_deflection(assembly: BeamAssembly, load: float,
@@ -230,11 +237,14 @@ def belt_friction(variant: NonsmoothVariant, rel: float, branch: str) -> float:
 
 def _branch_force(assembly, variant, branch, x):
     """Non-smooth midpoint force of the branch smooth extension."""
-    n, i = assembly.n_dof, assembly.mid_dof_index
+    i = assembly.mid_dof_index
+    n = assembly.n_dof
     if variant.kind == "coulomb":
         return -variant.delta if branch == "+" else variant.delta
     if variant.kind == "soft_impact":
-        return 0.0 if branch == "+" else -variant.delta * x[i]
+        if branch == "+":
+            return 0.0
+        return -variant.delta * x[i]
     rel = x[n + i] - variant.v_ground
     return variant.delta * belt_friction(variant, rel, branch)
 
@@ -257,7 +267,8 @@ def beam_field(assembly: BeamAssembly, variant: Optional[NonsmoothVariant],
 
 def beam_switching(assembly: BeamAssembly,
                    variant: NonsmoothVariant) -> SwitchingFunction:
-    n, i = assembly.n_dof, assembly.mid_dof_index
+    i = assembly.mid_dof_index
+    n = assembly.n_dof
     g = np.zeros(2 * n)
     if variant.kind == "soft_impact":
         g[i] = 1.0
@@ -299,7 +310,8 @@ def mid_forcing(assembly: BeamAssembly, amplitude: float,
 def branch_fixed_point(assembly: BeamAssembly, variant: NonsmoothVariant,
                        branch: str) -> np.ndarray:
     """Equilibrium of the branch smooth extension (18-vector, zero velocity)."""
-    n, i = assembly.n_dof, assembly.mid_dof_index
+    n = assembly.n_dof
+    i = assembly.mid_dof_index
     q = np.zeros(n)
     for _ in range(60):
         x = np.concatenate([q, np.zeros(n)])
@@ -309,6 +321,7 @@ def branch_fixed_point(assembly: BeamAssembly, variant: NonsmoothVariant,
             break
         J = assembly.stiffness_matrix + assembly.nonlinear_jacobian(q)
         if variant.kind == "soft_impact" and branch == "-":
+            J = J.copy()
             J[i, i] += variant.delta
         q = q - np.linalg.solve(J, r)
     return np.concatenate([q, np.zeros(n)])
@@ -317,19 +330,29 @@ def branch_fixed_point(assembly: BeamAssembly, variant: NonsmoothVariant,
 def branch_jacobian(assembly: BeamAssembly, variant: Optional[NonsmoothVariant],
                     branch: str, x0: np.ndarray) -> np.ndarray:
     """Linearization of the branch field at a fixed point."""
-    n, i = assembly.n_dof, assembly.mid_dof_index
-    Kt = assembly.stiffness_matrix + assembly.nonlinear_jacobian(x0[:n])
+    n = assembly.n_dof
+    i = assembly.mid_dof_index
+    q0 = x0[:n]
+    Kt = assembly.stiffness_matrix + assembly.nonlinear_jacobian(q0)
     Ct = assembly.damping_matrix.copy()
     if variant is not None and variant.kind == "soft_impact" and branch == "-":
+        Kt = Kt.copy()
         Kt[i, i] += variant.delta
     if variant is not None and variant.kind == "moving_belt":
-        # d/drel of the friction factor is (|factor| - 1) / beta > 0 on both
-        # extensions, so it always weakens the damping carried by the mid DOF
+        a, b = variant.alpha_fric, variant.beta_fric
         rel = x0[n + i] - variant.v_ground
-        Ct[i, i] -= variant.delta * (abs(belt_friction(variant, rel, branch))
-                                     - 1.0) / variant.beta_fric
-    return np.block([[np.zeros((n, n)), np.eye(n)],
-                     [-assembly.minv @ Kt, -assembly.minv @ Ct]])
+        if branch == "+":
+            dfd = variant.delta * (a / np.e) * np.exp((b - rel) / b) / b
+        else:
+            dfd = variant.delta * (a / np.e) * np.exp((b + rel) / b) / b
+        # the force slope in velocity is positive on both extensions, so it
+        # always weakens the damping carried by the mid DOF
+        Ct[i, i] -= dfd
+    A = np.zeros((2 * n, 2 * n))
+    A[:n, n:] = np.eye(n)
+    A[n:, :n] = -assembly.minv @ Kt
+    A[n:, n:] = -assembly.minv @ Ct
+    return A
 
 
 def normalized_delta(assembly: BeamAssembly, variant: NonsmoothVariant,
@@ -355,4 +378,5 @@ def delta_for_normalized(assembly: BeamAssembly, kind: str, delta_tilde: float,
                          reference_load: float = 12e3, **kw) -> float:
     """Invert the normalization: raw delta achieving a target delta-tilde."""
     probe = NonsmoothVariant(kind=kind, delta=1.0, **kw)
-    return delta_tilde / normalized_delta(assembly, probe, reference_load)
+    scale = normalized_delta(assembly, probe, reference_load)
+    return delta_tilde / scale

@@ -160,7 +160,7 @@ def test_resonance_error_reported():
         a_y=np.array([[-0.1, 1.0], [-1.0, -0.1]]),
         a_z=np.array([[-0.2, 2.0], [-2.0, -0.2]]),
         r_y=split.r_y, r_z=split.r_z, p_master=split.p_master,
-        p_slave=split.p_slave, c2=split.c2, c3=split.c3, linear=split.linear)
+        p_slave=split.p_slave, c2=split.c2, c3=split.c3)
     # 2 Re(lambda_y) = -0.2 = Re(lambda_z) and the imaginary parts match the
     # (2,0) combination, so the order-2 operator is singular
     with pytest.raises(sa.ResonanceError):
