@@ -10,7 +10,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (EventKind, IntegratorOptions, _integrate_segment, _Stepper2,
+from .core import (EventKind, IntegratorOptions, _integrate_segment,
                    integrate_hybrid)
 from .rom import (NonsmoothRom, StrategyError, _trace_surface, simulate_rom,
                   switching_value)
@@ -239,7 +239,7 @@ def _advect_to_surface(rom, branch, y0, t_max=50.0):
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
     seg, hit = _integrate_segment(model.reduced_field, 0.0, y0, t_max, opts,
                                   0.0, event=lambda t, y: sgn * value(y),
-                                  arm_above=1e-7, stepper_class=_Stepper2)
+                                  arm_above=1e-7)
     return model.lift(seg.x[-1]) if hit else None
 
 

@@ -1,31 +1,29 @@
 """Piecewise-smooth systems: switching-surface classification, the Filippov
 sliding field, and event-driven hybrid integration.
 
-Vector fields have signature f(t, x) -> ndarray and must be smooth extensions
-valid on both sides of the switching surface. Integration uses an embedded
-Dormand-Prince 5(4) pair with dense output. One kernel, _integrate_segment,
-runs a smooth field until an armed scalar event function turns negative and
-bisects the event on the continuous extension (to |sigma| <= EPS_EVENT for
-surface hits). Branch segments, Filippov sliding and the switched reduced
-model (pwsrom.rom, pwsrom.analysis) all run through it and record into one
-trajectory type, HybridTrajectory.
+Vector fields have signature f(t, x) -> ndarray or tuple of floats and must
+be smooth extensions valid on both sides of the switching surface.
+Integration uses an embedded Dormand-Prince 5(4) pair with dense output. One
+kernel, _integrate_segment, runs a smooth field until an armed scalar event
+function turns negative and bisects the event on the continuous extension
+(to |sigma| <= EPS_EVENT for surface hits). Branch segments, Filippov
+sliding and the switched reduced model (pwsrom.rom, pwsrom.analysis) all run
+through it and record into one trajectory type, HybridTrajectory.
 
-There are two steppers with one tableau, step control, FSAL and quartic
-dense output. _Stepper runs full states on numpy stages: a step costs
-mostly per-call overhead on these small states, so it keeps its stages in
-two preallocated buffers that swap on acceptance (no copies), uses
-Python-float scalars, and records accepted states without copying them. Its
-arithmetic and matrix products are those of a stepper with one buffer and
-copies, so the results are the same to the bit. _Stepper2 runs the
-two-coordinate reduced states as one pair of Python floats, with the stages
-unrolled and summed left to right; its stage sums do not go through BLAS,
-so it agrees with _Stepper to round-off, not to the bit. _integrate_segment
-takes the stepper class and runs the same event and record loop for both.
+Two kinds of stepper share one tableau, step control, FSAL and quartic dense
+output; the field's return type picks one (_stepper). _Stepper runs ndarray
+fields on numpy stages in two buffers that swap on acceptance, equal to the
+bit to one buffer and copies. A field that returns a tuple of n floats (the
+oscillator, the reduced models) runs on the float stepper of length n,
+generated on first use from the tableau's literal fractions with the stages
+unrolled (_float_stepper); its sums run left to right, not through BLAS, so
+it agrees with _Stepper to round-off, not to the bit.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -120,8 +118,8 @@ def classify_boundary(sys: PiecewiseSmoothSystem, x: np.ndarray,
     if abs(sys.switching.sigma(x)) > EPS_EVENT * 100:
         raise ValueError("state is not on the switching surface within tolerance")
     g = np.asarray(sys.switching.grad_sigma(x), dtype=float)
-    fp = sys.f_plus(t, x)
-    fm = sys.f_minus(t, x)
+    fp = np.asarray(sys.f_plus(t, x))
+    fm = np.asarray(sys.f_minus(t, x))
     a_plus = float(g @ fp)
     a_minus = float(g @ fm)
     wp = TANGENTIAL_WINDOW * (1.0 + np.linalg.norm(fp))
@@ -146,8 +144,8 @@ def filippov_field(sys: PiecewiseSmoothSystem, x: np.ndarray,
     """
     x = np.asarray(x, dtype=float)
     g = np.asarray(sys.switching.grad_sigma(x), dtype=float)
-    fp = sys.f_plus(t, x)
-    fm = sys.f_minus(t, x)
+    fp = np.asarray(sys.f_plus(t, x))
+    fm = np.asarray(sys.f_minus(t, x))
     a_plus = float(g @ fp)
     a_minus = float(g @ fm)
     den = a_minus - a_plus
@@ -261,30 +259,40 @@ class IntegratorOptions:
     min_step: float = 1e-14
 
 
-# Dormand-Prince 5(4) tableau
-_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)     # Python floats: scalar nodes
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-               22 / 525, -1 / 40])
-# quartic dense-output weights (as in the classic DOPRI5 interpolant)
-_P = np.array([
-    [1, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-    [0, 0, 0, 0],
-    [0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-    [0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-    [0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-    [0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-    [0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-])
+# Dormand-Prince 5(4) (Hairer, Norsett & Wanner, Solving ODEs I) in literal
+# fractions: nodes c, rows 2-7 of A (the last is the 5th-order weights), error
+# weights, and per stage the weights of s..s^4 of the quartic dense output.
+_TABLEAU = [row.split() for row in """\
+0 1/5 3/10 4/5 8/9 1 1
+1/5
+3/40 9/40
+44/45 -56/15 32/9
+19372/6561 -25360/2187 64448/6561 -212/729
+9017/3168 -355/33 46732/5247 49/176 -5103/18656
+35/384 0 500/1113 125/192 -2187/6784 11/84
+71/57600 0 -71/16695 71/1920 -17253/339200 22/525 -1/40
+1 -8048581381/2820520608 8663915743/2820520608 -12715105075/11282082432
+0 0 0 0
+0 131558114200/32700410799 -68118460800/10900136933 87487479700/32700410799
+0 -1754552775/470086768 14199869525/1410260304 -10690763975/1880347072
+0 127303824393/49829197408 -318862633887/49829197408 701980252875/199316789632
+0 -282668133/205662961 2019193451/616988883 -1453857185/822651844
+0 40617522/29380423 -110615467/29380423 69997945/29380423
+""".splitlines()]
+_C_SRC, _A_SRC, _E_SRC, _P_SRC = (_TABLEAU[0], [[]] + _TABLEAU[1:7],
+                                  _TABLEAU[7], _TABLEAU[8:])
+
+
+def _values(fracs) -> np.ndarray:
+    return np.array([int(p) / int(q or 1)
+                     for p, _, q in (f.partition("/") for f in fracs)])
+
+
+_C = tuple(_values(_C_SRC).tolist())     # Python floats: scalar nodes
+_A = [_values(row) for row in _A_SRC]
+_B = _values(_A_SRC[6] + ["0"])
+_E = _values(_E_SRC)
+_P = np.array([_values(row) for row in _P_SRC])
 
 
 class _Stepper:
@@ -296,7 +304,7 @@ class _Stepper:
     stages. Each buffer keeps its stage views K[:i].T for the products.
     """
 
-    def __init__(self, f, t, x, opts: IntegratorOptions):
+    def __init__(self, f, t, x, opts: IntegratorOptions, k1=None):
         self.f = f
         self.t = float(t)
         self.x = np.asarray(x, dtype=float)
@@ -305,7 +313,7 @@ class _Stepper:
         self.K, self.K_old = np.empty((7, len(self.x))), np.empty((7, len(self.x)))
         self._KT = [self.K[:i].T for i in range(8)]
         self._KT_old = [self.K_old[:i].T for i in range(8)]
-        self.K[0] = f(self.t, self.x)
+        self.K[0] = f(self.t, self.x) if k1 is None else k1
         self.t_old = self.t
         self.x_old = self.x.copy()
 
@@ -348,111 +356,106 @@ class _Stepper:
         return self.x_old + h * (self._KT_old[7] @ (_P @ q))
 
 
-class _Stepper2:
-    """_Stepper for one pair of Python floats: the same tableau, step control,
-    FSAL, StiffnessError and quartic dense output, with the stages unrolled.
-
-    f(t, (y1, y2)) returns a pair; the state x is a pair of floats. The stage
-    sums run left to right over the nonzero tableau entries, and the last
-    stage is evaluated at the new state (its row of the tableau is the
-    fifth-order weights). The entries of _A, _B, _E and _P are written out as
-    literal fractions, which the compiler folds into constants.
-    """
-
-    def __init__(self, f, t, x, opts: IntegratorOptions):
-        self.f = f
+_FLOAT_STEPPER = """\
+class _FloatStepper:
+    def __init__(self, f, t, x, opts, k1=None):
+        self.f, self.opts = f, opts
         self.t = float(t)
-        self.x = (float(x[0]), float(x[1]))
-        self.opts = opts
+        self.x = tuple(map(float, x))
         self.h = min(opts.first_step, opts.max_step)
-        self.k1 = f(self.t, self.x)
-        self.t_old = self.t
-        self.x_old = self.x
+        self.k1 = f(self.t, self.x) if k1 is None else k1
+        self.t_old, self.x_old = self.t, self.x
 
-    def step(self, t_limit: float) -> bool:
-        """Advance one accepted step, not beyond t_limit. False once t==t_limit."""
+    def step(self, t_limit):
         t = self.t
         if t >= t_limit:
             return False
         opts, f = self.opts, self.f
-        x1, x2 = self.x
-        k11, k12 = self.k1
+        {x} = self.x
+        {k1} = self.k1
         h = min(self.h, opts.max_step, t_limit - t)
         h_min = opts.min_step * max(1.0, abs(t))
         atol, rtol = opts.atol, opts.rtol
         while True:
             if h < h_min:
-                raise StiffnessError(f"step size underflow at t={t:.6g}")
-            k21, k22 = f(t + 1 / 5 * h, (x1 + h * (1 / 5 * k11),
-                                         x2 + h * (1 / 5 * k12)))
-            k31, k32 = f(t + 3 / 10 * h,
-                         (x1 + h * (3 / 40 * k11 + 9 / 40 * k21),
-                          x2 + h * (3 / 40 * k12 + 9 / 40 * k22)))
-            k41, k42 = f(t + 4 / 5 * h,
-                         (x1 + h * (44 / 45 * k11 + -56 / 15 * k21
-                                    + 32 / 9 * k31),
-                          x2 + h * (44 / 45 * k12 + -56 / 15 * k22
-                                    + 32 / 9 * k32)))
-            k51, k52 = f(t + 8 / 9 * h,
-                         (x1 + h * (19372 / 6561 * k11 + -25360 / 2187 * k21
-                                    + 64448 / 6561 * k31 + -212 / 729 * k41),
-                          x2 + h * (19372 / 6561 * k12 + -25360 / 2187 * k22
-                                    + 64448 / 6561 * k32 + -212 / 729 * k42)))
-            k61, k62 = f(t + h,
-                         (x1 + h * (9017 / 3168 * k11 + -355 / 33 * k21
-                                    + 46732 / 5247 * k31 + 49 / 176 * k41
-                                    + -5103 / 18656 * k51),
-                          x2 + h * (9017 / 3168 * k12 + -355 / 33 * k22
-                                    + 46732 / 5247 * k32 + 49 / 176 * k42
-                                    + -5103 / 18656 * k52)))
-            n1 = x1 + h * (35 / 384 * k11 + 500 / 1113 * k31 + 125 / 192 * k41
-                           + -2187 / 6784 * k51 + 11 / 84 * k61)
-            n2 = x2 + h * (35 / 384 * k12 + 500 / 1113 * k32 + 125 / 192 * k42
-                           + -2187 / 6784 * k52 + 11 / 84 * k62)
-            k71, k72 = f(t + h, (n1, n2))
-            r1 = h * (71 / 57600 * k11 + -71 / 16695 * k31 + 71 / 1920 * k41
-                      + -17253 / 339200 * k51 + 22 / 525 * k61
-                      + -1 / 40 * k71) / (atol + rtol * max(abs(x1), abs(n1)))
-            r2 = h * (71 / 57600 * k12 + -71 / 16695 * k32 + 71 / 1920 * k42
-                      + -17253 / 339200 * k52 + 22 / 525 * k62
-                      + -1 / 40 * k72) / (atol + rtol * max(abs(x2), abs(n2)))
-            err = math.sqrt((r1 * r1 + r2 * r2) / 2)
+                raise StiffnessError(f"step size underflow at t={{t:.6g}}")
+{stages}
+            err = math.sqrt(({err}) / {n})
             if err <= 1.0:
                 factor = 0.9 * (max(err, 1e-10)) ** -0.2
                 self.h = h * min(5.0, max(0.2, factor))
                 self.t_old, self.x_old, self.h_old = t, self.x, h
-                self.t = t + h
-                self.x = (n1, n2)
-                self.k1 = (k71, k72)  # FSAL
-                self._dense = (k11, k12, k31, k32, k41, k42, k51, k52,
-                               k61, k62, k71, k72)
+                self.t, self.x = t + h, ({new})
+                self.k1 = ({k7})  # FSAL
+                self._dense = ({dense})
                 return True
             h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
 
-    def interpolate(self, t: float) -> tuple:
-        """Dense output inside the last accepted step."""
+    def interpolate(self, t):
         h = self.h_old
         s = (t - self.t_old) / h
         s2, s3, s4 = s * s, s ** 3, s ** 4
-        w1 = (s + -8048581381 / 2820520608 * s2 + 8663915743 / 2820520608 * s3
-              + -12715105075 / 11282082432 * s4)
-        w3 = (131558114200 / 32700410799 * s2 + -68118460800 / 10900136933 * s3
-              + 87487479700 / 32700410799 * s4)
-        w4 = (-1754552775 / 470086768 * s2 + 14199869525 / 1410260304 * s3
-              + -10690763975 / 1880347072 * s4)
-        w5 = (127303824393 / 49829197408 * s2
-              + -318862633887 / 49829197408 * s3
-              + 701980252875 / 199316789632 * s4)
-        w6 = (-282668133 / 205662961 * s2 + 2019193451 / 616988883 * s3
-              + -1453857185 / 822651844 * s4)
-        w7 = (40617522 / 29380423 * s2 + -110615467 / 29380423 * s3
-              + 69997945 / 29380423 * s4)
-        k11, k12, k31, k32, k41, k42, k51, k52, k61, k62, k71, k72 = self._dense
-        x1, x2 = self.x_old
-        return (x1 + h * (w1 * k11 + w3 * k31 + w4 * k41 + w5 * k51
-                          + w6 * k61 + w7 * k71),
-                x2 + h * (w1 * k12 + w3 * k32 + w4 * k42 + w5 * k52
-                          + w6 * k62 + w7 * k72))
+{weights}
+        {dense} = self._dense
+        {x} = self.x_old
+        return ({interpolant})
+"""
+
+
+def _float_stepper_source(n: int) -> str:
+    """_Stepper for a tuple of n floats, unrolled: each sum runs left to right
+    over the nonzero tableau entries, and the last stage is evaluated at the
+    new state (its row of A is the fifth-order weights)."""
+    js = range(1, n + 1)
+    k = [[f"k{i}_{j}" for j in js] for i in range(8)]    # k[i]: stage i
+    dense = [i for i, row in enumerate(_P_SRC, 1) if set(row) != {"0"}]
+
+    def terms(coeffs, names):
+        return " + ".join(v if c == "1" else f"{c} * {v}"
+                          for c, v in zip(coeffs, names) if c != "0")
+
+    def tup(items):
+        return ", ".join(items) + ("," if len(items) == 1 else "")
+
+    def h_sum(coeffs, j, stages=range(1, 8)):
+        return f"h * ({terms(coeffs, [k[i][j - 1] for i in stages])})"
+
+    def stage(i, state):
+        node = terms([_C_SRC[i - 1]], ["h"])
+        return f"            {tup(k[i])} = f(t + {node}, ({tup(state)}))"
+
+    stages = ([stage(i, [f"x{j} + {h_sum(_A_SRC[i - 1], j)}" for j in js])
+               for i in range(2, 7)]
+              + [f"            n{j} = x{j} + {h_sum(_A_SRC[6], j)}" for j in js]
+              + [stage(7, [f"n{j}" for j in js])]
+              + [f"            r{j} = {h_sum(_E_SRC, j)} / "
+                 f"(atol + rtol * max(abs(x{j}), abs(n{j})))" for j in js])
+    return _FLOAT_STEPPER.format(
+        n=n, x=tup([f"x{j}" for j in js]), new=tup([f"n{j}" for j in js]),
+        k1=tup(k[1]), k7=tup(k[7]), dense=tup([v for i in dense for v in k[i]]),
+        stages="\n".join(stages), err=" + ".join(f"r{j} * r{j}" for j in js),
+        weights="\n".join(f"        w{i} = {terms(_P_SRC[i - 1], ['s', 's2', 's3', 's4'])}"
+                          for i in dense),
+        interpolant=tup([f"x{j} + {h_sum([f'w{i}' for i in dense], j, dense)}"
+                         for j in js]))
+
+
+@functools.cache
+def _float_stepper(n: int) -> type:
+    """The float stepper class of length n, built by exec on first use."""
+    namespace = {"math": math, "StiffnessError": StiffnessError}
+    exec(_float_stepper_source(n), namespace)
+    return namespace["_FloatStepper"]
+
+
+def _stepper(f, t, x, opts: IntegratorOptions):
+    """The float stepper of the field's length when f returns a tuple, else
+    the numpy _Stepper; the first field value is the first stage."""
+    t = float(t)
+    k1 = f(t, x)
+    if isinstance(k1, tuple):
+        return _float_stepper(len(k1))(f, t, x, opts, k1)
+    return _Stepper(f, t, x, opts, k1)
 
 
 def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
@@ -473,23 +476,21 @@ def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
 
 def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
                        arm_above=None, eps=EPS_EVENT, project=None,
-                       observe=None, stepper_class=_Stepper):
+                       observe=None):
     """Integrate one smooth field from (t0, x0) until t_end or an event.
 
-    stepper_class is _Stepper for numpy states or _Stepper2 for float pairs,
-    with which f returns a pair.
-
-    event(t, x) is a scalar event function. It is armed once it exceeds
-    arm_above (from the start when arm_above is None) and fires at the first
-    accepted step where it is negative; the event state is then bisected on
-    the dense output. project, when given, maps the start, every accepted
-    state and the located event state back onto a constraint set. Returns the
-    recorded Segment (branch unset), whose last sample is the end or event
-    state, and whether the event fired.
+    The field's return type picks the stepper (_stepper). event(t, x) is a
+    scalar event function. It is armed once it exceeds arm_above (from the
+    start when arm_above is None) and fires at the first accepted step where
+    it is negative; the event state is then bisected on the dense output.
+    project, when given, maps the start, every accepted state and the located
+    event state back onto a constraint set. Returns the recorded Segment
+    (branch unset), whose last sample is the end or event state, and whether
+    the event fired.
     """
     if project is not None:
         x0 = project(x0)
-    stepper = stepper_class(f, t0, x0, opts)
+    stepper = _stepper(f, t0, x0, opts)
     record_step, finish = _segment_recorder(opts, t_grid0, t0, x0, observe)
     armed = arm_above is None or event(t0, x0) > arm_above
     if project is None:
@@ -624,7 +625,7 @@ def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj):
         traj.add_event(t_ev, x_ev, EventKind.TANGENTIAL, opts.max_events)
         # micro-step with the incoming field, then reclassify by sign
         h_micro = max(1e-12, 1e-8 * max(1.0, abs(t_end - t0)))
-        x_next = x_ev + h_micro * f(t_ev, x_ev)
+        x_next = x_ev + h_micro * np.asarray(f(t_ev, x_ev))
         t_next = t_ev + h_micro
         s_next = sigma(x_next)
         nxt = "+" if s_next > 0 else "-"

@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (EPS_EVENT, EventKind, HybridTrajectory, IntegratorOptions,
-                   SwitchingFunction, _integrate_segment, _Stepper2)
+                   SwitchingFunction, _integrate_segment)
 from .ssm_model import SsmModel
 
 IC_STRATEGIES = ("projection", "min_all_vars", "continuity_q1", "continuity_q1q2")
@@ -272,8 +272,7 @@ def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     seg, hit = _integrate_segment(
         model.reduced_field, t0, y0, t_end, opts, t_grid0,
         event=lambda t, y: sgn * value(y, t),
-        arm_above=10 * EPS_EVENT, observe=lambda T, Y: model.lift_many(Y, T),
-        stepper_class=_Stepper2)
+        arm_above=10 * EPS_EVENT, observe=lambda T, Y: model.lift_many(Y, T))
     seg.branch = branch
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
@@ -300,8 +299,7 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     seg, hit = _integrate_segment(
         f_slide, t0, y0, t_end, opts, t_grid0,
         event=lambda t, y: 1.0 if rule.condition(t, rule.state(model, t, y)) else -1.0,
-        observe=lambda T, Y: rule.states(model, T, Y),
-        stepper_class=_Stepper2)
+        observe=lambda T, Y: rule.states(model, T, Y))
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]

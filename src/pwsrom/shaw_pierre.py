@@ -9,6 +9,7 @@ defined on the whole state space.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,20 +52,20 @@ class SpFixedPoints:
         return self.x0_plus if branch == "+" else self.x0_minus
 
 
-def sp_field(params: SpParams, branch: str, t: float, x: np.ndarray) -> np.ndarray:
-    """Branch vector field (smooth extension), with optional cosine forcing."""
+def sp_field(params: SpParams, branch: str, t: float, x) -> tuple:
+    """Branch vector field (smooth extension, optional cosine forcing) in floats."""
     m1, m2, c, k, a = params.m1, params.m2, params.c, params.k, params.alpha
     s = -1.0 if branch == "+" else 1.0
-    x1, x2, x3, x4 = x.tolist()     # Python floats: same values, cheaper ops
+    x1, x2, x3, x4 = x if isinstance(x, tuple) else x.tolist()
     force = 0.0
     if params.eps:
-        force = params.eps * np.cos(params.omega * t) / np.sqrt(2.0)
-    return np.array([
+        force = params.eps * math.cos(params.omega * t) / math.sqrt(2.0)
+    return (
         x2,
         (-2 * k * x1 - c * x2 + k * x3 + c * x4 - a * x1 ** 3 + force) / m1 + s * params.delta,
         x4,
         (k * x1 + c * x2 - 2 * k * x3 - 2 * c * x4 + force) / m2,
-    ])
+    )
 
 
 def sp_switching() -> SwitchingFunction:

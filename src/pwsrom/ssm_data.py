@@ -12,7 +12,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import IntegratorOptions, _Stepper
+from .core import IntegratorOptions, _stepper
 from .poly2 import Poly2, invert_map, monomial_matrix, monomials, vector_poly
 from .ssm_model import PeriodicCorrection, SsmModel
 
@@ -55,7 +55,7 @@ def smooth_integrate(f: Callable, x0, t_span, dt: float,
     """Integrate a smooth field and sample it on a uniform grid."""
     opts = opts or IntegratorOptions(rtol=1e-9, atol=1e-11)
     t0, t1 = float(t_span[0]), float(t_span[1])
-    stepper = _Stepper(f, t0, np.asarray(x0, dtype=float), opts)
+    stepper = _stepper(f, t0, np.asarray(x0, dtype=float), opts)
     grid = np.arange(t0, t1 + 0.5 * dt, dt)
     out = np.empty((len(grid), len(x0)))
     out[0] = x0

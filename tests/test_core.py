@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,8 +7,8 @@ from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          DegenerateDenominatorError, IntegratorOptions,
                          PiecewiseSmoothSystem, RepellingSlidingError,
                          SwitchingFunction, classify_boundary,
-                         StiffnessError, _Stepper, _Stepper2, filippov_field,
-                         integrate_hybrid)
+                         StiffnessError, _float_stepper, _Stepper,
+                         filippov_field, integrate_hybrid)
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_sliding_field,
                                 sp_sticking_test, sp_switching)
 
@@ -363,7 +365,7 @@ def test_float_pair_stepper_takes_the_numpy_steppers_steps():
     f, calls = _counted_reduced_field()
     opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
     a = _Stepper(f, 0.0, np.array([0.3, -0.2]), opts)
-    b = _Stepper2(f, 0.0, (0.3, -0.2), opts)
+    b = _float_stepper(2)(f, 0.0, (0.3, -0.2), opts)
     for _ in range(200):
         n0 = calls[0]
         assert a.step(np.inf)
@@ -389,7 +391,8 @@ def test_float_pair_stepper_takes_the_numpy_steppers_steps():
 
 def test_float_pair_stepper_dense_output_and_fsal():
     f, calls = _counted_reduced_field()
-    st = _Stepper2(f, 0.0, (0.3, -0.2), IntegratorOptions(rtol=1e-8, atol=1e-10))
+    st = _float_stepper(2)(f, 0.0, (0.3, -0.2),
+                           IntegratorOptions(rtol=1e-8, atol=1e-10))
     assert calls[0] == 1
     for _ in range(200):
         n0 = calls[0]
@@ -407,13 +410,173 @@ def test_float_pair_stepper_dense_output_and_fsal():
         n[0] += 1
         return 1.0, -y[1]
 
-    free = _Stepper2(g, 0.0, (0.0, 1.0), IntegratorOptions(first_step=1e-3))
+    free = _float_stepper(2)(g, 0.0, (0.0, 1.0), IntegratorOptions(first_step=1e-3))
     assert free.step(np.inf) and n[0] == 1 + 6
 
 
 def test_float_pair_stepper_step_underflow_names_time():
     f, _ = _counted_reduced_field()
-    for cls, x0 in ((_Stepper2, (0.3, -0.2)), (_Stepper, np.array([0.3, -0.2]))):
+    for cls, x0 in ((_float_stepper(2), (0.3, -0.2)),
+                    (_Stepper, np.array([0.3, -0.2]))):
         st = cls(f, 2.5, x0, IntegratorOptions(first_step=1e-3, min_step=1e-2))
         with pytest.raises(StiffnessError, match="t=2.5"):
             st.step(10.0)
+
+
+class _Stepper2:
+    """Reference for the generated float stepper of length 2: the DP5 step on
+    one pair of Python floats, unrolled by hand.
+
+    f(t, (y1, y2)) returns a pair; the state x is a pair of floats. The stage
+    sums run left to right over the nonzero tableau entries, and the last
+    stage is evaluated at the new state (its row of the tableau is the
+    fifth-order weights). The entries of the tableau are written out as
+    literal fractions, which the compiler folds into constants.
+    """
+
+    def __init__(self, f, t, x, opts: IntegratorOptions):
+        self.f = f
+        self.t = float(t)
+        self.x = (float(x[0]), float(x[1]))
+        self.opts = opts
+        self.h = min(opts.first_step, opts.max_step)
+        self.k1 = f(self.t, self.x)
+        self.t_old = self.t
+        self.x_old = self.x
+
+    def step(self, t_limit: float) -> bool:
+        """Advance one accepted step, not beyond t_limit. False once t==t_limit."""
+        t = self.t
+        if t >= t_limit:
+            return False
+        opts, f = self.opts, self.f
+        x1, x2 = self.x
+        k11, k12 = self.k1
+        h = min(self.h, opts.max_step, t_limit - t)
+        h_min = opts.min_step * max(1.0, abs(t))
+        atol, rtol = opts.atol, opts.rtol
+        while True:
+            if h < h_min:
+                raise StiffnessError(f"step size underflow at t={t:.6g}")
+            k21, k22 = f(t + 1 / 5 * h, (x1 + h * (1 / 5 * k11),
+                                         x2 + h * (1 / 5 * k12)))
+            k31, k32 = f(t + 3 / 10 * h,
+                         (x1 + h * (3 / 40 * k11 + 9 / 40 * k21),
+                          x2 + h * (3 / 40 * k12 + 9 / 40 * k22)))
+            k41, k42 = f(t + 4 / 5 * h,
+                         (x1 + h * (44 / 45 * k11 + -56 / 15 * k21
+                                    + 32 / 9 * k31),
+                          x2 + h * (44 / 45 * k12 + -56 / 15 * k22
+                                    + 32 / 9 * k32)))
+            k51, k52 = f(t + 8 / 9 * h,
+                         (x1 + h * (19372 / 6561 * k11 + -25360 / 2187 * k21
+                                    + 64448 / 6561 * k31 + -212 / 729 * k41),
+                          x2 + h * (19372 / 6561 * k12 + -25360 / 2187 * k22
+                                    + 64448 / 6561 * k32 + -212 / 729 * k42)))
+            k61, k62 = f(t + h,
+                         (x1 + h * (9017 / 3168 * k11 + -355 / 33 * k21
+                                    + 46732 / 5247 * k31 + 49 / 176 * k41
+                                    + -5103 / 18656 * k51),
+                          x2 + h * (9017 / 3168 * k12 + -355 / 33 * k22
+                                    + 46732 / 5247 * k32 + 49 / 176 * k42
+                                    + -5103 / 18656 * k52)))
+            n1 = x1 + h * (35 / 384 * k11 + 500 / 1113 * k31 + 125 / 192 * k41
+                           + -2187 / 6784 * k51 + 11 / 84 * k61)
+            n2 = x2 + h * (35 / 384 * k12 + 500 / 1113 * k32 + 125 / 192 * k42
+                           + -2187 / 6784 * k52 + 11 / 84 * k62)
+            k71, k72 = f(t + h, (n1, n2))
+            r1 = h * (71 / 57600 * k11 + -71 / 16695 * k31 + 71 / 1920 * k41
+                      + -17253 / 339200 * k51 + 22 / 525 * k61
+                      + -1 / 40 * k71) / (atol + rtol * max(abs(x1), abs(n1)))
+            r2 = h * (71 / 57600 * k12 + -71 / 16695 * k32 + 71 / 1920 * k42
+                      + -17253 / 339200 * k52 + 22 / 525 * k62
+                      + -1 / 40 * k72) / (atol + rtol * max(abs(x2), abs(n2)))
+            err = math.sqrt((r1 * r1 + r2 * r2) / 2)
+            if err <= 1.0:
+                factor = 0.9 * (max(err, 1e-10)) ** -0.2
+                self.h = h * min(5.0, max(0.2, factor))
+                self.t_old, self.x_old, self.h_old = t, self.x, h
+                self.t = t + h
+                self.x = (n1, n2)
+                self.k1 = (k71, k72)  # FSAL
+                self._dense = (k11, k12, k31, k32, k41, k42, k51, k52,
+                               k61, k62, k71, k72)
+                return True
+            h *= min(1.0, max(0.2, 0.9 * err ** -0.2))
+
+    def interpolate(self, t: float) -> tuple:
+        """Dense output inside the last accepted step."""
+        h = self.h_old
+        s = (t - self.t_old) / h
+        s2, s3, s4 = s * s, s ** 3, s ** 4
+        w1 = (s + -8048581381 / 2820520608 * s2 + 8663915743 / 2820520608 * s3
+              + -12715105075 / 11282082432 * s4)
+        w3 = (131558114200 / 32700410799 * s2 + -68118460800 / 10900136933 * s3
+              + 87487479700 / 32700410799 * s4)
+        w4 = (-1754552775 / 470086768 * s2 + 14199869525 / 1410260304 * s3
+              + -10690763975 / 1880347072 * s4)
+        w5 = (127303824393 / 49829197408 * s2
+              + -318862633887 / 49829197408 * s3
+              + 701980252875 / 199316789632 * s4)
+        w6 = (-282668133 / 205662961 * s2 + 2019193451 / 616988883 * s3
+              + -1453857185 / 822651844 * s4)
+        w7 = (40617522 / 29380423 * s2 + -110615467 / 29380423 * s3
+              + 69997945 / 29380423 * s4)
+        k11, k12, k31, k32, k41, k42, k51, k52, k61, k62, k71, k72 = self._dense
+        x1, x2 = self.x_old
+        return (x1 + h * (w1 * k11 + w3 * k31 + w4 * k41 + w5 * k51
+                          + w6 * k61 + w7 * k71),
+                x2 + h * (w1 * k12 + w3 * k32 + w4 * k42 + w5 * k52
+                          + w6 * k62 + w7 * k72))
+
+
+
+def _forced_duffing(t, y):
+    y1, y2 = y
+    return y2, -0.1 * y2 - y1 - y1 ** 3 + 0.3 * math.cos(1.2 * t)
+
+
+def test_generated_pair_stepper_is_the_hand_unrolled_one():
+    # the same expressions in the same order: equal to the bit, step by step
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
+    ref = _Stepper2(_forced_duffing, 0.0, (0.3, -0.2), opts)
+    gen = _float_stepper(2)(_forced_duffing, 0.0, (0.3, -0.2), opts)
+    for _ in range(500):
+        assert ref.step(np.inf) and gen.step(np.inf)
+        assert (gen.t, gen.x, gen.h, gen.h_old) == (ref.t, ref.x, ref.h, ref.h_old)
+        for s in (0.0, 0.37, 1.0):
+            t = ref.t_old + s * ref.h_old
+            assert gen.interpolate(t) == ref.interpolate(t)
+    assert ref.t > 25.0
+
+
+def test_float_stepper_agrees_with_numpy_stepper_on_the_oscillator():
+    # over one forced period the free runs take the same number of steps and
+    # end in the same state to 1e-12 (their step sizes drift apart at
+    # round-off, as on float pairs); started from the numpy stepper's state
+    # and step size, each step and its dense output agree to 1e-12
+    params = SpParams(delta=0.05, eps=0.15, omega=1.1)
+    f = make_system(params).f_plus
+    period = 2 * np.pi / params.omega
+    x0, opts = np.array([0.5, 0.3, -0.2, 0.1]), IntegratorOptions()
+    a, b = _Stepper(f, 0.0, x0, opts), _float_stepper(4)(f, 0.0, tuple(x0), opts)
+    n_a = n_b = 0
+    while a.step(period):
+        n_a += 1
+    while b.step(period):
+        n_b += 1
+    assert n_a == n_b > 50 and b.t == a.t == period
+    scale = np.linalg.norm(a.x)
+    assert np.linalg.norm(np.subtract(b.x, a.x)) <= 1e-12 * scale
+
+    a = _Stepper(f, 0.0, x0, opts)
+    while True:
+        t, x, k1 = a.t, a.x, tuple(a.K[0])
+        if not a.step(period):
+            break
+        b.t, b.x, b.h, b.k1 = t, tuple(x), a.h_old, k1
+        assert b.step(period) and abs(b.t - a.t) <= 1e-12 * a.t
+        assert np.linalg.norm(np.subtract(b.x, a.x)) <= 1e-12 * scale
+        t_mid = t + 0.37 * a.h_old
+        assert (np.linalg.norm(np.subtract(b.interpolate(t_mid), a.interpolate(t_mid)))
+                <= 1e-12 * scale)

@@ -7,18 +7,23 @@ bisected on a boolean condition down to the time resolution, and the IC
 transfer searches along a traced surface curve, so a change in either moves
 the reduced state by round-off. Surface hits are located only to
 |sigma| <= EPS_EVENT, which near a sticking entry (dq1 -> 0 slowly) fixes the
-event time to about 1e-9 to 1e-8. The reduced runs step on the float-pair
-stepper, whose stage sums differ from the numpy stepper's by round-off, and
-their branch events evaluate sigma precomposed with the lift (sigma = dq1 is
-affine); the same runs with a lifting event must match the same list.
+event time to about 1e-9 to 1e-8. The oscillator and the reduced runs step
+on core's float steppers, whose stage sums differ from the numpy stepper's
+by round-off; the reduced branch events evaluate sigma precomposed with the
+lift (sigma = dq1 is affine), and the same runs with a lifting event must
+match the same list.
 
 Regenerate (only when a change of results is intended) with
 `PYTHONPATH=src python -m tests.test_golden_events [run ...]`: the named
 runs are rewritten and the others kept byte for byte (all runs without
-names). `full_belt_beam` was last regenerated when the beam field moved
-from dense force tensors to Gauss-point factors, a change at round-off: the
-same 37 events of the same kinds, times moved by at most 7.0e-12 s and
-states by at most 1.5e-9.
+names), and each rewritten run's shift against the previous file is printed.
+`full_belt_beam` was last regenerated when the beam field moved from dense
+force tensors to Gauss-point factors, a change at round-off: the same 37
+events of the same kinds, times moved by at most 7.0e-12 s and states by at
+most 1.5e-9. `full_oscillator_sticking` was last regenerated when the
+oscillator moved from the numpy stepper to the float stepper of length 4: the
+same 8 events of the same kinds, times moved by at most 1.2e-9 s and states
+by at most 1.5e-10, at the stick entry, where dq1 -> 0 slowly.
 """
 
 import functools
@@ -116,6 +121,18 @@ if __name__ == "__main__":
     if os.path.exists(GOLDEN):
         with open(GOLDEN) as fh:
             golden = json.load(fh)
-    golden.update({name: _event_list(RUNS[name][0]()) for name in names})
+    for name in names:
+        got, old = _event_list(RUNS[name][0]()), golden.get(name)
+        if old is not None:
+            # the shift of a declared regeneration, for its record
+            same = [e[0] for e in got] == [e[0] for e in old]
+            pairs = list(zip(got, old))
+            dt = max((abs(a[1] - b[1]) for a, b in pairs), default=0.0)
+            dx = max((float(np.max(np.abs(np.subtract(a[2], b[2]))))
+                      for a, b in pairs), default=0.0)
+            print(f"{name}: {len(got)} events against {len(old)}, kinds "
+                  f"{'the same' if same else 'changed'}, max |dt| {dt:.2g}, "
+                  f"max |dx| {dx:.2g}")
+        golden[name] = got
     with open(GOLDEN, "w") as fh:
         json.dump({name: golden[name] for name in RUNS}, fh, indent=1)

@@ -37,6 +37,17 @@ def test_field_hand_value():
     assert np.allclose(out, [0.0, -2.6, 0.0, 1.0])
 
 
+def test_field_returns_python_floats():
+    # a tuple of Python floats runs on core's float stepper; no np.float64
+    # may slip in from the state or the forcing
+    for params in (SpParams(delta=0.1), SpParams(delta=0.1, eps=0.15, omega=1.1)):
+        for branch in "+-":
+            for x in (np.array([0.3, 0.1, -0.2, 0.4]), (0.3, 0.1, -0.2, 0.4)):
+                out = sp_field(params, branch, 0.7, x)
+                assert type(out) is tuple and len(out) == 4
+                assert all(type(v) is float for v in out)
+
+
 def test_switching_values():
     sw = sp_switching()
     assert sw.sigma(np.array([5.0, 0.0, -3.0, 2.0])) == 0.0
@@ -119,7 +130,7 @@ def test_mirror_symmetry():
     for _ in range(20):
         x = rng.normal(size=4)
         assert np.allclose(sp_field(params, "-", 0.0, -x),
-                           -sp_field(params, "+", 0.0, x), atol=1e-13)
+                           -np.asarray(sp_field(params, "+", 0.0, x)), atol=1e-13)
 
 
 def test_repelling_sliding_never_occurs():
