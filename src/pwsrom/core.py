@@ -403,9 +403,9 @@ class _FloatStepper:
 
 
 def _float_stepper_source(n: int) -> str:
-    """_Stepper for a tuple of n floats, unrolled: each sum runs left to right
-    over the nonzero tableau entries, and the last stage is evaluated at the
-    new state (its row of A is the fifth-order weights)."""
+    """Source of _Stepper unrolled for a tuple of n floats: each sum runs left
+    to right over the nonzero tableau entries, and the last stage is evaluated
+    at the new state (its row of A is the fifth-order weights)."""
     js = range(1, n + 1)
     k = [[f"k{i}_{j}" for j in js] for i in range(8)]    # k[i]: stage i
     dense = [i for i, row in enumerate(_P_SRC, 1) if set(row) != {"0"}]

@@ -5,7 +5,7 @@ reconstructed observables with the same event machinery as the full model,
 transfers initial conditions across branches at crossings, and optionally
 tracks sticking through an in-surface reduced field.
 
-Every reduced segment runs on the float-pair stepper of pwsrom.core. When the
+Every reduced segment runs on core's float stepper of length 2. When the
 switching function declares its affine form, the branch event evaluates sigma
 precomposed with the lift (SsmModel.affine_switching) instead of lifting the
 full state at every step; otherwise it lifts.

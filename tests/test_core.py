@@ -7,8 +7,8 @@ from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          DegenerateDenominatorError, IntegratorOptions,
                          PiecewiseSmoothSystem, RepellingSlidingError,
                          SwitchingFunction, classify_boundary,
-                         StiffnessError, _float_stepper, _Stepper,
-                         filippov_field, integrate_hybrid)
+                         StiffnessError, _float_stepper, _integrate_segment,
+                         _Stepper, _stepper, filippov_field, integrate_hybrid)
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_sliding_field,
                                 sp_sticking_test, sp_switching)
 
@@ -412,6 +412,21 @@ def test_float_pair_stepper_dense_output_and_fsal():
 
     free = _float_stepper(2)(g, 0.0, (0.0, 1.0), IntegratorOptions(first_step=1e-3))
     assert free.step(np.inf) and n[0] == 1 + 6
+
+
+def test_field_return_type_picks_the_stepper_without_an_extra_call():
+    # a tuple field runs on the float stepper of its length, an ndarray field
+    # on numpy stages; the value that decided is the first stage
+    f, calls = _counted_reduced_field()
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
+    assert type(_stepper(f, 0.0, np.array([0.3, -0.2]), opts)) is _float_stepper(2)
+    assert calls[0] == 1
+    assert type(_stepper(lambda t, x: -x, 0.0, np.ones(3), opts)) is _Stepper
+    calls[0] = 0
+    seg, hit = _integrate_segment(f, 0.0, np.array([0.3, -0.2]), 5.0, opts, 0.0)
+    assert not hit and seg.t[-1] == 5.0
+    # six new stages per attempted step, and one at the start
+    assert calls[0] > 1 and (calls[0] - 1) % 6 == 0
 
 
 def test_float_pair_stepper_step_underflow_names_time():
