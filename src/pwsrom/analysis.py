@@ -11,7 +11,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (EventKind, IntegratorOptions, _integrate_segment,
-                   integrate_hybrid)
+                   classify_boundary, integrate_hybrid)
 from .rom import (NonsmoothRom, StrategyError, _trace_surface, simulate_rom,
                   switching_value)
 
@@ -113,7 +113,7 @@ def poincare_map(sys, ic_set, t_span, margin_fn: Callable[[np.ndarray], float],
         traj = integrate_hybrid(sys, ic, t_span, opts)
         events = [e for e in traj.events if e.kind == EventKind.CROSSING]
         for j, ev in enumerate(events[skip:], skip):
-            d = 1 if _cross_dir(sys, ev) > 0 else -1
+            d = classify_boundary(sys, ev.x, ev.t).direction
             pts.append(ev.x.copy())
             dirs.append(d)
             m = margin_fn(ev.x)
@@ -130,11 +130,6 @@ def poincare_map(sys, ic_set, t_span, margin_fn: Callable[[np.ndarray], float],
         else:
             data.edge_minus = e
     return data
-
-
-def _cross_dir(sys, ev):
-    g = np.asarray(sys.switching.grad_sigma(ev.x))
-    return 1.0 if float(g @ sys.f_plus(ev.t, ev.x)) > 0 else -1.0
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,13 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import spectral
-from .rom import NonsmoothRom, StickingRule
+from . import ssm_data as sd
+from .core import IntegratorOptions
+from .rom import NonsmoothRom, RomConfigurationError, StickingRule
 from .ssm_model import SsmModel
 from .vk_beam import (BeamAssembly, NonsmoothVariant, beam_field,
-                      beam_switching, branch_fixed_point, branch_jacobian)
+                      branch_fixed_point, branch_jacobian, make_beam_system,
+                      static_deflection)
 
 
 def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
@@ -26,10 +29,6 @@ def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
     pair. Returns ({branch: SsmModel}, {branch: TrainingData}): the models,
     with fit diagnostics in model.meta, and the decays they were fitted on.
     """
-    from . import ssm_data as sd
-    from .core import IntegratorOptions
-    from .vk_beam import static_deflection
-
     n = assembly.n_dof
     # decays from several load levels fill the reduced disc radially, which
     # keeps the high-order regression away from collinear blow-up
@@ -56,8 +55,6 @@ def fit_branch_from_data(assembly: BeamAssembly, variant, branch: str,
                          data, order_m: int = 5, order_r: int = 5,
                          chart: str = "modal"):
     """Manifold + dynamics fit of one branch from a prepared dataset."""
-    from . import ssm_data as sd
-
     n = assembly.n_dof
     x0 = branch_fixed_point(assembly, variant, branch)
     A = branch_jacobian(assembly, variant, branch, x0)
@@ -109,10 +106,6 @@ def belt_training_data(assembly: BeamAssembly, variant, branch: str,
     so training trajectories grow from a small midpoint kick instead of
     decaying from a static deflection.
     """
-    from . import ssm_data as sd
-    from .core import IntegratorOptions
-    from .vk_beam import beam_field
-
     n = assembly.n_dof
     x0 = branch_fixed_point(assembly, variant, branch)
     ics = []
@@ -131,36 +124,16 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
                   ic_strategy: str = "projection",
                   forcing: Optional[Callable[[float], np.ndarray]] = None
                   ) -> NonsmoothRom:
-    """Switched beam ROM; sticking decisions evaluate the full branch fields
-    on reconstructed states (the condition lives in physical variables)."""
-    switching = beam_switching(assembly, variant)
+    """Switched beam ROM. Sticking (Coulomb and belt) follows the full
+    system's Filippov field with the midpoint velocity pinned to the surface
+    value, which needs a chart on the midpoint displacement/velocity pair."""
+    system = make_beam_system(assembly, variant, forcing)
     n = assembly.n_dof
-    i_q = assembly.mid_dof_index
     i_vel = n + assembly.mid_dof_index
-    v_hold = variant.v_ground if variant.kind == "moving_belt" else 0.0
-
-    def a_pm(t, x):
-        g = switching.grad_sigma(x)
-        ap = float(g @ beam_field(assembly, variant, "+", t, x, forcing))
-        am = float(g @ beam_field(assembly, variant, "-", t, x, forcing))
-        return ap, am
-
-    def condition(t, x):
-        ap, am = a_pm(t, x)
-        return ap < 0.0 < am
-
-    def exit_branch(t, x):
-        # the sign of the Filippov coefficient (ap + am) / (am - ap): the
-        # release state may lie on either side of the vanishing component
-        ap, am = a_pm(t, x)
-        return "+" if ap + am > 0.0 else "-"
-
     sticking = None
     if variant.kind != "soft_impact":
-        # the in-surface field presumes a chart whose coordinates are the
-        # (possibly scaled) midpoint displacement/velocity pair; read each
-        # model's scales off its tangent and verify the chart pins the
-        # velocity coordinate exactly
+        # verify that each chart pins the velocity coordinate exactly, with
+        # the model's scale read off its tangent
         rng = np.random.default_rng(0)
         for model in (model_plus, model_minus):
             s_v = float(model.tangent[i_vel, 1])
@@ -168,18 +141,13 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
                 y = rng.uniform(-1e-2, 1e-2, 2)
                 err = abs(model.lift(y)[i_vel] - (s_v * y[1] + model.x0[i_vel]))
                 if err > 1e-6 * max(abs(s_v), 1.0):
-                    from .rom import RomConfigurationError
                     raise RomConfigurationError(
                         "sticking requires the physical midpoint chart; "
                         "rechart the fitted models onto (q_mid, dq_mid)")
-
-        def reduced_field(t, y, model):
-            return float(v_hold) / float(model.tangent[i_q, 0]), 0.0
-
-        sticking = StickingRule(condition=condition, reduced_field=reduced_field,
-                                exit_branch=exit_branch, pin=(i_vel, v_hold))
+        v_hold = variant.v_ground if variant.kind == "moving_belt" else 0.0
+        sticking = StickingRule(system=system, pin=(i_vel, v_hold))
     return NonsmoothRom(model_plus=model_plus, model_minus=model_minus,
-                        switching=switching, ic_strategy=ic_strategy,
+                        switching=system.switching, ic_strategy=ic_strategy,
                         sticking=sticking,
                         coord_indices={"q1": assembly.mid_dof_index,
-                                       "q2": n + assembly.mid_dof_index})
+                                       "q2": i_vel})

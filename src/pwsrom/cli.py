@@ -5,6 +5,7 @@ CSV/JSON files plus a run manifest with content hashes for reproducibility."""
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import os
@@ -17,8 +18,8 @@ from . import __version__, analysis, beam_rom, rom as rom_mod
 from . import ssm_analytic as sa
 from . import ssm_data as sd
 from . import vk_beam as vkb
-from .core import IntegratorOptions, integrate_hybrid
-from .shaw_pierre import SpParams, make_system, sp_elastic_term
+from .core import HybridTrajectory, IntegratorOptions, integrate_hybrid
+from .shaw_pierre import SpParams, make_system, sp_elastic_term, sp_field
 from .ssm_model import SsmModel
 
 _SP_KEYS = {"m1", "m2", "c", "k", "alpha", "delta", "eps", "omega"}
@@ -161,41 +162,37 @@ def cmd_simulate(cfg, out_dir) -> int:
     opts = IntegratorOptions(rtol=sc.get("rtol", 1e-9), atol=sc.get("atol", 1e-11),
                              t_eval_dt=sc.get("sample_dt"))
     outputs = []
-    if cfg.get("model", "shaw_pierre") == "shaw_pierre":
+    oscillator = cfg.get("model", "shaw_pierre") == "shaw_pierre"
+    if oscillator:
         params = sp_params_from(cfg)
         dim = 4
-        system = make_system(params)
         x0 = np.asarray(sc.get("x0", [0.5, 0.3, -0.2, 0.1]), dtype=float)
     else:
         asm, variant = beam_from(cfg)
         dim = 2 * asm.n_dof
-        system = vkb.make_beam_system(asm, variant)
         x0 = np.asarray(sc.get("x0", np.zeros(dim)), dtype=float)
     if sc.get("use_rom", False):
+        ic_strategy = sc.get("ic_strategy", "projection")
         if sc.get("rom_models"):
             paths = sc["rom_models"]
             mp = SsmModel.from_json(paths["plus"])
             mm = SsmModel.from_json(paths["minus"])
-            if cfg.get("model") == "vk_beam":
-                asm, variant = beam_from(cfg)
-                nrom = beam_rom.make_beam_rom(
-                    asm, variant, mp, mm,
-                    ic_strategy=sc.get("ic_strategy", "projection"))
-            else:
-                params = sp_params_from(cfg)
-                from .shaw_pierre import sp_switching
+            if oscillator:
                 nrom = rom_mod.NonsmoothRom(
-                    model_plus=mp, model_minus=mm, switching=sp_switching(),
-                    ic_strategy=sc.get("ic_strategy", "projection"))
+                    model_plus=mp, model_minus=mm,
+                    switching=make_system(params).switching,
+                    ic_strategy=ic_strategy)
+            else:
+                nrom = beam_rom.make_beam_rom(asm, variant, mp, mm,
+                                              ic_strategy=ic_strategy)
             sigma0 = nrom.switching.sigma(x0)
             branch0 = sc.get("branch0", "+" if sigma0 >= 0 else "-")
         else:
-            if cfg.get("model") != "shaw_pierre":
+            if not oscillator:
                 raise ConfigError("beam ROM simulation needs simulate.rom_models "
                                   "(fit them first)")
-            params = sp_params_from(cfg)
             nrom = rom_mod.make_sp_rom(params, order=sc.get("order", 3),
-                                       ic_strategy=sc.get("ic_strategy", "projection"))
+                                       ic_strategy=ic_strategy)
             branch0 = sc.get("branch0", "+" if x0[1] >= 0 else "-")
         y0 = nrom.model(branch0).chart(x0)
         traj = rom_mod.simulate_rom(nrom, y0, branch0, t_span, opts)
@@ -204,9 +201,10 @@ def cmd_simulate(cfg, out_dir) -> int:
         outputs += ["trajectory_rom.csv", "events_rom.csv"]
     else:
         if float(t_span[1]) <= float(t_span[0]):
-            from .core import HybridTrajectory
             traj = HybridTrajectory()
         else:
+            system = (make_system(params) if oscillator
+                      else vkb.make_beam_system(asm, variant))
             traj = integrate_hybrid(system, x0, t_span, opts)
         traj.write_csv(os.path.join(out_dir, "trajectory.csv"),
                        os.path.join(out_dir, "events.csv"), dim=dim)
@@ -240,7 +238,6 @@ def cmd_fit(cfg, out_dir) -> int:
         params = sp_params_from(cfg)
         models = {}
         datasets = {}
-        from .shaw_pierre import sp_field
         for branch in ("+", "-"):
             base = sa.build_analytic_model(params, branch)
             Vt, _ = np.linalg.qr(base.tangent)
@@ -274,10 +271,9 @@ def cmd_fit(cfg, out_dir) -> int:
         with open(os.path.join(ddir, "manifest.json"), "w") as fh:
             json.dump(man, fh, indent=1)
         for k, (t, y) in enumerate(data.trajectories):
-            import csv as _csv
             with open(os.path.join(ddir, f"traj_{k:02d}.csv"), "w",
                       newline="") as fh:
-                w = _csv.writer(fh, lineterminator="\n")
+                w = csv.writer(fh, lineterminator="\n")
                 w.writerow(["t"] + [f"y{i+1}" for i in range(y.shape[1])])
                 for ti, yi in zip(t, y):
                     w.writerow([repr(float(ti))] + [repr(float(v)) for v in yi])
@@ -364,9 +360,8 @@ def cmd_frc(cfg, out_dir, threads=1) -> int:
     else:
         romp = [analysis.FrcPoint(omega=om, amplitude=np.nan, converged=False,
                                   n_periods=0) for om in grid]
-    import csv as _csv
     with open(os.path.join(out_dir, "frc.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["omega", "amp_full", "amp_rom", "converged_full",
                     "converged_rom"])
         for pf, pr in zip(full, romp):
@@ -403,9 +398,8 @@ def cmd_poincare(cfg, out_dir) -> int:
                                  margin, skip=pc.get("skip", 5), opts=opts)
     approx = analysis.approx_invariant_curve(nrom, margin,
                                              span=pc.get("span", 0.5))
-    import csv as _csv
     with open(os.path.join(out_dir, "poincare.csv"), "w", newline="") as fh:
-        w = _csv.writer(fh, lineterminator="\n")
+        w = csv.writer(fh, lineterminator="\n")
         w.writerow(["iter", "q1", "q2", "dq2", "direction"])
         for i, (x, d) in enumerate(zip(data.invariant_points, data.directions)):
             w.writerow([i, repr(float(x[0])), repr(float(x[2])),

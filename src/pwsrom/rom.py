@@ -3,7 +3,9 @@
 Integrates the branch reduced dynamics, monitors the switching function on
 reconstructed observables with the same event machinery as the full model,
 transfers initial conditions across branches at crossings, and optionally
-tracks sticking through an in-surface reduced field.
+sticks, slides and releases by the full system's Filippov field evaluated at
+the reconstructed state (StickingRule), with the calls core makes for the
+full model.
 
 Every reduced segment runs on core's float stepper of length 2. When the
 switching function declares its affine form, the branch event evaluates sigma
@@ -14,12 +16,15 @@ full state at every step; otherwise it lifts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .core import (EPS_EVENT, EventKind, HybridTrajectory, IntegratorOptions,
-                   SwitchingFunction, _integrate_segment)
+from .core import (EPS_EVENT, BoundaryKind, EventKind, HybridTrajectory,
+                   IntegratorOptions, PiecewiseSmoothSystem, SwitchingFunction,
+                   _integrate_segment, classify_boundary, filippov_field)
+from .shaw_pierre import make_system
+from .ssm_analytic import build_analytic_model
 from .ssm_model import SsmModel
 
 IC_STRATEGIES = ("projection", "min_all_vars", "continuity_q1", "continuity_q1q2")
@@ -35,36 +40,42 @@ class RomConfigurationError(RuntimeError):
 
 @dataclass(frozen=True)
 class StickingRule:
-    """Hooks for sticking in reduced coordinates.
+    """Sticking in reduced coordinates by the full model's Filippov convention.
 
-    condition decides (on reconstructed observables) whether the state is
-    inside the sticking region; reduced_field is the in-surface reduced
-    dynamics, which returns a pair of Python floats for the float-pair
-    stepper, as SsmModel.reduced_field does; exit_branch names the branch
-    whose field points away once the condition fails. pin = (index, value),
-    when set, holds that observable coordinate at value during sticking, so
-    the reconstructed state (the lift with the coordinate pinned) satisfies
-    the surface constraint exactly.
+    The reduced state sticks, slides and releases as the full system does at
+    its reconstruction: the lift with observable pin[0] held at pin[1], which
+    puts it on the switching surface exactly. A surface hit sticks where
+    classify_boundary finds attracting sliding there; while sticking, the
+    reduced field is chart_w applied to the Filippov field, and the model
+    releases where the Filippov coefficient lambda reaches +-1, onto the
+    branch of its sign, as core's sliding segments do.
     """
 
-    condition: Callable[[float, np.ndarray], bool]                 # (t, x)
-    reduced_field: Callable[[float, tuple, SsmModel], tuple]       # (t, y, model)
-    exit_branch: Callable[[float, np.ndarray], str]                # (t, x)
-    pin: Optional[tuple[int, float]] = None
+    system: PiecewiseSmoothSystem
+    pin: tuple[int, float]
 
     def state(self, model: SsmModel, t: float, y) -> np.ndarray:
         """Reconstructed observable state while sticking."""
         x = model.lift(y, t)
-        if self.pin is not None:
-            x[self.pin[0]] = self.pin[1]
+        x[self.pin[0]] = self.pin[1]
         return x
 
     def states(self, model: SsmModel, T, Y) -> np.ndarray:
         """Reconstructed states of the rows of Y (N, d) at times T (N,)."""
         X = model.lift_many(Y, T)
-        if self.pin is not None:
-            X[:, self.pin[0]] = self.pin[1]
+        X[:, self.pin[0]] = self.pin[1]
         return X
+
+    def sticks(self, model: SsmModel, t: float, y) -> bool:
+        """Whether the full system slides (attracting) at the reconstruction."""
+        cls = classify_boundary(self.system, self.state(model, t, y), t)
+        return cls.kind == BoundaryKind.ATTRACTING_SLIDING
+
+    def sliding(self, model: SsmModel, t: float, y) -> tuple[float, tuple]:
+        """lambda and the in-surface reduced field (a pair of Python floats for
+        the float stepper) at the reconstruction."""
+        lam, f_sigma = filippov_field(self.system, self.state(model, t, y), t)
+        return lam, tuple((model.chart_w @ f_sigma).tolist())
 
 
 @dataclass
@@ -230,9 +241,10 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
 
     Crossings of the reconstructed switching function are located by the
     event kernel of pwsrom.core; the configured IC strategy transfers the
-    reduced state to the other branch. When a sticking rule is present and its condition holds at
-    a surface hit, the in-surface reduced field runs until the condition
-    releases, then integration resumes on the exit branch.
+    reduced state to the other branch. When a sticking rule is present and
+    the full system slides at the reconstructed surface hit, the in-surface
+    reduced field runs until lambda reaches +-1, then integration resumes on
+    the branch of its sign.
     """
     opts = opts or IntegratorOptions()
     traj = HybridTrajectory()
@@ -244,7 +256,7 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
     if rom.sticking is not None:
         model0 = rom.model(branch)
         if (abs(rom.switching.sigma(model0.lift(y, t0))) < 1e-6
-                and rom.sticking.condition(t0, rom.sticking.state(model0, t0, y))):
+                and rom.sticking.sticks(model0, t0, y)):
             mode = "sticking"
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         run = _rom_branch_segment if mode == "branch" else _rom_sticking_segment
@@ -278,7 +290,7 @@ def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
     if not hit:
         return t_ev, y_ev, branch, "branch"
-    if rom.sticking is not None and rom.sticking.condition(t_ev, x_ev):
+    if rom.sticking is not None and rom.sticking.sticks(model, t_ev, y_ev):
         traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
         return t_ev, y_ev, branch, "sticking"
     traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
@@ -291,14 +303,16 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     model = rom.model(branch)
 
     def f_slide(t, y):
-        return rule.reduced_field(t, y, model)
+        return rule.sliding(model, t, y)[1]
+
+    def lam_margin(t, y):
+        # sticking ends where |lambda| reaches 1
+        lam = rule.sliding(model, t, y)[0]
+        return 1.0 - lam * lam
 
     _validate_sticking_chart(rom, model, f_slide, t0, y0)
-    # the boolean release condition as a +-1 event: the bisection brackets
-    # the release time to the time resolution
     seg, hit = _integrate_segment(
-        f_slide, t0, y0, t_end, opts, t_grid0,
-        event=lambda t, y: 1.0 if rule.condition(t, rule.state(model, t, y)) else -1.0,
+        f_slide, t0, y0, t_end, opts, t_grid0, event=lam_margin, eps=1e-12,
         observe=lambda T, Y: rule.states(model, T, Y))
     seg.branch = "sigma"
     traj.segments.append(seg)
@@ -306,7 +320,8 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
     if not hit:
         return t_ev, y_ev, branch, "sticking"
     traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
-    return t_ev, y_ev, rule.exit_branch(t_ev, x_ev), "branch"
+    lam = rule.sliding(model, t_ev, y_ev)[0]
+    return t_ev, y_ev, ("+" if lam > 0 else "-"), "branch"
 
 
 def _validate_sticking_chart(rom, model, f_slide, t, y):
@@ -337,34 +352,13 @@ def make_sp_rom(params, order: int = 3,
                 ic_strategy: str = "projection") -> NonsmoothRom:
     """Switched reduced model of the friction oscillator on its two slow SSMs.
 
-    Sticking uses the in-surface dynamics (mass 1 pinned) projected through
-    the shared modal chart; the reconstruction pins dq1 to zero exactly.
+    Sticking follows the full system's Filippov field through the shared
+    modal chart; the reconstruction pins dq1 to zero exactly.
     """
-    from .shaw_pierre import (sp_elastic_term, sp_sliding_field, sp_switching,
-                              sp_sticking_test)
-    from .ssm_analytic import build_analytic_model
-
-    model_p = build_analytic_model(params, "+", order=order,
+    system = make_system(params)
+    models = [build_analytic_model(params, branch, order=order,
                                    eps=params.eps, omega=params.omega)
-    model_m = build_analytic_model(params, "-", order=order,
-                                   eps=params.eps, omega=params.omega)
-
-    def condition(t, x):
-        return sp_sticking_test(params, x, t)
-
-    def reduced_field(t, y, model):
-        x = model.lift(y, t)
-        x[1] = 0.0
-        return tuple((model.chart_w @ sp_sliding_field(params, t, x)).tolist())
-
-    def exit_branch(t, x):
-        e = sp_elastic_term(params, x)
-        if params.eps:
-            e += params.eps * np.cos(params.omega * t) / (np.sqrt(2.0) * params.m1)
-        return "+" if e > 0 else "-"
-
-    sticking = StickingRule(condition=condition, reduced_field=reduced_field,
-                            exit_branch=exit_branch, pin=(1, 0.0))
-    return NonsmoothRom(model_plus=model_p, model_minus=model_m,
-                        switching=sp_switching(), ic_strategy=ic_strategy,
-                        sticking=sticking)
+              for branch in "+-"]
+    return NonsmoothRom(*models, switching=system.switching,
+                        ic_strategy=ic_strategy,
+                        sticking=StickingRule(system=system, pin=(1, 0.0)))

@@ -81,23 +81,6 @@ def sp_elastic_term(params: SpParams, x: np.ndarray) -> float:
     return (-2 * k * x[0] + k * x[2] + c * x[3] - a * x[0] ** 3) / m1
 
 
-def sp_sticking_test(params: SpParams, x: np.ndarray, t: float = 0.0) -> bool:
-    """Attracting sliding holds when the spring/damper pull on mass 1 stays
-    strictly inside the friction cone."""
-    term = sp_elastic_term(params, x)
-    if params.eps:
-        term += params.eps * np.cos(params.omega * t) / (np.sqrt(2.0) * params.m1)
-    return abs(term) < params.delta
-
-
-def sp_sliding_field(params: SpParams, t: float, x: np.ndarray) -> np.ndarray:
-    """Dynamics inside the surface: mass 1 stuck, mass 2 a linear oscillator."""
-    m2, c, k = params.m2, params.c, params.k
-    force = params.eps * np.cos(params.omega * t) / np.sqrt(2.0) if params.eps else 0.0
-    return np.array([0.0, 0.0, x[3],
-                     (k * x[0] - 2 * k * x[2] - 2 * c * x[3] + force) / m2])
-
-
 def _cardano(p: float, q: float) -> float:
     # unique real root of t^3 + p t + q = 0 for p > 0; both cbrt arguments
     # are nonnegative, which keeps the evaluation stable

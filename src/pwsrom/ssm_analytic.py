@@ -13,18 +13,15 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from math import floor, log10
 
 import numpy as np
 
 from . import spectral
 from .poly2 import Poly2, vector_poly
 from .shaw_pierre import SpParams, sp_fixed_points, sp_forcing_vector, sp_shifted
-from .ssm_data import nonmodal_forcing_correction
+from .ssm_data import ResonanceError, nonmodal_forcing_correction
 from .ssm_model import SsmModel
-
-
-class ResonanceError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -325,7 +322,6 @@ def round_to_sig_digits(x: float, ref: str) -> float:
     digits = len(mant.replace(".", "").lstrip("0"))
     if x == 0.0:
         return 0.0
-    from math import floor, log10
     expo = floor(log10(abs(x)))
     scale = 10.0 ** (digits - 1 - expo)
     return round(x * scale) / scale
@@ -337,7 +333,6 @@ def compare_to_reference(computed: float, ref: str) -> dict:
     rounded = round_to_sig_digits(computed, ref)
     mant = ref.lstrip("-").split("e")[0]
     digits = len(mant.replace(".", "").lstrip("0"))
-    from math import floor, log10
     ulp = 10.0 ** (floor(log10(abs(ref_val))) - digits + 1)
     return {
         "computed": computed,

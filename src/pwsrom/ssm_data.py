@@ -21,6 +21,10 @@ class ChartError(RuntimeError):
     pass
 
 
+class ResonanceError(RuntimeError):
+    pass
+
+
 @dataclass
 class TrajectoryDataset:
     """Decaying training trajectories from one branch smooth extension."""
@@ -375,7 +379,6 @@ def nonmodal_forcing_correction(a_matrix: np.ndarray, tangent: np.ndarray,
         if np.min(np.abs(lv - slow)) < 1e-9 * max(1.0, np.abs(lv)):
             continue
         if abs(1j * omega - lv) < 1e-6:
-            from .ssm_analytic import ResonanceError
             raise ResonanceError(
                 f"forcing frequency resonant with eigenvalue {lv:.6g}")
     M = 1j * omega * np.eye(n) - Pc @ A

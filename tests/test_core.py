@@ -9,8 +9,8 @@ from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          SwitchingFunction, classify_boundary,
                          StiffnessError, _float_stepper, _integrate_segment,
                          _Stepper, _stepper, filippov_field, integrate_hybrid)
-from pwsrom.shaw_pierre import (SpParams, make_system, sp_sliding_field,
-                                sp_sticking_test, sp_switching)
+from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
+from sp_oracles import sp_sliding_field, sp_sticking_test
 
 
 def const_system(fp, fm):

@@ -3,9 +3,9 @@
 `golden_events.json` pins, for four fixed runs, the kinds, times and states of
 every event in order. Full-model events must match it exactly. Reduced-model
 events must match within ROM_T_TOL and ROM_X_TOL. Their sticking releases are
-bisected on a boolean condition down to the time resolution, and the IC
-transfer searches along a traced surface curve, so a change in either moves
-the reduced state by round-off. Surface hits are located only to
+bisected to |1 - lambda^2| <= 1e-12 on the full model's Filippov coefficient
+at the reconstructed state, and the IC transfer searches along a traced
+surface curve, so a change in either moves the reduced state by round-off. Surface hits are located only to
 |sigma| <= EPS_EVENT, which near a sticking entry (dq1 -> 0 slowly) fixes the
 event time to about 1e-9 to 1e-8. The oscillator and the reduced runs step
 on core's float steppers, whose stage sums differ from the numpy stepper's

@@ -3,13 +3,14 @@ import pytest
 
 from pwsrom import vk_beam as vkb
 from pwsrom.beam_rom import make_beam_rom
-from pwsrom.core import (EventKind, IntegratorOptions, SwitchingFunction,
-                         _Stepper, integrate_hybrid)
+from pwsrom.core import (EventKind, IntegratorOptions, PiecewiseSmoothSystem,
+                         SwitchingFunction, _Stepper, integrate_hybrid)
 from pwsrom.poly2 import monomials
 from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StickingRule,
                         make_sp_rom, simulate_rom, switch_ic, switching_value)
 from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
 from pwsrom.ssm_model import PeriodicCorrection, SsmModel
+from sp_oracles import sp_sliding_field, sp_sticking_test, sp_surface_pull
 
 
 @pytest.fixture(scope="module")
@@ -178,11 +179,16 @@ def test_sticking_samples_are_pinned_lifts():
 
 
 def test_sticking_chart_misconfiguration_detected(rom_01):
+    # a full system that always slides, and while sliding drives dq2 with dq1
+    # held: the oscillator's slow modal chart ties dq2 to dq1, so it cannot
+    # follow that motion and the switching value of the raw lift drifts
     base = rom_01
-    bad_rule = StickingRule(
-        condition=lambda t, x: True,
-        reduced_field=lambda t, y, m: np.array([1.0, 0.0]),
-        exit_branch=lambda t, x: "+")
+    push = np.array([0.0, 0.0, 0.0, 10.0])
+    system = PiecewiseSmoothSystem(
+        dim=4, f_plus=lambda t, x: tuple(push + [0.0, -1.0, 0.0, 0.0]),
+        f_minus=lambda t, x: tuple(push + [0.0, 1.0, 0.0, 0.0]),
+        switching=sp_switching(), delta=1.0)
+    bad_rule = StickingRule(system=system, pin=(1, 0.0))
     rom = NonsmoothRom(model_plus=base.model_plus, model_minus=base.model_minus,
                        switching=sp_switching(), sticking=bad_rule)
     y0 = rom.model_plus.chart(np.array([0.8, 0.5, 0.0, 0.0]))
@@ -294,23 +300,76 @@ def _is_float_pair(v):
     return type(v) is tuple and len(v) == 2 and all(type(c) is float for c in v)
 
 
-def test_sticking_fields_return_float_pairs(rom_01):
-    # the float-pair stepper runs sticking segments on Python floats too
-    model = rom_01.model_plus
-    assert _is_float_pair(rom_01.sticking.reduced_field(0.3, (0.1, -0.05), model))
-    # the beam rule on a linear model over the physical midpoint chart
-    asm = vkb.assemble_beam()
+def _physical_chart_beam_models(asm):
+    """Linear models over the (scaled) midpoint displacement/velocity pair."""
     n, i_q = asm.n_dof, asm.mid_dof_index
     V = np.zeros((2 * n, 2))
     W = np.zeros((2, 2 * n))
     V[i_q, 0], V[n + i_q, 1] = 2e-3, 0.5
     W[0, i_q], W[1, n + i_q] = 1 / 2e-3, 1 / 0.5
-    models = [SsmModel(branch=b, x0=np.zeros(2 * n), tangent=V, chart_w=W,
-                       nl_coeffs={}, rdyn={(1, 0): np.array([0.0, -1.0]),
-                                           (0, 1): np.array([1.0, 0.0])},
-                       source="data") for b in "+-"]
+    return [SsmModel(branch=b, x0=np.zeros(2 * n), tangent=V, chart_w=W,
+                     nl_coeffs={}, rdyn={(1, 0): np.array([0.0, -1.0]),
+                                         (0, 1): np.array([1.0, 0.0])},
+                     source="data") for b in "+-"]
+
+
+def test_sticking_fields_return_float_pairs(rom_01):
+    # the float-pair stepper runs sticking segments on Python floats too
+    model = rom_01.model_plus
+    assert _is_float_pair(rom_01.sticking.sliding(model, 0.3, (0.1, -0.05))[1])
+    # the beam rule on a linear model over the physical midpoint chart; the
+    # Filippov field holds the midpoint velocity at v_ground up to round-off
+    asm = vkb.assemble_beam()
+    models = _physical_chart_beam_models(asm)
     belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
     rom = make_beam_rom(asm, belt, *models)
-    out = rom.sticking.reduced_field(0.0, (0.1, 0.2), models[0])
+    out = rom.sticking.sliding(models[0], 0.0, (0.1, 0.2))[1]
     assert _is_float_pair(out)
-    assert out == (belt.v_ground / 2e-3, 0.0)
+    assert out == pytest.approx((belt.v_ground / 2e-3, 0.0), rel=1e-12, abs=0.0)
+
+
+def test_oscillator_rule_matches_the_analytic_oracles():
+    # at pinned reconstructions of random reduced states, forced and unforced,
+    # on both branches: the rule sticks where the closed-form test does,
+    # slides by chart_w times the closed-form in-surface field, and releases
+    # onto the side of the spring, damper and forcing pull on mass 1
+    rng = np.random.default_rng(11)
+    for eps in (0.0, 0.15):
+        params = SpParams(delta=0.1, eps=eps, omega=1.1)
+        rom = make_sp_rom(params)
+        rule = rom.sticking
+        stuck = 0
+        for branch in "+-":
+            model = rom.model(branch)
+            for _ in range(300):
+                y = rng.uniform(-0.3, 0.3, 2)
+                t = rng.uniform(0.0, 60.0)
+                x = rule.state(model, t, y)
+                assert x[1] == 0.0
+                sticks = rule.sticks(model, t, y)
+                assert sticks == sp_sticking_test(params, x, t)
+                stuck += sticks
+                lam, dy = rule.sliding(model, t, y)
+                ref = model.chart_w @ sp_sliding_field(params, t, x)
+                assert np.abs(np.array(dy) - ref).max() <= 1e-12
+                assert (lam > 0) == (sp_surface_pull(params, x, t) > 0)
+        assert stuck > 60
+
+
+def test_beam_rule_slides_at_the_held_velocity():
+    # on the physical midpoint chart the in-surface reduced field moves the
+    # displacement coordinate at the held velocity and keeps the velocity
+    # coordinate: (v_hold / tangent[i_q, 0], 0) to 1e-12 relative
+    asm = vkb.assemble_beam()
+    models = _physical_chart_beam_models(asm)
+    rng = np.random.default_rng(4)
+    coulomb = vkb.NonsmoothVariant(kind="coulomb", delta=12.0)
+    belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
+    for variant, v_hold in ((coulomb, 0.0), (belt, belt.v_ground)):
+        rom = make_beam_rom(asm, variant, *models)
+        expected = (v_hold / models[0].tangent[asm.mid_dof_index, 0], 0.0)
+        for model in models:
+            for _ in range(20):
+                y = rng.uniform(-1.0, 1.0, 2)
+                dy = rom.sticking.sliding(model, rng.uniform(0.0, 0.1), y)[1]
+                assert dy == pytest.approx(expected, rel=1e-12, abs=0.0)

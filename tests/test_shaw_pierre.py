@@ -4,8 +4,8 @@ import pytest
 from pwsrom.core import (BoundaryKind, IntegratorOptions, classify_boundary,
                          integrate_hybrid)
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_field,
-                                sp_fixed_points, sp_shifted, sp_sticking_test,
-                                sp_switching)
+                                sp_fixed_points, sp_shifted, sp_switching)
+from sp_oracles import sp_sticking_test
 
 
 def test_params_validation():
@@ -56,13 +56,15 @@ def test_switching_values():
 
 
 def test_sticking_test_cases():
-    params = SpParams(delta=0.01)
-    assert sp_sticking_test(SpParams(delta=0.05), np.zeros(4))
-    assert not sp_sticking_test(params, np.array([10.0, 0.0, 0.0, 0.0]))
-    # boundary equality is excluded (strict inequality)
-    x = np.array([0.0, 0.0, 0.0, 0.0])
-    p_eq = SpParams(delta=0.0)
-    assert not sp_sticking_test(p_eq, x)
+    # the closed-form oracle, and the system's Filippov classification agrees
+    cases = [(SpParams(delta=0.05), np.zeros(4), True),
+             (SpParams(delta=0.01), np.array([10.0, 0.0, 0.0, 0.0]), False),
+             # boundary equality is excluded (strict inequality)
+             (SpParams(delta=0.0), np.zeros(4), False)]
+    for params, x, sticks in cases:
+        assert sp_sticking_test(params, x) == sticks
+        kind = classify_boundary(make_system(params), x).kind
+        assert (kind == BoundaryKind.ATTRACTING_SLIDING) == sticks
 
 
 def test_fixed_points_zero_friction():
