@@ -1,5 +1,6 @@
 """Assemble switched reduced models for the beam variants from fitted branch
-manifolds, including the physical-coordinate chart needed to track sticking."""
+manifolds, including the physical-coordinate chart needed to track sticking,
+which follows the full beam's Filippov field (rom.StickingRule)."""
 
 from __future__ import annotations
 
