@@ -33,6 +33,10 @@ class SpParams:
             raise ValueError("masses and stiffness must be positive")
         if min(self.c, self.alpha, self.delta, self.eps) < 0:
             raise ValueError("c, alpha, delta, eps must be nonnegative")
+        # sp_field reads the eight values at once
+        object.__setattr__(self, "_values", (
+            self.m1, self.m2, self.c, self.k, self.alpha, self.delta,
+            self.eps, self.omega))
 
 
 @dataclass(frozen=True)
@@ -54,15 +58,15 @@ class SpFixedPoints:
 
 def sp_field(params: SpParams, branch: str, t: float, x) -> tuple:
     """Branch vector field (smooth extension, optional cosine forcing) in floats."""
-    m1, m2, c, k, a = params.m1, params.m2, params.c, params.k, params.alpha
+    m1, m2, c, k, a, delta, eps, omega = params._values
     s = -1.0 if branch == "+" else 1.0
     x1, x2, x3, x4 = x if isinstance(x, tuple) else x.tolist()
     force = 0.0
-    if params.eps:
-        force = params.eps * math.cos(params.omega * t) / math.sqrt(2.0)
+    if eps:
+        force = eps * math.cos(omega * t) / math.sqrt(2.0)
     return (
         x2,
-        (-2 * k * x1 - c * x2 + k * x3 + c * x4 - a * x1 ** 3 + force) / m1 + s * params.delta,
+        (-2 * k * x1 - c * x2 + k * x3 + c * x4 - a * x1 ** 3 + force) / m1 + s * delta,
         x4,
         (k * x1 + c * x2 - 2 * k * x3 - 2 * c * x4 + force) / m2,
     )

@@ -21,22 +21,30 @@ last, so an unforced lift is bit-identical to the term-by-term (Poly2) sum
 of the dicts and full-model runs started from lifted states do not move.
 
 The reduced dynamics (always two coordinates) run in Python floats, which
-costs less than numpy calls at this size: the model's nonzero monomials in
-table order with libm powers, as the Poly2 sum takes them (so the unforced
-field is bit-identical to it), then the cos/sin forcing amplitudes.
-reduced_field returns the float pair (y1', y2'), which the float-pair
-stepper of pwsrom.core consumes directly. trust_radius is read at every call.
+costs less than numpy calls at this size, as straight-line code generated by
+exec (as pwsrom.core generates its float steppers): the powers y ** k by
+libm, the nonzero monomials in table order summed left to right from 0.0 (so
+the unforced field is bit-identical to the Poly2 sum), then the cos/sin
+forcing amplitudes. The code is generated once per monomial structure
+(_evaluator, cached on the nonzero exponent pairs and whether the model is
+forced) and each model binds its coefficients into it at construction;
+nothing is generated at import. reduced_field returns the
+float pair (y1', y2'), which the float-pair stepper of pwsrom.core consumes
+directly. trust_radius is read at every call. A model pickles without its
+compiled callables and rebuilds them on load.
 
 An affine switching function sigma(x) = g . x + c precomposes with the lift
 into one scalar polynomial in (y1, y2, cos omega t, sin omega t) whose
-coefficients are C @ g (affine_switching, compiled once per (g, c)). It is
-evaluated in Python floats in the lift's order: the nonzero monomials, then
-x0, cos and sin, then c. For a unit g, as every shipped switching function
-has, C @ g is exact and the value equals sigma(lift(y, t)) to the bit.
+coefficients are C @ g (affine_switching, bound once per (g, c) into code
+generated once per structure). It is evaluated in Python
+floats in the lift's order: the nonzero monomials, then x0, cos and sin,
+then c. For a unit g, as every shipped switching function has, C @ g is
+exact and the value equals sigma(lift(y, t)) to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -85,6 +93,14 @@ class SsmModel:
         self._compile()
         self._pull = 2.0 * np.linalg.norm(self.linear_block(), 2) if self.rdyn else 0.0
 
+    def __getstate__(self) -> dict:
+        # the compiled evaluators are closures; they are rebuilt on load
+        return {k: v for k, v in vars(self).items() if not k.startswith("_")}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self.__post_init__()
+
     def _compile(self) -> None:
         """Dense coefficient matrices over one exponent table (module doc)."""
         lift = {(1, 0): self.tangent[:, 0], (0, 1): self.tangent[:, 1],
@@ -103,19 +119,21 @@ class SsmModel:
             if j:
                 J[:, 1, col[i, j - 1]] += j * v
         C[K] = self.x0
-        # reduced dynamics: (i, j, coefficient of y1', of y2') per nonzero
-        # monomial in table order, and the cos/sin amplitudes of y1', y2'
-        self._rterms = [(i, j, *np.asarray(self.rdyn[i, j], dtype=float).tolist())
-                        for i, j in exps if np.any(self.rdyn.get((i, j), 0.0))]
-        self._omega, self._rforce = 0.0, None
+        # reduced dynamics: the nonzero monomials in table order, and the
+        # cos/sin amplitudes of y1', y2'
+        pairs = tuple(p for p in exps if np.any(self.rdyn.get(p, 0.0)))
+        a = np.array([self.rdyn[p] for p in pairs], dtype=float).reshape(-1, 2)
+        self._omega, rforce = 0.0, (0.0,) * 4
         if self.correction is not None:
             c = self.correction
             self._omega = c.omega
             C[K + 1] = 2.0 * c.eps * np.real(c.v_hat_1)
             C[K + 2] = -2.0 * c.eps * np.imag(c.v_hat_1)
-            self._rforce = (2.0 * c.eps * np.real(c.r_hat_1)).tolist() + (
+            rforce = (2.0 * c.eps * np.real(c.r_hat_1)).tolist() + (
                 -2.0 * c.eps * np.imag(c.r_hat_1)).tolist()
-        self._deg = deg
+        self._reduced = _evaluator(_REDUCED, pairs, self.correction is not None)(
+            self._omega, *rforce, a[:, 0].tolist(), a[:, 1].tolist())
+        self._deg, self._exps = deg, exps
         self._affine = {}                               # (g, c) -> sigma o lift
         self._C, self._J = C, J.reshape(n * d, K + 3)
         # phi = P[e1] * P[e2] on P = [y1^0..y1^deg, y2^0..y2^deg, cos, sin]
@@ -130,23 +148,6 @@ class SsmModel:
         pows = range(self._deg + 1)
         P = np.array([y1 ** k for k in pows] + [y2 ** k for k in pows] + cs)
         return P[self._e1] * P[self._e2]
-
-    def _reduced(self, t, y1: float, y2: float) -> tuple:
-        """Reduced dynamics at (y1, y2) in Python floats (module doc)."""
-        pows = range(self._deg + 1)
-        p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
-        f1 = f2 = 0.0
-        for i, j, a1, a2 in self._rterms:
-            m = p1[i] * p2[j]
-            f1 += a1 * m
-            f2 += a2 * m
-        if t is not None and self._rforce is not None:
-            c1, c2, s1, s2 = self._rforce
-            wt = self._omega * t
-            cw, sw = math.cos(wt), math.sin(wt)
-            f1 += c1 * cw + s1 * sw
-            f2 += c2 * cw + s2 * sw
-        return f1, f2
 
     @property
     def dim(self) -> int:
@@ -176,30 +177,10 @@ class SsmModel:
         key = (g.tobytes(), float(c))
         value = self._affine.get(key)
         if value is None:
-            value = self._affine[key] = self._compose_affine(g, float(c))
-        return value
-
-    def _compose_affine(self, g, c):
-        s = (self._C @ g).tolist()
-        K, deg, omega = len(s) - 3, self._deg, self._omega
-        exps = monomials(0, deg)
-        terms = [(i, j, s[k]) for k, (i, j) in enumerate(exps) if s[k]]
-        s_x0, s_cos, s_sin = s[K:]
-        pows = range(deg + 1)
-
-        def value(y, t=None) -> float:
-            y1, y2 = float(y[0]), float(y[1])
-            p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
-            v = 0.0
-            for i, j, a in terms:
-                v += a * (p1[i] * p2[j])
-            v += s_x0
-            if t is not None:
-                wt = omega * t
-                v += s_cos * math.cos(wt)
-                v += s_sin * math.sin(wt)
-            return v + c
-
+            s = (self._C @ g).tolist()
+            pairs = tuple(p for p, a in zip(self._exps, s) if a)
+            value = self._affine[key] = _evaluator(_AFFINE, pairs)(
+                self._omega, *s[-3:], float(c), [a for a in s[:-3] if a])
         return value
 
     def lift_jacobian(self, y) -> np.ndarray:
@@ -308,6 +289,61 @@ class SsmModel:
     def from_json(cls, path) -> "SsmModel":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
+
+
+# Straight-line evaluators (module doc): bind(...) takes a model's values
+# and returns the evaluator with them bound.
+_REDUCED = """\
+def bind(omega, c1, c2, s1, s2, a, b):
+    [{a}], [{b}] = a, b
+    def reduced(t, y1, y2):
+{body}
+        f1, f2 = 0.0{sum_a}, 0.0{sum_b}
+        if {forced} and t is not None:
+            cw, sw = cos(omega * t), sin(omega * t)
+            f1, f2 = f1 + (c1 * cw + s1 * sw), f2 + (c2 * cw + s2 * sw)
+        return f1, f2
+    return reduced
+"""
+_AFFINE = """\
+def bind(omega, s_x0, s_cos, s_sin, c, a):
+    [{a}] = a
+    def value(y, t=None):
+        y1, y2 = float(y[0]), float(y[1])
+{body}
+        v = 0.0{sum_a} + s_x0
+        if t is not None:
+            v = v + s_cos * cos(omega * t) + s_sin * sin(omega * t)
+        return v + c
+    return value
+"""
+
+
+@functools.cache
+def _evaluator(template: str, pairs: tuple, forced: bool = False):
+    """bind of template for the nonzero monomials pairs, by exec on first use
+    of the structure: the powers y1 ** k, y2 ** k and the products the
+    monomials need, and for coefficients a and b the sums
+    0.0 + a0 * m0 + a1 * m1 + ... in the order of pairs."""
+    def power(v, k):
+        return v if k == 1 else f"{v}_{k}"
+
+    body = [f"{power(v, k)} = {v} ** {k}" for col, v in enumerate(("y1", "y2"))
+            for k in sorted({p[col] for p in pairs} - {0, 1})]
+    monos = []
+    for i, j in pairs:
+        factors = [power(v, k) for v, k in (("y1", i), ("y2", j)) if k]
+        if len(factors) == 2:
+            body.append(f"m{i}_{j} = {factors[0]} * {factors[1]}")
+            factors = [f"m{i}_{j}"]
+        monos.append("".join(f" * {f}" for f in factors))
+    fill = {c: ", ".join(f"{c}{n}" for n in range(len(pairs))) for c in "ab"}
+    fill.update({f"sum_{c}": "".join(f" + {c}{n}{m}" for n, m in enumerate(monos))
+                 for c in "ab"})
+    namespace = {"cos": math.cos, "sin": math.sin}
+    exec(template.format(body="\n".join(" " * 8 + b for b in body),
+                         forced=forced, **fill), namespace)
+    return namespace["bind"]
 
 
 def _c2l(z):

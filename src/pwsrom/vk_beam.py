@@ -104,13 +104,15 @@ class BeamAssembly:
     slope: np.ndarray
     gauss_weights: np.ndarray
     mid_dof_index: int
+    n_dof: int = field(init=False)
     minv: np.ndarray = field(init=False)
     strain_operator: np.ndarray = field(init=False)
     field_operator: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.n_dof = n = self.stiffness_matrix.shape[0]
         self.minv = np.linalg.inv(self.mass_matrix)
-        n, m = self.n_dof, len(self.gauss_weights)
+        m = len(self.gauss_weights)
         root = np.sqrt(0.5 * self.gauss_weights)[:, None]
         self.strain_operator = S = np.zeros((2 * m, 2 * n))
         S[:, :n] = np.vstack([self.gauss_weights[:, None] * self.axial_strain,
@@ -122,10 +124,6 @@ class BeamAssembly:
             self.axial_strain.T, (self.slope / root).T])
         op[n:, -n - 1] = self.minv[:, self.mid_dof_index]
         op[n:, -n:] = self.minv
-
-    @property
-    def n_dof(self) -> int:
-        return self.stiffness_matrix.shape[0]
 
     def nonlinear_force(self, q: np.ndarray) -> np.ndarray:
         """Quadratic-and-cubic internal force (zero value/Jacobian at rest)."""
@@ -237,15 +235,14 @@ def belt_friction(variant: NonsmoothVariant, rel: float, branch: str) -> float:
 
 def _branch_force(assembly, variant, branch, x):
     """Non-smooth midpoint force of the branch smooth extension."""
-    i = assembly.mid_dof_index
-    n = assembly.n_dof
     if variant.kind == "coulomb":
         return -variant.delta if branch == "+" else variant.delta
+    i = assembly.mid_dof_index
     if variant.kind == "soft_impact":
         if branch == "+":
             return 0.0
         return -variant.delta * x[i]
-    rel = x[n + i] - variant.v_ground
+    rel = x[assembly.n_dof + i] - variant.v_ground
     return variant.delta * belt_friction(variant, rel, branch)
 
 

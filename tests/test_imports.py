@@ -1,5 +1,7 @@
 """Every pwsrom module imports on its own in a fresh interpreter, so an
-import cycle between modules fails here whichever module is loaded first."""
+import cycle between modules fails here whichever module is loaded first.
+No import generates code: the float steppers and the SSM evaluators are
+built by exec on first use, and their caches are still empty after it."""
 
 import os
 import pkgutil
@@ -22,6 +24,10 @@ def test_every_module_is_listed():
 def test_module_imports_alone(name):
     path = [PKG_ROOT] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
-    r = subprocess.run([sys.executable, "-c", f"import pwsrom.{name}"],
+    code = (f"import pwsrom.{name}\n"
+            "from pwsrom import core, ssm_model\n"
+            "assert core._float_stepper.cache_info().currsize == 0\n"
+            "assert ssm_model._evaluator.cache_info().currsize == 0\n")
+    r = subprocess.run([sys.executable, "-c", code],
                        env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

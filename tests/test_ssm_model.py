@@ -7,14 +7,20 @@ formula eps * 2 Re[a e^{i omega t}].
 """
 
 import dataclasses
+import json
+import math
+import pickle
 
 import numpy as np
 import pytest
 
 from pwsrom import ssm_analytic as sa
 from pwsrom import ssm_data as sd
+from pwsrom import ssm_model as sm
 from pwsrom.poly2 import monomials, vector_poly
+from pwsrom.rom import make_sp_rom, simulate_rom, switching_value
 from pwsrom.shaw_pierre import SpParams, sp_field
+from pwsrom.ssm_model import SsmModel
 
 REL = 1e-13
 
@@ -160,3 +166,167 @@ def test_lift_many_matches_pointwise_lift(model):
     assert X.shape == (40, model.dim)
     assert rel(X, np.vstack([model.lift(y, t) for y, t in zip(Y, T)])) <= REL
     assert rel(model.lift_many(Y), np.vstack([model.lift(y) for y in Y])) <= REL
+
+
+# ---------------------------------------------------------------------------
+# the generated evaluators against the loops they replaced
+
+
+def loop_reduced(m):
+    """SsmModel._reduced as the loop over (i, j, a1, a2) terms that ran
+    before its straight-line form was generated."""
+    exps = monomials(0, m._deg)
+    terms = [(i, j, *np.asarray(m.rdyn[i, j], dtype=float).tolist())
+             for i, j in exps if np.any(m.rdyn.get((i, j), 0.0))]
+    omega, rforce, c = 0.0, None, m.correction
+    if c is not None:
+        omega = c.omega
+        rforce = (2.0 * c.eps * np.real(c.r_hat_1)).tolist() + (
+            -2.0 * c.eps * np.imag(c.r_hat_1)).tolist()
+    pows = range(m._deg + 1)
+
+    def reduced(t, y1, y2):
+        p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
+        f1 = f2 = 0.0
+        for i, j, a1, a2 in terms:
+            mono = p1[i] * p2[j]
+            f1 += a1 * mono
+            f2 += a2 * mono
+        if t is not None and rforce is not None:
+            c1, c2, s1, s2 = rforce
+            wt = omega * t
+            cw, sw = math.cos(wt), math.sin(wt)
+            f1 += c1 * cw + s1 * sw
+            f2 += c2 * cw + s2 * sw
+        return f1, f2
+
+    return reduced
+
+
+def loop_field(m):
+    """SsmModel.reduced_field on loop_reduced."""
+    reduced = loop_reduced(m)
+
+    def field(t, y):
+        y1, y2 = float(y[0]), float(y[1])
+        rho = m.trust_radius
+        if rho is not None:
+            r = math.hypot(y1, y2)
+            if r > rho:
+                u1, u2 = y1 / r, y2 / r
+                f1, f2 = reduced(t, rho * u1, rho * u2)
+                pull = m._pull * (r - rho)
+                return f1 - pull * u1, f2 - pull * u2
+        return reduced(t, y1, y2)
+
+    return field
+
+
+def loop_affine(m, g, c):
+    """sigma(lift(y, t)) for sigma = g . x + c as the loop over the nonzero
+    entries of C @ g that SsmModel.affine_switching composed before."""
+    s = (m._C @ np.asarray(g, dtype=float)).tolist()
+    K, deg = len(s) - 3, m._deg
+    omega = m.correction.omega if m.correction is not None else 0.0
+    terms = [(i, j, s[k]) for k, (i, j) in enumerate(monomials(0, deg)) if s[k]]
+    s_x0, s_cos, s_sin = s[K:]
+    pows = range(deg + 1)
+
+    def value(y, t=None):
+        y1, y2 = float(y[0]), float(y[1])
+        p1, p2 = [y1 ** k for k in pows], [y2 ** k for k in pows]
+        v = 0.0
+        for i, j, a in terms:
+            v += a * (p1[i] * p2[j])
+        v += s_x0
+        if t is not None:
+            wt = omega * t
+            v += s_cos * math.cos(wt)
+            v += s_sin * math.sin(wt)
+        return v + c
+
+    return value
+
+
+def osc_frc_forced():
+    """The forced order-3 model of the oscillator FRC (delta 1e-2, eps 0.15)."""
+    return sa.build_analytic_model(SpParams(delta=1e-2), "+", order=3,
+                                   eps=0.15, omega=1.0)
+
+
+def reloaded(make):
+    return lambda: SsmModel.from_dict(json.loads(json.dumps(make().to_dict())))
+
+
+EVALUATOR_MODELS = {
+    "osc_frc_forced3": osc_frc_forced,
+    "fitted5_trusted": lambda: dataclasses.replace(fitted_order5(),
+                                                   trust_radius=0.3),
+    "order10": order10_forced,
+    "reloaded": reloaded(analytic_forced),
+}
+
+
+def random_points(n=40_000, seed=7):
+    """n reduced points around the trust ball, the four signed zeros first."""
+    rng = np.random.default_rng(seed)
+    Y = rng.uniform(-0.6, 0.6, size=(n, 2))
+    Y[:4] = [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0)]
+    return Y.tolist(), rng.uniform(0.0, 40.0, n).tolist()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_MODELS))
+def test_generated_reduced_field_is_the_loop_to_the_bit(name):
+    m = EVALUATOR_MODELS[name]()
+    ref = loop_field(m)
+    Y, T = random_points()
+    for y, t in zip(Y, T):
+        for tt in (None, t):
+            assert repr(m.reduced_field(tt, y)) == repr(ref(tt, y))
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_MODELS))
+def test_generated_switching_value_is_the_loop_to_the_bit(name):
+    m = EVALUATOR_MODELS[name]()
+    rng = np.random.default_rng(11)
+    g_general = rng.standard_normal(m.dim)
+    Y, T = random_points(seed=8)
+    for g, c in ((np.eye(m.dim)[1], 0.0), (g_general, -0.3)):
+        value, ref = m.affine_switching(g, c), loop_affine(m, g, c)
+        assert m.affine_switching(g, c) is value
+        for y, t in zip(Y, T):
+            assert repr(value(y)) == repr(ref(y))
+            assert repr(value(y, t)) == repr(ref(y, t))
+    # a unit g gives sigma(lift(y, t)) itself
+    value = m.affine_switching(np.eye(m.dim)[1])
+    for y, t in zip(Y[:200], T[:200]):
+        assert value(y, t) == m.lift(y, t)[1]
+
+
+def test_one_evaluator_per_monomial_structure():
+    # a (4, 4) term gives a structure no other test builds
+    base = analytic_forced()
+    rng = np.random.default_rng(5)
+    before = sm._evaluator.cache_info().currsize
+    models = [dataclasses.replace(
+        base, rdyn={**{p: v * (1.0 + 0.1 * rng.standard_normal(2))
+                       for p, v in base.rdyn.items()},
+                    (4, 4): rng.standard_normal(2)}) for _ in range(32)]
+    assert sm._evaluator.cache_info().currsize == before + 1
+    y = (0.2, -0.1)
+    assert len({m.reduced_field(1.0, y) for m in models}) == 32
+
+
+def test_used_model_round_trips_through_pickle():
+    rom = make_sp_rom(SpParams(delta=0.05, eps=0.15, omega=1.0))
+    model = rom.model("+")
+    y0 = model.chart(np.array([0.5, 0.3, -0.2, 0.1]))
+    simulate_rom(rom, y0, "+", (0.0, 5.0))
+    value = switching_value(rom, model)
+    clone = pickle.loads(pickle.dumps(model))
+    clone_value = switching_value(rom, clone)
+    Y, T = random_points(n=2000, seed=9)
+    for y, t in zip(Y, T):
+        assert repr(clone.reduced_field(t, y)) == repr(model.reduced_field(t, y))
+        assert repr(clone_value(y, t)) == repr(value(y, t))
+    assert clone.to_dict() == model.to_dict()
