@@ -232,9 +232,9 @@ def _advect_to_surface(rom, branch, y0, t_max=50.0):
                    @ model.lift_jacobian(y0) @ model.reduced_field(0.0, y0))
     sgn = 1.0 if s0 >= 0 else -1.0
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
-    seg, hit = _integrate_segment(model.reduced_field, 0.0, y0, t_max, opts,
-                                  0.0, event=lambda t, y: sgn * value(y),
-                                  arm_above=1e-7)
+    seg, hit, _ = _integrate_segment(model.reduced_field, 0.0, y0, t_max,
+                                     opts, 0.0, event=lambda t, y: sgn * value(y),
+                                     arm_above=1e-7)
     return model.lift(seg.x[-1]) if hit else None
 
 

@@ -17,7 +17,10 @@ bit to one buffer and copies. A field that returns a tuple of n floats (the
 oscillator, the reduced models) runs on the float stepper of length n,
 generated on first use from the tableau's literal fractions with the stages
 unrolled (_float_stepper); its sums run left to right, not through BLAS, so
-it agrees with _Stepper to round-off, not to the bit.
+it agrees with _Stepper to round-off, not to the bit. Within one
+integrate_hybrid or simulate_rom call, each segment after an event starts at
+the last accepted step size (capped by max_step); only the first segment of
+a call starts at opts.first_step.
 """
 
 from __future__ import annotations
@@ -252,7 +255,7 @@ class IntegratorOptions:
     rtol: float = 1e-9
     atol: float = 1e-11
     max_step: float = np.inf
-    first_step: float = 1e-4
+    first_step: float = 1e-4   # of a call; a segment after an event carries h
     max_events: int = MAX_EVENTS
     t_eval_dt: Optional[float] = None   # also sample t_span[0] + k * t_eval_dt
     record_steps: bool = True
@@ -448,14 +451,16 @@ def _float_stepper(n: int) -> type:
     return namespace["_FloatStepper"]
 
 
-def _stepper(f, t, x, opts: IntegratorOptions):
+def _stepper(f, t, x, opts: IntegratorOptions, h=None):
     """The float stepper of the field's length when f returns a tuple, else
-    the numpy _Stepper; the first field value is the first stage."""
+    the numpy _Stepper; the first field value is the first stage. The first
+    step is h, or opts.first_step without h, capped by opts.max_step."""
     t = float(t)
     k1 = f(t, x)
-    if isinstance(k1, tuple):
-        return _float_stepper(len(k1))(f, t, x, opts, k1)
-    return _Stepper(f, t, x, opts, k1)
+    cls = _float_stepper(len(k1)) if isinstance(k1, tuple) else _Stepper
+    stepper = cls(f, t, x, opts, k1)
+    stepper.h = min(opts.first_step if h is None else h, opts.max_step)
+    return stepper
 
 
 def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
@@ -476,21 +481,22 @@ def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
 
 def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
                        arm_above=None, eps=EPS_EVENT, project=None,
-                       observe=None):
+                       observe=None, h=None):
     """Integrate one smooth field from (t0, x0) until t_end or an event.
 
-    The field's return type picks the stepper (_stepper). event(t, x) is a
-    scalar event function. It is armed once it exceeds arm_above (from the
-    start when arm_above is None) and fires at the first accepted step where
-    it is negative; the event state is then bisected on the dense output.
-    project, when given, maps the start, every accepted state and the located
-    event state back onto a constraint set. Returns the recorded Segment
-    (branch unset), whose last sample is the end or event state, and whether
-    the event fired.
+    The field's return type picks the stepper (_stepper), which starts at
+    step h (opts.first_step without h). event(t, x) is a scalar event
+    function. It is armed once it exceeds arm_above (from the start when
+    arm_above is None) and fires at the first accepted step where it is
+    negative; the event state is then bisected on the dense output. project,
+    when given, maps the start, every accepted state and the located event
+    state back onto a constraint set. Returns the recorded Segment (branch
+    unset), whose last sample is the end or event state, whether the event
+    fired, and then the last accepted step size (else None).
     """
     if project is not None:
         x0 = project(x0)
-    stepper = _stepper(f, t0, x0, opts)
+    stepper = _stepper(f, t0, x0, opts, h)
     record_step, finish = _segment_recorder(opts, t_grid0, t0, x0, observe)
     armed = arm_above is None or event(t0, x0) > arm_above
     if project is None:
@@ -505,11 +511,11 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
             g_new = event(stepper.t, stepper.x)
             if armed and g_new < 0.0:
                 t_ev, x_ev = _bisect(event, state, stepper.t_old, stepper.t, eps)
-                return finish(stepper, t_ev, x_ev), True
+                return finish(stepper, t_ev, x_ev), True, stepper.h_old
             if not armed and g_new > arm_above:
                 armed = True
         record_step(stepper)
-    return finish(stepper, stepper.t, stepper.x), False
+    return finish(stepper, stepper.t, stepper.x), False, None
 
 
 def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
@@ -576,7 +582,7 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
     traj = HybridTrajectory()
     if sys.delta == 0.0:
         # smooth limit: the two fields coincide and the surface is inert
-        seg, _ = _integrate_segment(sys.f_plus, t0, x0, t_end, opts, t0)
+        seg, _, _ = _integrate_segment(sys.f_plus, t0, x0, t_end, opts, t0)
         seg.branch = "+" if sys.switching.sigma(x0) >= 0 else "-"
         traj.segments.append(seg)
         return traj
@@ -592,35 +598,36 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
     else:
         mode = "+" if s0 > 0 else "-"
 
-    t, x = t0, x0.copy()
+    # each segment after an event starts at the last accepted step, h
+    t, x, h = t0, x0.copy(), None
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         if mode == "sigma":
-            t, x, mode = _run_sliding(sys, t, x, t_end, opts, t0, traj)
+            t, x, mode, h = _run_sliding(sys, t, x, t_end, opts, t0, traj, h)
         else:
-            t, x, mode = _run_branch(sys, mode, t, x, t_end, opts, t0, traj)
+            t, x, mode, h = _run_branch(sys, mode, t, x, t_end, opts, t0, traj, h)
     return traj
 
 
-def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj):
+def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj, h):
     f = sys.f_plus if branch == "+" else sys.f_minus
     sgn = 1.0 if branch == "+" else -1.0
     sigma = sys.switching.sigma
     # arm crossing detection only once the state sits on the branch's valid
     # side, so segments that begin on the surface cannot retrigger instantly
-    seg, hit = _integrate_segment(f, t0, x0, t_end, opts, t_grid0,
-                                  event=lambda t, x: sgn * sigma(x),
-                                  arm_above=10 * EPS_EVENT)
+    seg, hit, h = _integrate_segment(f, t0, x0, t_end, opts, t_grid0,
+                                     event=lambda t, x: sgn * sigma(x),
+                                     arm_above=10 * EPS_EVENT, h=h)
     seg.branch = branch
     traj.segments.append(seg)
     t_ev, x_ev = seg.t[-1], seg.x[-1]
     if not hit:
-        return t_ev, x_ev, branch
+        return t_ev, x_ev, branch, h
     cls = classify_boundary(sys, x_ev, t_ev)
     if cls.kind == BoundaryKind.REPELLING_SLIDING:
         raise RepellingSlidingError(t_ev, x_ev)
     if cls.kind == BoundaryKind.ATTRACTING_SLIDING:
         traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
-        return t_ev, x_ev, "sigma"
+        return t_ev, x_ev, "sigma", h
     if cls.kind == BoundaryKind.TANGENTIAL:
         traj.add_event(t_ev, x_ev, EventKind.TANGENTIAL, opts.max_events)
         # micro-step with the incoming field, then reclassify by sign
@@ -629,12 +636,12 @@ def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj):
         t_next = t_ev + h_micro
         s_next = sigma(x_next)
         nxt = "+" if s_next > 0 else "-"
-        return t_next, x_next, nxt
+        return t_next, x_next, nxt, h
     traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
-    return t_ev, x_ev, ("+" if cls.direction > 0 else "-")
+    return t_ev, x_ev, ("+" if cls.direction > 0 else "-"), h
 
 
-def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj):
+def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj, h):
     grad = sys.switching.grad_sigma
 
     def project(x):
@@ -651,15 +658,15 @@ def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj):
         lam, _ = filippov_field(sys, x, t)
         return 1.0 - lam * lam
 
-    seg, hit = _integrate_segment(f_slide, t0, np.asarray(x0, dtype=float),
-                                  t_end, opts, t_grid0, event=lam_margin,
-                                  eps=1e-12, project=project)
+    seg, hit, h = _integrate_segment(f_slide, t0, np.asarray(x0, dtype=float),
+                                     t_end, opts, t_grid0, event=lam_margin,
+                                     eps=1e-12, project=project, h=h)
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, x_ev = seg.t[-1], seg.x[-1]
     if not hit:
-        return t_ev, x_ev, "sigma"
+        return t_ev, x_ev, "sigma", h
     traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
     lam, _ = filippov_field(sys, x_ev, t_ev)
-    return t_ev, x_ev, ("+" if lam > 0 else "-")
+    return t_ev, x_ev, ("+" if lam > 0 else "-"), h
 

@@ -252,7 +252,7 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
     t = t0
     y = np.asarray(y0, dtype=float).copy()
     branch = branch0
-    mode = "branch"
+    mode, h = "branch", None
     if rom.sticking is not None:
         model0 = rom.model(branch)
         if (abs(rom.switching.sigma(model0.lift(y, t0))) < 1e-6
@@ -260,7 +260,7 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
             mode = "sticking"
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         run = _rom_branch_segment if mode == "branch" else _rom_sticking_segment
-        t, y, branch, mode = run(rom, branch, t, y, t_end, opts, t0, traj)
+        t, y, branch, mode, h = run(rom, branch, t, y, t_end, opts, t0, traj, h)
     return traj
 
 
@@ -277,28 +277,28 @@ def switching_value(rom: NonsmoothRom, model: SsmModel):
     return value
 
 
-def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
+def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
     model = rom.model(branch)
     sgn = 1.0 if branch == "+" else -1.0
     value = switching_value(rom, model)
-    seg, hit = _integrate_segment(
+    seg, hit, h = _integrate_segment(
         model.reduced_field, t0, y0, t_end, opts, t_grid0,
-        event=lambda t, y: sgn * value(y, t),
-        arm_above=10 * EPS_EVENT, observe=lambda T, Y: model.lift_many(Y, T))
+        event=lambda t, y: sgn * value(y, t), arm_above=10 * EPS_EVENT,
+        observe=lambda T, Y: model.lift_many(Y, T), h=h)
     seg.branch = branch
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
     if not hit:
-        return t_ev, y_ev, branch, "branch"
+        return t_ev, y_ev, branch, "branch", h
     if rom.sticking is not None and rom.sticking.sticks(model, t_ev, y_ev):
         traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
-        return t_ev, y_ev, branch, "sticking"
+        return t_ev, y_ev, branch, "sticking", h
     traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
     new_branch = "-" if branch == "+" else "+"
-    return t_ev, switch_ic(rom, y_ev, branch, t_ev), new_branch, "branch"
+    return t_ev, switch_ic(rom, y_ev, branch, t_ev), new_branch, "branch", h
 
 
-def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
+def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
     rule = rom.sticking
     model = rom.model(branch)
 
@@ -311,17 +311,17 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj):
         return 1.0 - lam * lam
 
     _validate_sticking_chart(rom, model, f_slide, t0, y0)
-    seg, hit = _integrate_segment(
+    seg, hit, h = _integrate_segment(
         f_slide, t0, y0, t_end, opts, t_grid0, event=lam_margin, eps=1e-12,
-        observe=lambda T, Y: rule.states(model, T, Y))
+        observe=lambda T, Y: rule.states(model, T, Y), h=h)
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
     if not hit:
-        return t_ev, y_ev, branch, "sticking"
+        return t_ev, y_ev, branch, "sticking", h
     traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
     lam = rule.sliding(model, t_ev, y_ev)[0]
-    return t_ev, y_ev, ("+" if lam > 0 else "-"), "branch"
+    return t_ev, y_ev, ("+" if lam > 0 else "-"), "branch", h
 
 
 def _validate_sticking_chart(rom, model, f_slide, t, y):

@@ -10,7 +10,7 @@ defined on the whole state space.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -33,10 +33,7 @@ class SpParams:
             raise ValueError("masses and stiffness must be positive")
         if min(self.c, self.alpha, self.delta, self.eps) < 0:
             raise ValueError("c, alpha, delta, eps must be nonnegative")
-        # sp_field reads the eight values at once
-        object.__setattr__(self, "_values", (
-            self.m1, self.m2, self.c, self.k, self.alpha, self.delta,
-            self.eps, self.omega))
+        object.__setattr__(self, "_values", astuple(self))  # read by sp_field
 
 
 @dataclass(frozen=True)

@@ -20,24 +20,22 @@ it, and contracts. The lift adds its terms one at a time in table order, x0
 last, so an unforced lift is bit-identical to the term-by-term (Poly2) sum
 of the dicts and full-model runs started from lifted states do not move.
 
-The reduced dynamics (always two coordinates) run in Python floats, which
-costs less than numpy calls at this size, as straight-line code generated by
-exec (as pwsrom.core generates its float steppers): the powers y ** k by
-libm, the nonzero monomials in table order summed left to right from 0.0 (so
-the unforced field is bit-identical to the Poly2 sum), then the cos/sin
-forcing amplitudes. The code is generated once per monomial structure
-(_evaluator, cached on the nonzero exponent pairs and whether the model is
-forced) and each model binds its coefficients into it at construction;
-nothing is generated at import. reduced_field returns the
-float pair (y1', y2'), which the float-pair stepper of pwsrom.core consumes
-directly. trust_radius is read at every call. A model pickles without its
-compiled callables and rebuilds them on load.
+The reduced dynamics (always two coordinates) and sigma precomposed with the
+lift run in Python floats on straight-line code, generated by exec once per
+monomial structure (_evaluator, cached on the nonzero exponent pairs and
+whether the model is forced) and bound to each model's coefficients; nothing
+is generated at import, and a model pickles without the compiled code and
+rebuilds it on load. The reduced dynamics take the powers y ** k by libm and
+the nonzero monomials in table order, summed left to right from 0.0 (so the
+unforced field is bit-identical to the Poly2 sum), then the cos/sin forcing
+amplitudes. reduced_field returns the float pair (y1', y2'), which the
+float-pair stepper of pwsrom.core consumes directly; trust_radius is read at
+every call.
 
 An affine switching function sigma(x) = g . x + c precomposes with the lift
 into one scalar polynomial in (y1, y2, cos omega t, sin omega t) whose
-coefficients are C @ g (affine_switching, bound once per (g, c) into code
-generated once per structure). It is evaluated in Python
-floats in the lift's order: the nonzero monomials, then x0, cos and sin,
+coefficients are C @ g (affine_switching, bound once per (g, c)). It is
+evaluated in the lift's order: the nonzero monomials, then x0, cos and sin,
 then c. For a unit g, as every shipped switching function has, C @ g is
 exact and the value equals sigma(lift(y, t)) to the bit.
 """
@@ -94,7 +92,6 @@ class SsmModel:
         self._pull = 2.0 * np.linalg.norm(self.linear_block(), 2) if self.rdyn else 0.0
 
     def __getstate__(self) -> dict:
-        # the compiled evaluators are closures; they are rebuilt on load
         return {k: v for k, v in vars(self).items() if not k.startswith("_")}
 
     def __setstate__(self, state: dict) -> None:

@@ -209,3 +209,22 @@ def test_frc_chunks_share_configured_tolerances(monkeypatch):
         assert seen["rom"] == seen["full"]
         assert [o.max_step for o in seen["rom"]] == [2 * np.pi / om / 64
                                                      for om in omegas]
+
+
+def test_frc_does_not_depend_on_threads(tmp_path):
+    # each chunk integrates its own periods from its own warm start, so the
+    # worker count cannot move a result
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01},
+                    "frc": {"omega_min": 0.95, "omega_max": 1.05,
+                            "n_points": 4, "eps": 0.15, "max_periods": 40,
+                            "chunk": 2}})
+    outs = []
+    for threads in ("1", "2"):
+        od = tmp_path / f"threads{threads}"
+        od.mkdir()
+        r = run_cli(["frc", "--config", str(cfg), "--out-dir", str(od),
+                     "--threads", threads], tmp_path)
+        assert r.returncode == 0, r.stderr
+        outs.append((od / "frc.csv").read_bytes())
+    assert outs[0] == outs[1]

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from pwsrom import core
 from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          DegenerateDenominatorError, IntegratorOptions,
                          PiecewiseSmoothSystem, RepellingSlidingError,
                          SwitchingFunction, classify_boundary,
                          StiffnessError, _float_stepper, _integrate_segment,
                          _Stepper, _stepper, filippov_field, integrate_hybrid)
+from pwsrom.rom import make_sp_rom, simulate_rom
 from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
 from sp_oracles import sp_sliding_field, sp_sticking_test
 
@@ -423,7 +425,7 @@ def test_field_return_type_picks_the_stepper_without_an_extra_call():
     assert calls[0] == 1
     assert type(_stepper(lambda t, x: -x, 0.0, np.ones(3), opts)) is _Stepper
     calls[0] = 0
-    seg, hit = _integrate_segment(f, 0.0, np.array([0.3, -0.2]), 5.0, opts, 0.0)
+    seg, hit, _ = _integrate_segment(f, 0.0, np.array([0.3, -0.2]), 5.0, opts, 0.0)
     assert not hit and seg.t[-1] == 5.0
     # six new stages per attempted step, and one at the start
     assert calls[0] > 1 and (calls[0] - 1) % 6 == 0
@@ -595,3 +597,60 @@ def test_float_stepper_agrees_with_numpy_stepper_on_the_oscillator():
         t_mid = t + 0.37 * a.h_old
         assert (np.linalg.norm(np.subtract(b.interpolate(t_mid), a.interpolate(t_mid)))
                 <= 1e-12 * scale)
+
+
+# ---------------------------------------------------------------------------
+# step size across segments
+
+
+def _recorded_steppers(monkeypatch):
+    """(stepper, its first step) of every segment started from now on."""
+    made, make = [], core._stepper
+
+    def recording(f, t, x, opts, h=None):
+        stepper = make(f, t, x, opts, h)
+        made.append((stepper, stepper.h))
+        return stepper
+
+    monkeypatch.setattr(core, "_stepper", recording)
+    return made
+
+
+def _full_sticking_run(opts):
+    return integrate_hybrid(make_system(SpParams(delta=0.05)),
+                            [1.0, 0.5, 0.0, 0.0], (0.0, 40.0), opts)
+
+
+def _rom_sticking_run(opts):
+    rom = make_sp_rom(SpParams(delta=0.05), ic_strategy="continuity_q1")
+    y0 = rom.model("+").chart(np.array([0.5, 0.3, -0.2, 0.1]))
+    return simulate_rom(rom, y0, "+", (0.0, 40.0), opts)
+
+
+@pytest.mark.parametrize("run", [_full_sticking_run, _rom_sticking_run])
+@pytest.mark.parametrize("max_step", [np.inf, 0.05])
+def test_segment_after_an_event_starts_at_the_last_accepted_step(
+        monkeypatch, run, max_step):
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10, max_step=max_step)
+    made = _recorded_steppers(monkeypatch)
+    traj = run(opts)
+    kinds = {ev.kind for ev in traj.events}
+    assert {EventKind.CROSSING, EventKind.STICK_ENTRY,
+            EventKind.STICK_EXIT} <= kinds
+    assert len(made) == len(traj.segments) == len(traj.events) + 1
+    assert made[0][1] == min(opts.first_step, max_step)
+    for (before, _), (_, first) in zip(made, made[1:]):
+        assert first == before.h_old <= max_step
+        assert first != opts.first_step
+    # the next call starts afresh at first_step
+    n = len(made)
+    run(opts)
+    assert made[n][1] == min(opts.first_step, max_step)
+
+
+def test_carried_step_is_capped_by_max_step():
+    opts = IntegratorOptions(max_step=1e-3)
+    f = make_system(SpParams()).f_plus
+    assert _stepper(f, 0.0, (0.1, 0.0, 0.0, 0.0), opts, 0.5).h == 1e-3
+    assert _stepper(f, 0.0, (0.1, 0.0, 0.0, 0.0), opts, 2e-4).h == 2e-4
+    assert _stepper(f, 0.0, np.zeros(4), opts).h == opts.first_step
