@@ -24,6 +24,15 @@ most 1.5e-9. `full_oscillator_sticking` was last regenerated when the
 oscillator moved from the numpy stepper to the float stepper of length 4: the
 same 8 events of the same kinds, times moved by at most 1.2e-9 s and states
 by at most 1.5e-10, at the stick entry, where dq1 -> 0 slowly.
+
+All four runs were last regenerated when each segment after an event began
+to start at the last accepted step size instead of at first_step, a declared
+change of results: every run keeps its event kinds and counts.
+full_oscillator_sticking (8 events) moved by at most 1.2e-9 s and 8.9e-11 in
+state, full_belt_beam (37) by 2.3e-11 s and 1e-7, rom_continuity_q1_sticking
+(10) by 6.2e-9 s and 9.6e-11, and rom_min_all_vars (12) by 2e-8 s and
+3.5e-10. The generated SSM evaluators that came just before moved nothing:
+the file passed unchanged with them.
 """
 
 import functools
