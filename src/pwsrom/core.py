@@ -17,7 +17,10 @@ bit to one buffer and copies. A field that returns a tuple of n floats (the
 oscillator, the reduced models) runs on the float stepper of length n,
 generated on first use from the tableau's literal fractions with the stages
 unrolled (_float_stepper); its sums run left to right, not through BLAS, so
-it agrees with _Stepper to round-off, not to the bit. Within one
+it agrees with _Stepper to round-off, not to the bit. filippov_field returns
+f_sigma in the type the fields return, so sliding on tuple fields (the
+oscillator) runs on the float stepper as well, with its projection onto the
+surface in floats; ndarray fields (the beam) slide on numpy stages. Within one
 integrate_hybrid or simulate_rom call, each segment after an event starts at
 the last accepted step size (capped by max_step); only the first segment of
 a call starts at opts.first_step.
@@ -30,6 +33,7 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
@@ -143,22 +147,31 @@ def filippov_field(sys: PiecewiseSmoothSystem, x: np.ndarray,
     """Convex-combination sliding field tangent to the switching surface.
 
     Returns (lambda_sigma, f_sigma) with lambda_sigma in (-1, 1) on attracting
-    sliding states and grad_sigma . f_sigma = 0 by construction.
+    sliding states and grad_sigma . f_sigma = 0 by construction. f_sigma is
+    a tuple of floats when the fields return tuples (then x may be a tuple),
+    else an ndarray; for a unit gradient the two agree to the bit.
     """
-    x = np.asarray(x, dtype=float)
+    if not isinstance(x, tuple):
+        x = np.asarray(x, dtype=float)
     g = np.asarray(sys.switching.grad_sigma(x), dtype=float)
-    fp = np.asarray(sys.f_plus(t, x))
-    fm = np.asarray(sys.f_minus(t, x))
-    a_plus = float(g @ fp)
-    a_minus = float(g @ fm)
+    fp, fm = sys.f_plus(t, x), sys.f_minus(t, x)
+    floats = isinstance(fp, tuple)
+    if floats:
+        g = g.tolist()
+        a_plus, a_minus = sum(map(mul, g, fp)), sum(map(mul, g, fm))
+    else:
+        fp, fm = np.asarray(fp), np.asarray(fm)
+        a_plus, a_minus = float(g @ fp), float(g @ fm)
     den = a_minus - a_plus
     scale = 1.0 + abs(a_plus) + abs(a_minus)
     if abs(den) < 1e-14 * scale:
         raise DegenerateDenominatorError(
             "(f_minus - f_plus) . grad_sigma vanishes; sliding field undefined")
     lam = (a_minus + a_plus) / den
-    f_sigma = (a_minus * fp - a_plus * fm) / den
-    return lam, f_sigma
+    if floats:
+        return lam, tuple([(a_minus * p - a_plus * m) / den
+                           for p, m in zip(fp, fm)])
+    return lam, (a_minus * fp - a_plus * fm) / den
 
 
 class EventKind(Enum):
@@ -642,12 +655,17 @@ def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj, h):
 
 
 def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj, h):
-    grad = sys.switching.grad_sigma
+    grad, sigma = sys.switching.grad_sigma, sys.switching.sigma
 
     def project(x):
-        # one Newton step onto sigma = 0 (exact for linear sigma)
+        # one Newton step onto sigma = 0 (exact for linear sigma), in the
+        # type of x: a tuple of floats on the float stepper
         g = np.asarray(grad(x), dtype=float)
-        return x - sys.switching.sigma(x) * g / float(g @ g)
+        if isinstance(x, tuple):
+            g, s = g.tolist(), sigma(x)
+            gg = sum(map(mul, g, g))
+            return tuple([xi - s * gi / gg for xi, gi in zip(x, g)])
+        return x - sigma(x) * g / float(g @ g)
 
     def f_slide(t, x):
         _, fs = filippov_field(sys, x, t)

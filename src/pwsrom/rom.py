@@ -11,10 +11,20 @@ Every reduced segment runs on core's float stepper of length 2. When the
 switching function declares its affine form, the branch event evaluates sigma
 precomposed with the lift (SsmModel.affine_switching) instead of lifting the
 full state at every step; otherwise it lifts.
+
+The IC transfer's surface search (Newton onto the surface, tracing the
+surface curve, scoring candidates and the golden-section refinement) runs
+once, on float pairs. It takes sigma(lift(y, t)) and its y-gradient from
+surface_pair: precomposed for an affine switching function (the value and
+SsmModel.affine_slope), else one lift serves both, with grad_sigma times
+lift_jacobian. The objectives compare lift components in floats
+(SsmModel.lift_component, equal to the lift to the bit). The search's
+public helpers still return ndarrays.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -103,51 +113,63 @@ class NonsmoothRom:
 
 def _correct_onto_surface(rom: NonsmoothRom, model: SsmModel, y, t):
     """Newton steps driving sigma(lift(y)) to zero along its reduced gradient."""
-    y = np.asarray(y, dtype=float).copy()
+    return np.array(_newton(surface_pair(rom, model), y, t)[0])
+
+
+def _newton(pair, y, t):
+    """_correct_onto_surface on a float pair y with pair = surface_pair(...):
+    the corrected pair and the slope() of pair there."""
+    y1, y2 = float(y[0]), float(y[1])
     for _ in range(60):
-        x = model.lift(y, t)
-        g = rom.switching.sigma(x)
-        if abs(g) <= 1e-13:
-            return y
-        gs = np.asarray(rom.switching.grad_sigma(x)) @ model.lift_jacobian(y)
-        nrm = float(gs @ gs)
+        v, slope = pair((y1, y2), t)
+        if abs(v) <= 1e-13:
+            return (y1, y2), slope
+        s1, s2 = slope()
+        nrm = s1 * s1 + s2 * s2
         if nrm < 1e-30:
             raise StrategyError("switching gradient vanishes in the chart")
-        y = y - g * gs / nrm
+        y1, y2 = y1 - v * s1 / nrm, y2 - v * s2 / nrm
     raise StrategyError("could not project reduced state onto the surface")
+
+
+def _unit_tangent(slope):
+    """The unit tangent (-s2, s1) / |s| of the surface curve at a slope()."""
+    s1, s2 = slope()
+    nt = math.sqrt(s2 * s2 + s1 * s1)
+    if nt < 1e-30:
+        raise StrategyError("switching gradient vanishes in the chart")
+    return -s2 / nt, s1 / nt
 
 
 def _trace_surface(rom, model, y_start, t, step, n_half):
     """Points of {sigma(lift(y)) = 0} through the projection of y_start,
     n_half arclength steps each way, in order along the curve. A direction
     stops early where the projection fails or the tangent vanishes."""
+    return [np.array(y) for y, _ in
+            _trace(surface_pair(rom, model), y_start, t, step, n_half)]
 
-    def tangent(y):
-        x = model.lift(y, t)
-        gs = np.asarray(rom.switching.grad_sigma(x)) @ model.lift_jacobian(y)
-        tg = np.array([-gs[1], gs[0]])
-        nt = np.linalg.norm(tg)
-        return tg / nt if nt >= 1e-30 else None
 
-    y0 = _correct_onto_surface(rom, model, y_start, t)
-    out = [y0]
-    tg0 = tangent(y0)
-    if tg0 is None:
+def _trace(pair, y_start, t, step, n_half):
+    """_trace_surface on float pairs: the points and the slope() at each."""
+    y0, slope0 = _newton(pair, y_start, t)
+    out = [(y0, slope0)]
+    try:
+        tg0 = _unit_tangent(slope0)
+    except StrategyError:
         return out
     for direction in (1.0, -1.0):
-        y, tg_prev, side = y0, direction * tg0, []
+        (y1, y2), slope, side = y0, slope0, []
+        p1, p2 = direction * tg0[0], direction * tg0[1]
         for _ in range(n_half):
-            tg = tangent(y)
-            if tg is None:
-                break
-            if tg @ tg_prev < 0:
-                tg = -tg
             try:
-                y = _correct_onto_surface(rom, model, y + step * tg, t)
+                tg1, tg2 = _unit_tangent(slope)
+                if tg1 * p1 + tg2 * p2 < 0:
+                    tg1, tg2 = -tg1, -tg2
+                (y1, y2), slope = _newton(pair, (y1 + step * tg1, y2 + step * tg2), t)
             except StrategyError:
                 break
-            tg_prev = tg
-            side.append(y)
+            p1, p2 = tg1, tg2
+            side.append(((y1, y2), slope))
         out = out + side if direction > 0 else side[::-1] + out
     return out
 
@@ -185,50 +207,51 @@ def switch_ic(rom: NonsmoothRom, y_from: np.ndarray, from_branch: str,
                 raise StrategyError("singular continuity system") from exc
         raise StrategyError("continuity_q1q2 did not converge")
 
-    # remaining strategies search along the surface curve on the target model
-    span = 2.0 * max(np.linalg.norm(y_proj), 0.2)
-    cand = _trace_surface(rom, m_to, y_proj, t, span / 60, 60)
+    # remaining strategies search along the surface curve on the target
+    # model, in floats: the lift components they compare come from
+    # SsmModel.lift_component, equal to the lift to the bit
     if strategy == "min_all_vars":
+        parts = [(m_to.lift_component(i), xi) for i, xi in enumerate(x_from.tolist())]
+
         def objective(y):
-            return float(np.linalg.norm(m_to.lift(y, t) - x_from))
+            return math.hypot(*[lift_i(y, t) - xi for lift_i, xi in parts])
     elif strategy == "continuity_q1":
         iq1 = rom.coord_indices["q1"]
+        lift_q1, x_q1 = m_to.lift_component(iq1), float(x_from[iq1])
 
         def objective(y):
-            return abs(m_to.lift(y, t)[iq1] - x_from[iq1])
+            return abs(lift_q1(y, t) - x_q1)
     else:
         raise ValueError(strategy)
-    vals = [objective(y) for y in cand]
-    order = int(np.argmin(vals))
-    y_best = cand[order]
+    pair = surface_pair(rom, m_to)
+    span = 2.0 * max(np.linalg.norm(y_proj), 0.2)
+    cand = _trace(pair, y_proj, t, span / 60, 60)
+    vals = [objective(y) for y, _ in cand]
+    (b1, b2), slope = cand[vals.index(min(vals))]
     # golden-section refinement along the local tangent
-    x = m_to.lift(y_best, t)
-    gs = np.asarray(rom.switching.grad_sigma(x)) @ m_to.lift_jacobian(y_best)
-    tang = np.array([-gs[1], gs[0]])
-    tang /= np.linalg.norm(tang)
+    tg1, tg2 = _unit_tangent(slope)
     a, b = -span / 50.0, span / 50.0
-    phi = 0.5 * (np.sqrt(5.0) - 1.0)
+    phi = 0.5 * (math.sqrt(5.0) - 1.0)
 
-    def f_line(s):
-        return objective(_correct_onto_surface(rom, m_to, y_best + s * tang, t))
+    def on_line(s):
+        return _newton(pair, (b1 + s * tg1, b2 + s * tg2), t)[0]
 
     c, d = b - phi * (b - a), a + phi * (b - a)
-    fc, fd = f_line(c), f_line(d)
+    fc, fd = objective(on_line(c)), objective(on_line(d))
     for _ in range(60):
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - phi * (b - a)
-            fc = f_line(c)
+            fc = objective(on_line(c))
         else:
             a, c, fc = c, d, fd
             d = a + phi * (b - a)
-            fd = f_line(d)
-    s_best = 0.5 * (a + b)
-    y = _correct_onto_surface(rom, m_to, y_best + s_best * tang, t)
+            fd = objective(on_line(d))
+    y = on_line(0.5 * (a + b))
     if strategy == "continuity_q1" and objective(y) > 1e-8:
         raise StrategyError("continuity_q1 could not match the coordinate on "
                             "the surface")
-    return y
+    return np.array(y)
 
 
 # ---------------------------------------------------------------------------
@@ -275,6 +298,30 @@ def switching_value(rom: NonsmoothRom, model: SsmModel):
         return sigma(model.lift(y, t))
 
     return value
+
+
+def surface_pair(rom: NonsmoothRom, model: SsmModel):
+    """sigma(lift(y, t)) and its y-gradient at a reduced pair y, as a
+    function pair(y, t) -> (value, slope) whose slope() returns the gradient
+    as a float pair, computed only when asked. Precomposed when the
+    switching function is affine (SsmModel.affine_slope); else one lift
+    serves both, the gradient being grad_sigma there times lift_jacobian."""
+    if rom.switching.affine is not None:
+        value = model.affine_switching(*rom.switching.affine)
+        grad = model.affine_slope(rom.switching.affine[0])
+
+        def pair(y, t):
+            return value(y, t), lambda: grad(None, *y)
+
+        return pair
+    sigma, grad_sigma = rom.switching.sigma, rom.switching.grad_sigma
+
+    def pair(y, t):
+        x = model.lift(y, t)
+        return sigma(x), lambda: tuple(
+            (np.asarray(grad_sigma(x)) @ model.lift_jacobian(y)).tolist())
+
+    return pair
 
 
 def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):

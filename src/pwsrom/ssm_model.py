@@ -37,7 +37,12 @@ into one scalar polynomial in (y1, y2, cos omega t, sin omega t) whose
 coefficients are C @ g (affine_switching, bound once per (g, c)). It is
 evaluated in the lift's order: the nonzero monomials, then x0, cos and sin,
 then c. For a unit g, as every shipped switching function has, C @ g is
-exact and the value equals sigma(lift(y, t)) to the bit.
+exact and the value equals sigma(lift(y, t)) to the bit; so lift_component
+(the unit vectors' compositions) gives single observables of the lift in
+floats. The y-slope of the composition is the pair of polynomials g @ J over
+the same table (affine_slope, bound once per g), generated like the reduced
+dynamics; it agrees with g @ lift_jacobian(y) to round-off (BLAS sums the
+latter in its own order). Both are cached per model by g (and c) alone.
 """
 
 from __future__ import annotations
@@ -128,10 +133,11 @@ class SsmModel:
             C[K + 2] = -2.0 * c.eps * np.imag(c.v_hat_1)
             rforce = (2.0 * c.eps * np.real(c.r_hat_1)).tolist() + (
                 -2.0 * c.eps * np.imag(c.r_hat_1)).tolist()
-        self._reduced = _evaluator(_REDUCED, pairs, self.correction is not None)(
+        self._reduced = _evaluator(_PAIR, pairs, self.correction is not None)(
             self._omega, *rforce, a[:, 0].tolist(), a[:, 1].tolist())
         self._deg, self._exps = deg, exps
         self._affine = {}                               # (g, c) -> sigma o lift
+        self._slopes = {}                               # g -> its y-slope
         self._C, self._J = C, J.reshape(n * d, K + 3)
         # phi = P[e1] * P[e2] on P = [y1^0..y1^deg, y2^0..y2^deg, cos, sin]
         one = deg + 1                                   # y2^0
@@ -179,6 +185,26 @@ class SsmModel:
             value = self._affine[key] = _evaluator(_AFFINE, pairs)(
                 self._omega, *s[-3:], float(c), [a for a in s[:-3] if a])
         return value
+
+    def affine_slope(self, g):
+        """The y-gradient of affine_switching(g, c) as a function
+        slope(t, y1, y2) -> (d/dy1, d/dy2) of floats (t is unused), compiled
+        once per g: the pair of polynomials g @ J over the exponent table."""
+        g = np.asarray(g, dtype=float)
+        key = g.tobytes()
+        slope = self._slopes.get(key)
+        if slope is None:
+            a, b = np.tensordot(g, self._J.reshape(self.dim, 2, -1), 1).tolist()
+            cols = [k for k in range(len(self._exps)) if a[k] or b[k]]
+            slope = self._slopes[key] = _evaluator(
+                _PAIR, tuple(self._exps[k] for k in cols))(
+                0.0, 0.0, 0.0, 0.0, 0.0, [a[k] for k in cols], [b[k] for k in cols])
+        return slope
+
+    def lift_component(self, i: int):
+        """Observable i of the lift as a function value(y, t=None) of floats:
+        affine_switching of the unit vector e_i, equal to lift(y, t)[i]."""
+        return self.affine_switching(np.eye(self.dim)[i])
 
     def lift_jacobian(self, y) -> np.ndarray:
         """d lift / d y, shape (n, d)."""
@@ -289,8 +315,10 @@ class SsmModel:
 
 
 # Straight-line evaluators (module doc): bind(...) takes a model's values
-# and returns the evaluator with them bound.
-_REDUCED = """\
+# and returns the evaluator with them bound. _PAIR is two polynomials in
+# (y1, y2) with their cos/sin forcing amplitudes: the reduced dynamics, and
+# unforced the y-slope of sigma o lift.
+_PAIR = """\
 def bind(omega, c1, c2, s1, s2, a, b):
     [{a}], [{b}] = a, b
     def reduced(t, y1, y2):

@@ -17,9 +17,10 @@ from pwsrom.ssm_model import SsmModel
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pwsrom.__file__)))
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, **env_vars):
     path = [PKG_ROOT] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p),
+               **env_vars)
     return subprocess.run([sys.executable, "-m", "pwsrom.cli"] + args,
                           cwd=cwd, env=env, capture_output=True, text=True)
 
@@ -142,6 +143,23 @@ def test_fit_emits_loadable_models_and_datasets(tmp_path):
     assert r2.returncode == 0, r2.stderr
     header = (tmp_path / "trajectory_rom.csv").read_text().splitlines()[0]
     assert header == "t,x1,x2,x3,x4,branch,xi1,xi2"
+
+
+def test_fit_repeats_to_the_byte_on_one_blas_thread(tmp_path):
+    # the oscillator fit of the benchmark's switching workload; with two BLAS
+    # threads its coefficients differ in the last digits from those at one,
+    # but at a fixed thread count two runs write the same model files
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 1e-2},
+                    "fit": {"order_m": 5, "order_r": 5, "t_span": [0.0, 50.0]}})
+    outs = []
+    for d in ("a", "b"):
+        r = run_cli(["fit", "--config", str(cfg), "--out-dir", str(tmp_path / d)],
+                    tmp_path, OPENBLAS_NUM_THREADS="1")
+        assert r.returncode == 0, r.stderr
+        outs.append([(tmp_path / d / f"ssm_model_{b}.json").read_bytes()
+                     for b in ("plus", "minus")])
+    assert outs[0] == outs[1]
 
 
 def test_poincare_outputs(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -108,6 +109,74 @@ def test_filippov_tangency_by_construction():
         assert -1.0 < lam < 1.0
         assert abs(grad @ fs) <= 1e-12 * (1.0 + np.linalg.norm(fs))
     assert count > 20
+
+
+def _array_fields(params):
+    """The oscillator with its fields returning ndarrays (numpy path)."""
+    sys = make_system(params)
+    return dataclasses.replace(
+        sys, f_plus=lambda t, x: np.array(sys.f_plus(t, x)),
+        f_minus=lambda t, x: np.array(sys.f_minus(t, x)))
+
+
+def test_filippov_field_takes_the_fields_type_to_the_bit():
+    # sigma = dq1 has a unit gradient, so the float sums are exact as the
+    # BLAS products are, for tuple and ndarray states alike
+    params = SpParams(delta=0.3, eps=0.15, omega=1.1)
+    floats, arrays = make_system(params), _array_fields(params)
+    rng = np.random.default_rng(8)
+    for _ in range(2000):
+        x = rng.normal(size=4)
+        x[1] = 0.0
+        t = rng.uniform(0.0, 20.0)
+        lam, fs = filippov_field(arrays, x, t)
+        assert type(fs) is np.ndarray
+        for state in (x, tuple(x.tolist())):
+            lam_f, fs_f = filippov_field(floats, state, t)
+            assert type(fs_f) is tuple and all(type(v) is float for v in fs_f)
+            assert lam_f == lam and fs_f == tuple(fs.tolist())
+
+
+def test_sliding_runs_on_the_float_stepper_with_the_numpy_steppers_calls(
+        monkeypatch):
+    # the full oscillator's sliding segments step in floats; against the
+    # same run with ndarray fields (numpy stages throughout) they take the
+    # same steps and the same field calls outside the release bisections,
+    # whose iteration counts may differ by round-off
+    params = SpParams(delta=0.05)
+    made = _recorded_steppers(monkeypatch)
+    bisect, calls = core._bisect, [0, 0]
+
+    def outside(*args, **kwargs):
+        n = calls[0]
+        try:
+            return bisect(*args, **kwargs)
+        finally:
+            calls[1] += calls[0] - n
+
+    monkeypatch.setattr(core, "_bisect", outside)
+    runs = []
+    for sys in (make_system(params), _array_fields(params)):
+        f_plus, f_minus = sys.f_plus, sys.f_minus
+
+        def counted(f):
+            def field(t, x):
+                calls[0] += 1
+                return f(t, x)
+            return field
+
+        calls[:] = [0, 0]
+        made.clear()
+        traj = integrate_hybrid(dataclasses.replace(
+            sys, f_plus=counted(f_plus), f_minus=counted(f_minus)),
+            [1.0, 0.5, 0.0, 0.0], (0.0, 40.0))
+        runs.append(([seg.branch for seg in traj.segments],
+                     [len(seg.t) for seg in traj.segments],
+                     calls[0] - calls[1], [type(s) for s, _ in made]))
+    (branches, steps, calls_f, types_f), (_, steps_a, calls_a, types_a) = runs
+    assert branches.count("sigma") == 2
+    assert set(types_f) == {_float_stepper(4)} and set(types_a) == {_Stepper}
+    assert steps == steps_a and calls_f == calls_a
 
 
 def test_filippov_degenerate_denominator():

@@ -33,6 +33,13 @@ state, full_belt_beam (37) by 2.3e-11 s and 1e-7, rom_continuity_q1_sticking
 (10) by 6.2e-9 s and 9.6e-11, and rom_min_all_vars (12) by 2e-8 s and
 3.5e-10. The generated SSM evaluators that came just before moved nothing:
 the file passed unchanged with them.
+
+`full_oscillator_sticking` was regenerated again when the oscillator's
+sliding segments moved from the numpy stepper to the float stepper (the
+Filippov field in the fields' tuple type), a change at round-off: the same 8
+events of the same kinds, times moved by at most 6.4e-11 s and states by at
+most 7.9e-13. The ROM runs, whose surface search moved to float pairs at the
+same time, passed unchanged within ROM_T_TOL and ROM_X_TOL.
 """
 
 import functools

@@ -1,7 +1,8 @@
 """Every pwsrom module imports on its own in a fresh interpreter, so an
 import cycle between modules fails here whichever module is loaded first.
 No import generates code: the float steppers and the SSM evaluators are
-built by exec on first use, and their caches are still empty after it."""
+built by exec on first use, and every module-level cache of the package is
+still empty after it."""
 
 import os
 import pkgutil
@@ -25,9 +26,15 @@ def test_module_imports_alone(name):
     path = [PKG_ROOT] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     code = (f"import pwsrom.{name}\n"
+            "import sys\n"
             "from pwsrom import core, ssm_model\n"
-            "assert core._float_stepper.cache_info().currsize == 0\n"
-            "assert ssm_model._evaluator.cache_info().currsize == 0\n")
+            "caches = {(m, k): v for m, mod in list(sys.modules.items())\n"
+            "          if m.startswith('pwsrom')\n"
+            "          for k, v in vars(mod).items() if hasattr(v, 'cache_info')}\n"
+            "assert ('pwsrom.core', '_float_stepper') in caches\n"
+            "assert ('pwsrom.ssm_model', '_evaluator') in caches\n"
+            "full = [k for k, v in caches.items() if v.cache_info().currsize]\n"
+            "assert not full, full\n")
     r = subprocess.run([sys.executable, "-c", code],
                        env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr

@@ -1,12 +1,16 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from pwsrom import ssm_model
 from pwsrom import vk_beam as vkb
 from pwsrom.beam_rom import make_beam_rom
 from pwsrom.core import (EventKind, IntegratorOptions, PiecewiseSmoothSystem,
                          SwitchingFunction, _Stepper, integrate_hybrid)
 from pwsrom.poly2 import monomials
 from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StickingRule,
+                        StrategyError, _correct_onto_surface, _trace_surface,
                         make_sp_rom, simulate_rom, switch_ic, switching_value)
 from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
 from pwsrom.ssm_model import PeriodicCorrection, SsmModel
@@ -373,3 +377,77 @@ def test_beam_rule_slides_at_the_held_velocity():
                 y = rng.uniform(-1.0, 1.0, 2)
                 dy = rom.sticking.sliding(model, rng.uniform(0.0, 0.1), y)[1]
                 assert dy == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+
+def _lifting(rom):
+    """The same ROM with its switching function stripped of the affine form,
+    so the event and the surface search lift instead of precomposing."""
+    return dataclasses.replace(
+        rom, switching=dataclasses.replace(rom.switching, affine=None))
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.15])
+def test_surface_search_is_the_same_on_both_paths(eps):
+    # the precomposed value and slope against the lift and grad_sigma times
+    # the lift Jacobian: Newton, the traced curve and both searches agree
+    rom = make_sp_rom(SpParams(delta=0.1, eps=eps, omega=1.1))
+    lifting = _lifting(rom)
+    t = 1.7
+    for y_guess in ([0.3, 0.1], [-0.25, 0.2], [0.35, -0.05]):
+        for branch in "+-":
+            model = rom.model(branch)
+            y = _correct_onto_surface(rom, model, np.array(y_guess), t)
+            y_lift = _correct_onto_surface(lifting, model, np.array(y_guess), t)
+            assert type(y) is np.ndarray and y.shape == (2,)
+            assert np.abs(y - y_lift).max() <= 1e-10
+            arc = _trace_surface(rom, model, y, t, 0.01, 20)
+            arc_lift = _trace_surface(lifting, model, y, t, 0.01, 20)
+            assert len(arc) == len(arc_lift) == 41
+            assert np.abs(np.vstack(arc) - np.vstack(arc_lift)).max() <= 1e-10
+            for strategy in ("min_all_vars", "continuity_q1"):
+                got = switch_ic(rom, y, branch, t, strategy)
+                want = switch_ic(lifting, y, branch, t, strategy)
+                assert type(got) is np.ndarray
+                assert np.abs(got - want).max() <= 1e-10
+
+
+def test_repeated_transfers_compile_nothing_new(rom_01):
+    # the search's evaluators are bound once per (g, c) of a model, never per
+    # transfer target
+    for strategy in ("min_all_vars", "continuity_q1"):
+        rom = dataclasses.replace(rom_01, ic_strategy=strategy)
+        y_from = _surface_state(rom, "+", np.array([0.3, 0.1]))
+        switch_ic(rom, y_from, "+")
+        m = rom.model_minus
+        sizes = (len(m._affine), len(m._slopes),
+                 ssm_model._evaluator.cache_info().currsize)
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            y = _surface_state(rom, "+", y_from + rng.uniform(-0.05, 0.05, 2))
+            switch_ic(rom, y, "+")
+        assert (len(m._affine), len(m._slopes),
+                ssm_model._evaluator.cache_info().currsize) == sizes
+
+
+@pytest.mark.parametrize("affine", [True, False])
+def test_golden_search_refuses_a_vanishing_gradient(rom_01, affine):
+    # sigma = max(dq1, 0)^2 is flat for dq1 < 0: the transfer lands on the
+    # surface where its gradient is zero, so there is no tangent to search
+    def sigma(x):
+        return max(float(x[1]), 0.0) ** 2
+
+    def grad_sigma(x):
+        return np.array([0.0, 2.0 * max(float(x[1]), 0.0), 0.0, 0.0])
+
+    rom = dataclasses.replace(
+        rom_01, ic_strategy="min_all_vars",
+        switching=SwitchingFunction(sigma=sigma, grad_sigma=grad_sigma))
+    y_from = rom.model_plus.chart(np.array([0.2, -0.1, 0.05, 0.0]))
+    if affine:
+        # the degenerate affine case: sigma = 0 . x + 0 vanishes with its
+        # gradient everywhere
+        rom = dataclasses.replace(rom, switching=SwitchingFunction(
+            sigma=lambda x: 0.0, grad_sigma=lambda x: np.zeros(4),
+            affine=(np.zeros(4), 0.0)))
+    with pytest.raises(StrategyError, match="switching gradient vanishes"):
+        switch_ic(rom, y_from, "+")

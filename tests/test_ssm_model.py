@@ -303,6 +303,36 @@ def test_generated_switching_value_is_the_loop_to_the_bit(name):
         assert value(y, t) == m.lift(y, t)[1]
 
 
+@pytest.mark.parametrize("name", sorted(EVALUATOR_MODELS))
+def test_generated_slope_is_grad_sigma_times_the_lift_jacobian(name):
+    # the same products as the oracle, summed left to right instead of by
+    # BLAS, so they agree to round-off: the worst seen is 3e-14 at order 10
+    m = EVALUATOR_MODELS[name]()
+    rng = np.random.default_rng(12)
+    Y, _ = random_points(seed=10)
+    for g in (np.eye(m.dim)[1], rng.standard_normal(m.dim)):
+        slope = m.affine_slope(g)
+        assert m.affine_slope(g) is slope
+        for y in Y:
+            got, ref = slope(None, *y), g @ m.lift_jacobian(y)
+            assert _is_float_pair(got)
+            assert np.abs(np.subtract(got, ref)).max() <= REL * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("name", sorted(EVALUATOR_MODELS))
+def test_lift_components_are_the_lift_to_the_bit(name):
+    m = EVALUATOR_MODELS[name]()
+    parts = [m.lift_component(i) for i in range(m.dim)]
+    Y, T = random_points(n=4000, seed=13)
+    for y, t in zip(Y, T):
+        assert tuple(part(y, t) for part in parts) == tuple(m.lift(y, t))
+        assert tuple(part(y) for part in parts) == tuple(m.lift(y))
+
+
+def _is_float_pair(v):
+    return type(v) is tuple and len(v) == 2 and all(type(c) is float for c in v)
+
+
 def test_one_evaluator_per_monomial_structure():
     # a (4, 4) term gives a structure no other test builds
     base = analytic_forced()
