@@ -379,19 +379,13 @@ def test_beam_rule_slides_at_the_held_velocity():
                 assert dy == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
-def _lifting(rom):
-    """The same ROM with its switching function stripped of the affine form,
-    so the event and the surface search lift instead of precomposing."""
-    return dataclasses.replace(
-        rom, switching=dataclasses.replace(rom.switching, affine=None))
-
-
 @pytest.mark.parametrize("eps", [0.0, 0.15])
 def test_surface_search_is_the_same_on_both_paths(eps):
     # the precomposed value and slope against the lift and grad_sigma times
     # the lift Jacobian: Newton, the traced curve and both searches agree
     rom = make_sp_rom(SpParams(delta=0.1, eps=eps, omega=1.1))
-    lifting = _lifting(rom)
+    lifting = dataclasses.replace(
+        rom, switching=dataclasses.replace(rom.switching, affine=None))
     t = 1.7
     for y_guess in ([0.3, 0.1], [-0.25, 0.2], [0.35, -0.05]):
         for branch in "+-":
@@ -429,25 +423,25 @@ def test_repeated_transfers_compile_nothing_new(rom_01):
                 ssm_model._evaluator.cache_info().currsize) == sizes
 
 
-@pytest.mark.parametrize("affine", [True, False])
-def test_golden_search_refuses_a_vanishing_gradient(rom_01, affine):
-    # sigma = max(dq1, 0)^2 is flat for dq1 < 0: the transfer lands on the
-    # surface where its gradient is zero, so there is no tangent to search
-    def sigma(x):
-        return max(float(x[1]), 0.0) ** 2
+def _flat_below_zero():
+    # sigma = max(dq1, 0)^2 is flat for dq1 < 0, where its gradient vanishes
+    return SwitchingFunction(
+        sigma=lambda x: max(float(x[1]), 0.0) ** 2,
+        grad_sigma=lambda x: np.array([0.0, 2.0 * max(float(x[1]), 0.0), 0.0, 0.0]))
 
-    def grad_sigma(x):
-        return np.array([0.0, 2.0 * max(float(x[1]), 0.0), 0.0, 0.0])
 
-    rom = dataclasses.replace(
-        rom_01, ic_strategy="min_all_vars",
-        switching=SwitchingFunction(sigma=sigma, grad_sigma=grad_sigma))
+def _zero_affine():
+    # sigma = 0 . x + 0: the precomposed value and slope vanish everywhere
+    return SwitchingFunction(sigma=lambda x: 0.0, grad_sigma=lambda x: np.zeros(4),
+                             affine=(np.zeros(4), 0.0))
+
+
+@pytest.mark.parametrize("switching", [_flat_below_zero, _zero_affine])
+def test_golden_search_refuses_a_vanishing_gradient(rom_01, switching):
+    # the transfer lands on the surface where the gradient is zero, so the
+    # golden-section refinement has no tangent to search along
+    rom = dataclasses.replace(rom_01, ic_strategy="min_all_vars",
+                              switching=switching())
     y_from = rom.model_plus.chart(np.array([0.2, -0.1, 0.05, 0.0]))
-    if affine:
-        # the degenerate affine case: sigma = 0 . x + 0 vanishes with its
-        # gradient everywhere
-        rom = dataclasses.replace(rom, switching=SwitchingFunction(
-            sigma=lambda x: 0.0, grad_sigma=lambda x: np.zeros(4),
-            affine=(np.zeros(4), 0.0)))
     with pytest.raises(StrategyError, match="switching gradient vanishes"):
         switch_ic(rom, y_from, "+")
