@@ -1,11 +1,13 @@
 """Validation analyses: forced response curves by brute-force steady-state
-integration, return maps on the switching surface with invariant-curve and
-edge-point extraction, the reduced-only invariant-curve approximation, limit
-cycle detection and response spectra."""
+integration (one warm-started, chunked sweep for both models), return maps
+on the switching surface with invariant-curve and edge-point extraction, the
+reduced-only invariant-curve approximation, limit cycle detection and
+response spectra."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from multiprocessing import Pool
 from typing import Callable, Optional
 
 import numpy as np
@@ -26,6 +28,7 @@ class FrcPoint:
     amplitude: float
     converged: bool
     n_periods: int
+    state: object = None              # the last period's end state
 
 
 def steady_state_amplitude(step_period: Callable, state, period: float,
@@ -77,11 +80,73 @@ def rom_period_stepper(rom: NonsmoothRom, amp_index: int,
         period = 2 * np.pi / rom.model_plus.correction.omega
         traj = simulate_rom(rom, y, branch, (t0, t0 + period), opts)
         xs = traj.states()[:, amp_index]
-        last = traj.segments[-1]
-        new_branch = last.branch if last.branch != "sigma" else branch
-        return (last.y[-1], new_branch), 0.5 * (xs.max() - xs.min())
+        return _rom_end(traj, branch), 0.5 * (xs.max() - xs.min())
 
     return step
+
+
+def _rom_end(traj, branch):
+    """End (y, branch) of a reduced run from `branch`; a run that ends
+    sticking keeps the branch it started on."""
+    last = traj.segments[-1]
+    return last.y[-1], last.branch if last.branch != "sigma" else branch
+
+
+def frc_stepper(problem, omega: float, amp: float, opts: IntegratorOptions,
+                amp_coord: int, rom: Optional[dict] = None):
+    """(stepper, period) at omega with a maximum step of a 64th period, of
+    the full model of `problem` (a pwsrom.problem problem) or, with `rom`
+    (keyword arguments of problem.rom), of its reduced model."""
+    period = 2 * np.pi / omega
+    opts = replace(opts, max_step=period / 64)
+    if rom is None:
+        return hybrid_period_stepper(lambda w: problem.system(w, amp), omega,
+                                     amp_coord, opts)
+    return rom_period_stepper(problem.rom(omega, amp, **rom), amp_coord,
+                              opts), period
+
+
+def _frc_chunk(task):
+    """Warm-started points of one chunk. The cold start is rest, for the
+    reduced model on problem.rom_branch0 after problem.rom_ramp periods whose
+    forcing rises in equal steps to amp."""
+    problem, omegas, amp, opts, amp_coord, max_periods, rom = task
+    out, state = [], None
+    for om in omegas:
+        step, period = frc_stepper(problem, om, amp, opts, amp_coord, rom)
+        if state is None and rom is None:
+            state = np.zeros(problem.dim)
+        elif state is None:
+            state, n = (np.zeros(2), problem.rom_branch0), problem.rom_ramp
+            ramp_opts = replace(opts, max_step=period / 64)
+            for k in range(n):
+                rom_k = problem.rom(om, amp, scale=(k + 1) / n, **rom)
+                traj = simulate_rom(rom_k, *state,
+                                    (k * period, (k + 1) * period), ramp_opts)
+                state = _rom_end(traj, state[1])
+        a, conv, nper, state = steady_state_amplitude(
+            step, state, period, max_periods=max_periods)
+        out.append(FrcPoint(om, a, conv, nper, state))
+    return out
+
+
+def frc_sweep(problem, omegas, amp: float, opts: IntegratorOptions,
+              chunk: int = 16, threads: int = 1, max_periods: int = 500,
+              amp_coord: Optional[int] = None,
+              rom: Optional[dict] = None) -> list:
+    """FrcPoints at amplitude amp over `omegas` (frc_stepper), each point
+    warm-started from the one before, in chunks of `chunk` points that start
+    cold, so `threads` worker processes give the same result as one."""
+    amp_coord = problem.amp_coord if amp_coord is None else amp_coord
+    omegas = np.asarray(omegas, dtype=float)
+    tasks = [(problem, omegas[i:i + chunk].tolist(), amp, opts, amp_coord,
+              max_periods, rom) for i in range(0, len(omegas), chunk)]
+    if threads > 1:
+        with Pool(threads) as pool:
+            parts = pool.map(_frc_chunk, tasks)
+    else:
+        parts = [_frc_chunk(t) for t in tasks]
+    return [p for part in parts for p in part]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
-"""Assemble switched reduced models for the beam variants from fitted branch
-manifolds, including the physical-coordinate chart needed to track sticking,
-which follows the full beam's Filippov field (rom.StickingRule)."""
+"""Fit branch manifolds of the beam variants and assemble switched reduced
+models from them, unforced or under midpoint forcing, including the
+physical-coordinate chart needed to track sticking, which follows the full
+beam's Filippov field (rom.StickingRule)."""
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -15,41 +14,7 @@ from .rom import NonsmoothRom, RomConfigurationError, StickingRule
 from .ssm_model import SsmModel
 from .vk_beam import (BeamAssembly, NonsmoothVariant, beam_field,
                       branch_fixed_point, branch_jacobian, make_beam_system,
-                      static_deflection)
-
-
-def fit_branch_models(assembly: BeamAssembly, variant, order_m: int = 5,
-                      order_r: int = 5, chart: str = "modal",
-                      static_load: float = 12e3, t_span=(0.0, 0.35),
-                      dt: float = 1e-4, trim_fraction: float = 0.05):
-    """Per-branch manifold + dynamics fits from decaying training data.
-
-    Training starts at the +-1, +-0.65 and +-0.4 times static-load
-    deflections; fitting runs on per-coordinate scaled observables.
-    chart='physical' recharts onto the (scaled) midpoint displacement/velocity
-    pair. Returns ({branch: SsmModel}, {branch: TrainingData}): the models,
-    with fit diagnostics in model.meta, and the decays they were fitted on.
-    """
-    n = assembly.n_dof
-    # decays from several load levels fill the reduced disc radially, which
-    # keeps the high-order regression away from collinear blow-up
-    ics = []
-    for frac in (1.0, 0.65, 0.4):
-        for sign in (1.0, -1.0):
-            q = static_deflection(assembly, sign * frac * static_load)
-            ics.append(np.concatenate([q, np.zeros(n)]))
-    opts = IntegratorOptions(rtol=1e-8, atol=1e-10, first_step=1e-6)
-    models, datasets = {}, {}
-    for branch in ("+", "-"):
-        data = sd.generate_training(
-            lambda t, x, b=branch: beam_field(assembly, variant, b, t, x),
-            ics, t_span, dt, branch=branch, trim_fraction=trim_fraction,
-            opts=opts)
-        models[branch] = fit_branch_from_data(
-            assembly, variant, branch, data, order_m=order_m, order_r=order_r,
-            chart=chart)
-        datasets[branch] = data
-    return models, datasets
+                      mid_forcing)
 
 
 def fit_branch_from_data(assembly: BeamAssembly, variant, branch: str,
@@ -122,14 +87,33 @@ def belt_training_data(assembly: BeamAssembly, variant, branch: str,
 
 def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
                   model_plus: SsmModel, model_minus: SsmModel,
-                  ic_strategy: str = "projection",
-                  forcing: Optional[Callable[[float], np.ndarray]] = None
-                  ) -> NonsmoothRom:
-    """Switched beam ROM. Sticking (Coulomb and belt) follows the full
-    system's Filippov field with the midpoint velocity pinned to the surface
-    value, which needs a chart on the midpoint displacement/velocity pair."""
-    system = make_beam_system(assembly, variant, forcing)
+                  ic_strategy: str = "projection", omega: float = 1.0,
+                  amp: float = 0.0, scale: float = 1.0) -> NonsmoothRom:
+    """Switched beam ROM, forced by amp * scale * cos(omega t) at the midpoint
+    when amp is nonzero: each branch model then gets the O(eps) correction of
+    ssm_data.nonmodal_forcing_correction for the amplitude amp at eps = scale
+    (a ramp's fraction) and a trust radius of 1.15. Sticking (Coulomb and
+    belt) follows the full system's Filippov field with the midpoint velocity
+    pinned to the surface value, which needs a chart on the midpoint
+    displacement/velocity pair."""
     n = assembly.n_dof
+    forcing = None
+    if amp:
+        f_hat = np.zeros(2 * n)
+        f_hat[n:] = assembly.minv @ mid_forcing(assembly, amp, omega)(0.0)
+        forced = []
+        for b, m in (("+", model_plus), ("-", model_minus)):
+            x0b = branch_fixed_point(assembly, variant, b)
+            A = branch_jacobian(assembly, variant, b, x0b)
+            corr = sd.nonmodal_forcing_correction(A, m.tangent, m.chart_w,
+                                                  f_hat, scale, omega)
+            forced.append(SsmModel(
+                branch=b, x0=m.x0, tangent=m.tangent, chart_w=m.chart_w,
+                nl_coeffs=m.nl_coeffs, rdyn=m.rdyn, correction=corr,
+                source=m.source, meta=dict(m.meta), trust_radius=1.15))
+        model_plus, model_minus = forced
+        forcing = mid_forcing(assembly, amp * scale, omega)
+    system = make_beam_system(assembly, variant, forcing)
     i_vel = n + assembly.mid_dof_index
     sticking = None
     if variant.kind != "soft_impact":
@@ -152,3 +136,4 @@ def make_beam_rom(assembly: BeamAssembly, variant: NonsmoothVariant,
                         sticking=sticking,
                         coord_indices={"q1": assembly.mid_dof_index,
                                        "q2": i_vel})
+

@@ -28,7 +28,6 @@ a call starts at opts.first_step.
 
 from __future__ import annotations
 
-import csv
 import functools
 import math
 from dataclasses import dataclass, field
@@ -242,25 +241,25 @@ class HybridTrajectory:
         n = self.states().shape[1] if self.segments else int(dim or 0)
         reduced = bool(self.segments) and self.segments[0].y is not None
         d = self.segments[0].y.shape[1] if reduced else 0
-        with open(path, "w", newline="") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["t"] + [f"x{i+1}" for i in range(n)] + ["branch"]
-                       + [f"xi{i+1}" for i in range(d)])
-            code = {"+": 1, "-": -1, "sigma": 0}
-            for seg in self.segments:
-                for i, ti in enumerate(seg.t):
-                    row = ([repr(float(ti))] + [repr(float(v)) for v in seg.x[i]]
-                           + [code[seg.branch]])
-                    if reduced:
-                        row += [repr(float(v)) for v in seg.y[i]]
-                    w.writerow(row)
+        code = {"+": 1, "-": -1, "sigma": 0}
+        cols = [f"x{i+1}" for i in range(n)]
+        write_rows(path, ["t", *cols, "branch"] + [f"xi{i+1}" for i in range(d)],
+                   ([t, *x, code[s.branch], *y] for s in self.segments
+                    for t, x, y in zip(s.t.tolist(), s.x.tolist(),
+                                       s.y.tolist() if reduced else [()] * len(s.t))))
         if events_path is not None:
-            with open(events_path, "w", newline="") as fh:
-                w = csv.writer(fh, lineterminator="\n")
-                w.writerow(["t_event", "kind"] + [f"x{i+1}" for i in range(n)])
-                for ev in self.events:
-                    w.writerow([repr(float(ev.t)), ev.kind.value]
-                               + [repr(float(v)) for v in ev.x])
+            write_rows(events_path, ["t_event", "kind", *cols],
+                       ([float(e.t), e.kind.value, *e.x.tolist()]
+                        for e in self.events))
+
+
+def write_rows(path, header, rows) -> None:
+    """A CSV file: the header line, then each row joined by str. For the
+    Python floats of tolist() that is their repr, the shortest string that
+    reads back to the same float."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(map(str, row)) + "\n" for row in rows)
 
 
 @dataclass

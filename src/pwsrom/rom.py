@@ -33,8 +33,6 @@ import numpy as np
 from .core import (EPS_EVENT, BoundaryKind, EventKind, HybridTrajectory,
                    IntegratorOptions, PiecewiseSmoothSystem, SwitchingFunction,
                    _integrate_segment, classify_boundary, filippov_field)
-from .shaw_pierre import make_system
-from .ssm_analytic import build_analytic_model
 from .ssm_model import SsmModel
 
 IC_STRATEGIES = ("projection", "min_all_vars", "continuity_q1", "continuity_q1q2")
@@ -389,23 +387,3 @@ def _validate_sticking_chart(rom, model, f_slide, t, y):
             "the chart cannot express the sticking constraint (switching value "
             "drifts under the in-surface reduced field); rechart onto "
             "coordinates containing the switching variable")
-
-
-# ---------------------------------------------------------------------------
-# factory for the friction-oscillator reduced model
-
-
-def make_sp_rom(params, order: int = 3,
-                ic_strategy: str = "projection") -> NonsmoothRom:
-    """Switched reduced model of the friction oscillator on its two slow SSMs.
-
-    Sticking follows the full system's Filippov field through the shared
-    modal chart; the reconstruction pins dq1 to zero exactly.
-    """
-    system = make_system(params)
-    models = [build_analytic_model(params, branch, order=order,
-                                   eps=params.eps, omega=params.omega)
-              for branch in "+-"]
-    return NonsmoothRom(*models, switching=system.switching,
-                        ic_strategy=ic_strategy,
-                        sticking=StickingRule(system=system, pin=(1, 0.0)))

@@ -316,6 +316,20 @@ def reference_tables() -> dict:
     }
 
 
+def table_entries(params: SpParams):
+    """Every published table entry recomputed at params, table by table in
+    monomial order: (name like 'h+ (0, 2)', component 1 or 2, computed,
+    printed)."""
+    for (kind, branch), tab in reference_tables().items():
+        split = modal_split(params, branch)
+        h = solve_invariance(split, 3)
+        vals = h if kind == "h" else solve_reduced_dynamics(split, h)
+        for p, refs in sorted(tab.items()):
+            for comp in (0, 1):
+                yield (f"{kind}{branch} {p}", comp + 1, float(vals[p][comp]),
+                       refs[comp])
+
+
 def round_to_sig_digits(x: float, ref: str) -> float:
     """Round x to the significant-digit count of the printed reference."""
     mant = ref.lstrip("-").split("e")[0]

@@ -23,13 +23,12 @@ from pwsrom import analysis, beam_rom, spectral
 from pwsrom import ssm_analytic as sa
 from pwsrom import ssm_data as sd
 from pwsrom import vk_beam as vkb
-from pwsrom.cli import _sp_frc_full_chunk, _sp_frc_rom_chunk
 from pwsrom.core import (BoundaryKind, EventKind, IntegratorOptions,
                          classify_boundary, filippov_field, integrate_hybrid)
-from pwsrom.rom import make_sp_rom, simulate_rom
+from pwsrom.problem import Beam, Oscillator
+from pwsrom.rom import simulate_rom
 from pwsrom.shaw_pierre import (SpParams, make_system, sp_elastic_term,
                                 sp_shifted)
-from pwsrom.ssm_model import SsmModel
 
 pytestmark = pytest.mark.acceptance
 
@@ -68,22 +67,15 @@ def test_criterion_01_table_reproduction_strict():
     params = SpParams(delta=0.1)
     strict = matched = total = 0
     unmatched = []
-    for (kind, branch), tab in sa.reference_tables().items():
-        split = sa.modal_split(params, branch)
-        h = sa.solve_invariance(split, 3)
-        vals = h if kind == "h" else sa.solve_reduced_dynamics(split, h)
-        for p, refs in tab.items():
-            for comp in (0, 1):
-                val = float(vals[p][comp])
-                total += 1
-                is_strict = sa.compare_to_reference(val, refs[comp])["strict"]
-                truncated = np.isclose(_truncate_to_sig_digits(val, refs[comp]),
-                                       float(refs[comp]), rtol=1e-9,
-                                       atol=1e-300)
-                strict += is_strict
-                matched += is_strict or truncated
-                if not (is_strict or truncated):
-                    unmatched.append(f"{kind}{branch}{p}[{comp + 1}]")
+    for name, comp, val, ref in sa.table_entries(params):
+        total += 1
+        is_strict = sa.compare_to_reference(val, ref)["strict"]
+        truncated = np.isclose(_truncate_to_sig_digits(val, ref), float(ref),
+                               rtol=1e-9, atol=1e-300)
+        strict += is_strict
+        matched += is_strict or truncated
+        if not (is_strict or truncated):
+            unmatched.append(f"{name} [{comp}]")
     el = time.time() - t0
     ok = report(1, matched == total,
                 f"rounded or truncated printed-precision matches "
@@ -96,16 +88,11 @@ def test_criterion_01_table_reproduction_strict():
 def test_criterion_01b_table_fidelity_within_one_ulp():
     params = SpParams(delta=0.1)
     strict = ulp = total = 0
-    for (kind, branch), tab in sa.reference_tables().items():
-        split = sa.modal_split(params, branch)
-        h = sa.solve_invariance(split, 3)
-        vals = h if kind == "h" else sa.solve_reduced_dynamics(split, h)
-        for p, refs in tab.items():
-            for comp in (0, 1):
-                res = sa.compare_to_reference(float(vals[p][comp]), refs[comp])
-                total += 1
-                strict += res["strict"]
-                ulp += res["within_one_ulp"]
+    for _, _, val, ref in sa.table_entries(params):
+        res = sa.compare_to_reference(val, ref)
+        total += 1
+        strict += res["strict"]
+        ulp += res["within_one_ulp"]
     ok = strict == 56 and ulp == total == 64
     report("1b", ok, f"{strict}/64 strict and {ulp}/64 within one printed ulp")
     assert ok
@@ -342,7 +329,7 @@ def test_criterion_06_rom_tracking_and_strategies():
     t0 = time.time()
     params = SpParams(delta=1e-3)
     sys = make_system(params)
-    rom0 = make_sp_rom(params)
+    rom0 = Oscillator(params).rom()
     x0 = rom0.model_plus.lift(np.array([0.42, 0.22]))
     T = 40.0
     full = integrate_hybrid(sys, x0, (0.0, T))
@@ -356,7 +343,7 @@ def test_criterion_06_rom_tracking_and_strategies():
     end_err = {}
     for strat in ("projection", "min_all_vars", "continuity_q1",
                   "continuity_q1q2"):
-        rom = make_sp_rom(params, ic_strategy=strat)
+        rom = Oscillator(params).rom(ic_strategy=strat)
         tr = simulate_rom(rom, rom.model_plus.chart(x0), "+", (0.0, T))
         end_err[strat] = float(np.mean(np.linalg.norm(
             xf_tail - tr.sample(tail), axis=1)))
@@ -375,20 +362,13 @@ def test_criterion_06_rom_tracking_and_strategies():
 # ---------------------------------------------------------------------- 7
 
 
-def _frc_cfg(delta, with_rom=True):
-    return {"model": "shaw_pierre",
-            "shaw_pierre": {"delta": delta},
-            "frc": {"omega_min": 0.8, "omega_max": 1.2, "n_points": 81,
-                    "eps": 0.15, "max_periods": 400, "chunk": 16,
-                    "rtol": 1e-8, "with_rom": with_rom}}
-
-
-def _run_frc_grid(cfg, worker, threads=2):
-    grid = np.linspace(0.8, 1.2, 81)
-    tasks = [(cfg, grid[i:i + 16].tolist()) for i in range(0, 81, 16)]
-    with Pool(threads) as pool:
-        parts = pool.map(worker, tasks)
-    return [p for part in parts for p in part]
+def _frc_curve(delta, rom=None):
+    """The 81-point oscillator FRC at eps = 0.15 in 16-point chunks on two
+    worker processes, full model or (rom={}) analytic ROM."""
+    return analysis.frc_sweep(Oscillator(SpParams(delta=delta)),
+                              np.linspace(0.8, 1.2, 81), 0.15,
+                              IntegratorOptions(rtol=1e-8, atol=1e-10),
+                              chunk=16, threads=2, max_periods=400, rom=rom)
 
 
 def test_criterion_07_frc_fidelity():
@@ -408,9 +388,8 @@ def test_criterion_07_frc_fidelity():
     worst = 0.0
     details = []
     for delta in (1e-3, 5e-3, 1e-2, 5e-2):
-        cfg = _frc_cfg(delta)
-        full = _run_frc_grid(cfg, _sp_frc_full_chunk)
-        romp = _run_frc_grid(cfg, _sp_frc_rom_chunk)
+        full = _frc_curve(delta)
+        romp = _frc_curve(delta, rom={})
         errs = [abs(pr.amplitude - pf.amplitude) / pf.amplitude
                 for pf, pr in zip(full, romp) if pf.converged and pr.converged]
         conv = sum(1 for pf, pr in zip(full, romp)
@@ -420,7 +399,7 @@ def test_criterion_07_frc_fidelity():
         peak[delta] = max(p.amplitude for p in full if p.converged)
         details.append(f"delta={delta:g}: {conv}/81 converged, worst "
                        f"rel err {worst_d:.4f}")
-    full0 = _run_frc_grid(_frc_cfg(0.0), _sp_frc_full_chunk)
+    full0 = _frc_curve(0.0)
     peak0 = max(p.amplitude for p in full0 if p.converged)
     el = time.time() - t0
     ok = worst < 0.05 and peak[5e-2] < peak0 and el < 600.0
@@ -451,7 +430,7 @@ def test_criterion_08_poincare_structure():
     t0 = time.time()
     params = SpParams(delta=0.01)
     sys = make_system(params)
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     margin = lambda x: abs(sp_elastic_term(params, x)) - params.delta
     ths = np.linspace(0, 2 * np.pi, 10, endpoint=False)
     ics = [rom.model("+").lift(0.3 * np.array([np.cos(t), np.sin(t)]))
@@ -500,7 +479,7 @@ def test_criterion_09_nonautonomous_correction():
     grid = np.linspace(120.0, 140.0, 2000)
     xf = full.sample(grid)
     amp_full = 0.5 * (xf[:, 0].max() - xf[:, 0].min())
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     y0 = rom.model("+").chart(x0)
     rtraj = simulate_rom(rom, y0, "+", (0.0, 140.0), opts)
     xr = rtraj.sample(grid)
@@ -544,9 +523,8 @@ def test_criterion_11_data_driven_fits(beam_assembly):
     t0 = time.time()
     asm = beam_assembly
     variant = vkb.NonsmoothVariant(kind="coulomb", delta=12.0)
-    models, _ = beam_rom.fit_branch_models(asm, variant, order_m=5, order_r=5,
-                                           chart="modal", static_load=12e3,
-                                           trim_fraction=0.20, t_span=(0.0, 0.3))
+    models, _ = Beam(asm, variant).fit({"trim_fraction": 0.20,
+                                        "t_span": (0.0, 0.3)})
     in_sample = max(m.meta["in_sample_nmte"] for m in models.values())
 
     # held-out decay reconstruction through the reduced dynamics
@@ -568,24 +546,19 @@ def test_criterion_11_data_driven_fits(beam_assembly):
         rec.append(model.lift(st.interpolate(tt) if st.t > tt else st.x))
     held_out = sd.nmte_arrays(Y[k0:], np.vstack(rec))
 
-    # oscillator fits against the analytic oracle, aligned chart
+    # oscillator fit (seven decays from radius 0.35 over [0, 50], orders 3)
+    # against the analytic oracle, aligned chart
     params = SpParams(delta=0.1)
+    fitted, _ = Oscillator(params).fit_branch("+", {})
     ana = sa.build_analytic_model(params, "+")
     Vt, _ = np.linalg.qr(ana.tangent)
-    angles = np.linspace(0, 2 * np.pi, 7, endpoint=False)
-    ics = [ana.lift(0.35 * np.array([np.cos(a), np.sin(a)])) for a in angles]
-    from pwsrom.shaw_pierre import sp_field
-    data = sd.generate_training(lambda tt, x: sp_field(params, "+", tt, x),
-                                ics, (0, 50), 0.02)
-    fit = sd.fit_manifold(data, Vt, order=3, x0=ana.x0)
-    dyn = sd.fit_dynamics(data, fit, order=3)
     _, aligned = sd.rechart(ana, Vt.T)
     worst_sp = 0.0
     for p, v in aligned.nl_coeffs.items():
-        worst_sp = max(worst_sp, np.linalg.norm(fit.nl_dict()[p] - v)
+        worst_sp = max(worst_sp, np.linalg.norm(fitted.nl_coeffs[p] - v)
                        / np.linalg.norm(v))
     for p, v in aligned.rdyn.items():
-        worst_sp = max(worst_sp, np.linalg.norm(dyn.rdyn_dict()[p] - v)
+        worst_sp = max(worst_sp, np.linalg.norm(fitted.rdyn[p] - v)
                        / np.linalg.norm(v))
     el = time.time() - t0
     ok = in_sample < 0.02 and held_out < 0.05 and worst_sp < 0.05 and el < 120.0
@@ -599,88 +572,19 @@ def test_criterion_11_data_driven_fits(beam_assembly):
 # ---------------------------------------------------------------------- 12
 
 
-def _beam_forced_rom(asm, variant, models, omega, eps_scale=1.0, amp=35e3):
-    forcing = vkb.mid_forcing(asm, amp * eps_scale, omega)
-    f_hat = np.zeros(2 * asm.n_dof)
-    f_hat[asm.n_dof:] = asm.minv @ vkb.mid_forcing(asm, amp, omega)(0.0)
-    out = {}
-    for b in "+-":
-        m = models[b]
-        x0b = vkb.branch_fixed_point(asm, variant, b)
-        A = vkb.branch_jacobian(asm, variant, b, x0b)
-        corr = sd.nonmodal_forcing_correction(A, m.tangent, m.chart_w, f_hat,
-                                              eps_scale, omega)
-        out[b] = SsmModel(branch=b, x0=m.x0, tangent=m.tangent,
-                          chart_w=m.chart_w, nl_coeffs=m.nl_coeffs,
-                          rdyn=m.rdyn, correction=corr, source=m.source,
-                          meta=dict(m.meta), trust_radius=1.15)
-    return beam_rom.make_beam_rom(asm, variant, out["+"], out["-"],
-                                  forcing=forcing)
+AMP = 35e3      # criterion 12's midpoint forcing amplitude, N
 
 
-def _beam_full_stepper(asm, variant, omega, amp=35e3):
-    forcing = vkb.mid_forcing(asm, amp, omega)
-    sys = vkb.make_beam_system(
-        asm, variant or vkb.NonsmoothVariant(kind="coulomb", delta=0.0),
-        forcing)
-    period = 2 * np.pi / omega
-    opts = IntegratorOptions(rtol=1e-6, atol=1e-9, max_step=period / 64,
-                             first_step=1e-6)
-    return analysis.hybrid_period_stepper(lambda w: sys, omega,
-                                          asm.mid_dof_index, opts)
+def _sweep(problem, band, rom=None):
+    """Warm sweep from rest over `band` at AMP: one chunk, criterion 12's
+    options, at most 260 periods a point."""
+    opts = problem.full_options if rom is None else problem.rom_options
+    return analysis.frc_sweep(problem, band, AMP, opts, chunk=len(band),
+                              max_periods=260, rom=rom)
 
 
-def _beam_full_point(asm, variant, omega, state, amp=35e3, max_periods=260,
-                     fixed_periods=None):
-    step, period = _beam_full_stepper(asm, variant, omega, amp)
-    x0 = state if state is not None else np.zeros(2 * asm.n_dof)
-    if fixed_periods:
-        amp_v = np.nan
-        for k in range(fixed_periods):
-            x0, amp_v = step(k * period, x0)
-        return amp_v, True, fixed_periods, x0
-    return analysis.steady_state_amplitude(step, x0, period,
-                                           max_periods=max_periods)
-
-
-def _beam_rom_point(asm, variant, models, omega, state, amp=35e3,
-                    ramp=20, max_periods=260):
-    period = 2 * np.pi / omega
-    opts = IntegratorOptions(rtol=1e-8, atol=1e-11, max_step=period / 64,
-                             first_step=1e-5)
-    if state is None:
-        state = (np.zeros(2), "-")
-        for k in range(ramp):
-            rom_k = _beam_forced_rom(asm, variant, models, omega,
-                                     eps_scale=(k + 1) / ramp, amp=amp)
-            traj = simulate_rom(rom_k, state[0], state[1],
-                                (k * period, (k + 1) * period), opts)
-            last = traj.segments[-1]
-            b = last.branch if last.branch != "sigma" else state[1]
-            state = (last.y[-1], b)
-    rom = _beam_forced_rom(asm, variant, models, omega, amp=amp)
-    step = analysis.rom_period_stepper(rom, asm.mid_dof_index, opts)
-    return analysis.steady_state_amplitude(step, state, period,
-                                           max_periods=max_periods)
-
-
-def _beam_rom_sweep(asm, variant, band):
-    """Fit the branch models of `variant` and run the reduced model's warm
-    up-sweep from rest over `band`. Returns (amplitude, converged) per point.
-    """
-    models, _ = beam_rom.fit_branch_models(asm, variant, chart="physical",
-                                           static_load=60e3, trim_fraction=0.10,
-                                           t_span=(0.0, 0.3))
-    state = None
-    out = []
-    for om in band:
-        a, conv, _, state = _beam_rom_point(asm, variant, models, om, state)
-        out.append((a, conv))
-    return out
-
-
-def _fold_probe(asm, variant, omega, state, threshold, amp=35e3,
-                rel_change=1e-6, consecutive=5, max_periods=260):
+def _fold_probe(problem, omega, state, threshold, rel_change=1e-6,
+                consecutive=5, max_periods=260):
     """Continue the warm state `state` at `omega` period by period.
 
     Returns (jumped, amplitude, state): jumped once the amplitude falls below
@@ -692,7 +596,8 @@ def _fold_probe(asm, variant, omega, state, threshold, amp=35e3,
     past the plain beam's fold), so a looser test reports the lingering
     transient as a response on the branch.
     """
-    step, period = _beam_full_stepper(asm, variant, omega, amp)
+    step, period = analysis.frc_stepper(problem, omega, AMP,
+                                        problem.full_options, problem.amp_coord)
     prev = None
     streak = 0
     for k in range(max_periods):
@@ -709,7 +614,7 @@ def _fold_probe(asm, variant, omega, state, threshold, amp=35e3,
     return False, a, state
 
 
-def _fold_bracket(asm, variant, grid_coarse, amp=35e3):
+def _fold_bracket(problem, grid_coarse):
     """Bracket the fold of the brute-force response on a warm down-sweep.
 
     Sweeps `grid_coarse` (descending) warm from rest at its first point. The
@@ -719,29 +624,25 @@ def _fold_bracket(asm, variant, grid_coarse, amp=35e3):
     on it at om_on, state_on is the state there, and threshold lies halfway
     across the jump.
     """
-    state = None
-    amps, states = [], []
-    for om in grid_coarse:
-        a, _, _, state = _beam_full_point(asm, variant, om, state, amp)
-        amps.append(a)
-        states.append(state)
+    points = _sweep(problem, grid_coarse)
+    amps = [p.amplitude for p in points]
     k = int(np.argmax(amps))
     assert 0 < k < len(grid_coarse) - 1, (
         f"peak not bracketed: the largest response lies on the window edge "
         f"{grid_coarse[k]:.2f} rad/s")
-    return [grid_coarse[k + 1], grid_coarse[k], states[k],
+    return [grid_coarse[k + 1], grid_coarse[k], points[k].state,
             0.5 * (amps[k] + amps[k + 1])]
 
 
-def _bisect_folds(pool, asm, variants, pending, resolution, amp=35e3):
-    """Fold frequencies of the warm down-sweeps of `variants`, bisected together.
+def _bisect_folds(pool, problems, pending, resolution):
+    """Fold frequencies of the warm down-sweeps of `problems`, bisected together.
 
     `pending` is the result, submitted to `pool`, of `_fold_bracket` for each
-    variant. Each round bisects every bracket wider than `resolution`, each
-    probe starting from the last state still on that variant's branch, and
-    runs the variants' probes in parallel on `pool`. The rounds stop once the
+    problem. Each round bisects every bracket wider than `resolution`, each
+    probe starting from the last state still on that problem's branch, and
+    runs the problems' probes in parallel on `pool`. The rounds stop once the
     brackets no longer overlap, which orders the folds, or once every bracket
-    is narrower than `resolution`. Returns one (om_off, om_on) per variant.
+    is narrower than `resolution`. Returns one (om_off, om_on) per problem.
     """
     brackets = pending.get()
     while max(b[0] for b in brackets) < min(b[1] for b in brackets):
@@ -750,7 +651,7 @@ def _bisect_folds(pool, asm, variants, pending, resolution, amp=35e3):
             break
         mids = [0.5 * (brackets[i][0] + brackets[i][1]) for i in wide]
         probes = pool.starmap(_fold_probe, [
-            (asm, variants[i], om, brackets[i][2], brackets[i][3], amp)
+            (problems[i], om, brackets[i][2], brackets[i][3])
             for i, om in zip(wide, mids)])
         for i, om, (jumped, _, state) in zip(wide, mids, probes):
             if jumped:
@@ -758,6 +659,15 @@ def _bisect_folds(pool, asm, variants, pending, resolution, amp=35e3):
             else:
                 brackets[i][1], brackets[i][2] = om, state
     return [(b[0], b[1]) for b in brackets]
+
+
+def _fixed_horizon(problem, omega, state, n_periods):
+    """The last period's amplitude after n_periods periods from `state`."""
+    step, period = analysis.frc_stepper(problem, omega, AMP,
+                                        problem.full_options, problem.amp_coord)
+    for k in range(n_periods):
+        state, amp = step(k * period, state)
+    return amp
 
 
 def test_criterion_12_beam_forced_response(beam_assembly):
@@ -776,8 +686,9 @@ def test_criterion_12_beam_forced_response(beam_assembly):
     beams' brackets no longer overlap. (A 5 rad/s grid is not fine enough:
     its soft-impact state at the bracket's upper end falls off the branch
     0.4 rad/s above the fold that the 2.5 rad/s grid finds.) The fold search
-    and the reduced model's fit and sweep run on two worker processes while
-    this process runs the full-model sweeps.
+    and the reduced model's sweep run on two worker processes while this
+    process fits the reduced model's branch models and runs the full-model
+    sweeps.
     """
     t0 = time.time()
     asm = beam_assembly
@@ -787,39 +698,32 @@ def test_criterion_12_beam_forced_response(beam_assembly):
     # soft impact: resonance fold frequency moves up
     soft = vkb.NonsmoothVariant(kind="soft_impact", delta=1792.0)  # 5e-4
     assert abs(vkb.normalized_delta(asm, soft) - 5e-4) < 1e-12
+    plain = Beam(asm, vkb.NonsmoothVariant(kind="coulomb", delta=0.0))
+    dry = Beam(asm, coulomb)
     coarse = np.arange(1.07 * w1, 1.015 * w1, -2.5)
     resolution = 0.01
     # sub-fold band, warm up-sweeps with identical grids
     band = np.linspace(0.92 * w1, 1.03 * w1, 12)
-    variants = [soft, None]
+    problems = [Beam(asm, soft), plain]
     with Pool(2) as pool, ThreadPoolExecutor(1) as coordinator:
         # the fold search is the longest chain, so its sweeps go first
         brackets = pool.starmap_async(_fold_bracket,
-                                      [(asm, v, coarse) for v in variants])
-        rom = pool.apply_async(_beam_rom_sweep, (asm, coulomb, band))
-        folds = coordinator.submit(_bisect_folds, pool, asm, variants,
-                                   brackets, resolution)
-        state_f = None
-        amps_full = []
-        conv_full = []
-        states_full = []
-        for om in band:
-            af, cf, _, state_f = _beam_full_point(asm, coulomb, om, state_f)
-            amps_full.append(af)
-            conv_full.append(cf)
-            states_full.append(state_f)
+                                      [(p, coarse) for p in problems])
+        models, _ = dry.fit({"chart": "physical", "static_load": 60e3,
+                             "trim_fraction": 0.10, "t_span": (0.0, 0.3)})
+        rom = pool.apply_async(_sweep, (dry, band, {"models": models}))
+        folds = coordinator.submit(_bisect_folds, pool, problems, brackets,
+                                   resolution)
+        full = _sweep(dry, band)
         # friction vs frictionless at the interior point of the largest
         # Coulomb response: same grid, same start, same fixed horizon
-        j = 1 + int(np.argmax(amps_full[1:-1]))
-        state_0 = None
-        for om in band[:j + 1]:
-            _, _, _, state_0 = _beam_full_point(asm, None, om, state_0)
-        a_fric, *_ = _beam_full_point(asm, coulomb, band[j], states_full[j],
-                                      fixed_periods=160)
-        a_free, *_ = _beam_full_point(asm, None, band[j], state_0,
-                                      fixed_periods=160)
-        errs = [abs(ar - af) / af for af, cf, (ar, cr)
-                in zip(amps_full, conv_full, rom.get()) if cf and cr]
+        j = 1 + int(np.argmax([p.amplitude for p in full[1:-1]]))
+        free = _sweep(plain, band[:j + 1])
+        a_fric = _fixed_horizon(dry, band[j], full[j].state, 160)
+        a_free = _fixed_horizon(plain, band[j], free[-1].state, 160)
+        errs = [abs(pr.amplitude - pf.amplitude) / pf.amplitude
+                for pf, pr in zip(full, rom.get())
+                if pf.converged and pr.converged]
         (soft_off, soft_on), (zero_off, zero_on) = folds.result()
     worst = max(errs)
     # the soft-impact beam leaves its branch where the plain beam stays on
@@ -852,12 +756,12 @@ def test_criterion_13_belt_limit_cycle_and_torus(beam_assembly):
     t0 = time.time()
     asm = beam_assembly
     variant = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
+    belt = Beam(asm, variant)
     opts = IntegratorOptions(rtol=1e-7, atol=1e-10, first_step=1e-6)
     x0 = vkb.branch_fixed_point(asm, variant, "-")
     kick = np.zeros(2 * asm.n_dof)
     kick[asm.mid_dof_index] = 1e-4
-    full = integrate_hybrid(vkb.make_beam_system(asm, variant), x0 + kick,
-                            (0.0, 1.2), opts)
+    full = integrate_hybrid(belt.system(), x0 + kick, (0.0, 1.2), opts)
     cyc = analysis.detect_limit_cycle(full, coord=asm.mid_dof_index)
     assert cyc is not None, "full model must exhibit a limit cycle"
 
@@ -867,7 +771,7 @@ def test_criterion_13_belt_limit_cycle_and_torus(beam_assembly):
         models[b] = beam_rom.fit_branch_from_data(asm, variant, b, data,
                                                   chart="physical")
         models[b].trust_radius = 1.15
-    rom = beam_rom.make_beam_rom(asm, variant, models["+"], models["-"])
+    rom = belt.rom(models=models)
     y0 = rom.model("-").chart(x0 + kick)
     rtraj = simulate_rom(rom, y0, "-", (0.0, 1.2),
                          IntegratorOptions(rtol=1e-9, atol=1e-12,
@@ -878,14 +782,13 @@ def test_criterion_13_belt_limit_cycle_and_torus(beam_assembly):
 
     # forced torus: 50 N at 1.125 x the limit-cycle frequency
     omega_f = 1.125 * 2 * np.pi * cyc.frequency
-    forcing = vkb.mid_forcing(asm, 50.0, omega_f)
-    fullF = integrate_hybrid(vkb.make_beam_system(asm, variant, forcing),
-                             x0 + kick, (0.0, 1.0), opts)
+    fullF = integrate_hybrid(belt.system(omega_f, 50.0), x0 + kick, (0.0, 1.0),
+                             opts)
     grid = np.arange(0.5, 1.0, 2e-4)
     xq = fullF.sample(grid)[:, asm.mid_dof_index]
     peaks_full = analysis.spectrum_peaks(grid, xq, n_peaks=2)
 
-    romF = _beam_forced_rom(asm, variant, models, omega_f, amp=50.0)
+    romF = belt.rom(omega_f, 50.0, models=models)
     rtrajF = simulate_rom(romF, y0, "-", (0.0, 1.0),
                           IntegratorOptions(rtol=1e-9, atol=1e-12,
                                             first_step=1e-6))

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from pwsrom import analysis, cli
+from pwsrom import analysis
 from pwsrom.core import EventKind, IntegratorOptions, integrate_hybrid
-from pwsrom.rom import StrategyError, _correct_onto_surface, make_sp_rom
+from pwsrom.problem import Oscillator
+from pwsrom.rom import StrategyError, _correct_onto_surface
 from pwsrom.shaw_pierre import SpParams, make_system, sp_elastic_term
 
 
@@ -69,32 +70,34 @@ def test_frc_amplitude_linear_in_forcing():
     assert abs(amps[2e-3] / amps[1e-3] - 2.0) < 0.01
 
 
-def _warm_chain(task):
-    """run_chunked worker: warm-starts along its chunk, returns the starts."""
-    _, omegas = task
-    warm, out = None, []
-    for om in omegas:
-        out.append((om, warm))
-        warm = om
-    return out
+class _Counter:
+    """A stub problem with one state, which its period stepper counts up."""
+    dim, amp_coord = 1, 0
 
 
-def test_frc_sweep_chunks_deterministic():
+def _counting_stepper(make_system, omega, amp_index, opts):
+    return (lambda t0, x: (x + 1.0, 1.0)), 1.0
+
+
+def test_frc_sweep_chunks_deterministic(monkeypatch):
+    # a constant amplitude settles after six periods, so the end state
+    # counts the periods since the chunk's cold start
+    monkeypatch.setattr(analysis, "hybrid_period_stepper", _counting_stepper)
     grid = np.linspace(1.0, 2.0, 7)
-    pts = cli.run_chunked(_warm_chain, {}, grid, chunk=3, threads=1)
-    assert [om for om, _ in pts] == list(grid)
-    # warm state resets at chunk boundaries only
-    warm = [w for _, w in pts]
-    assert warm[0] is None and warm[3] is None and warm[6] is None
-    assert warm[1] == grid[0]
-    # chunk boundaries do not depend on the worker count
-    assert cli.run_chunked(_warm_chain, {}, grid, chunk=3, threads=2) == pts
+    runs = [analysis.frc_sweep(_Counter(), grid, 1.0, IntegratorOptions(),
+                               chunk=3, threads=threads) for threads in (1, 2)]
+    for pts in runs:
+        assert [p.omega for p in pts] == list(grid)
+        # warm starts along a chunk, cold ones at chunk boundaries only,
+        # whatever the worker count
+        assert [p.state[0] for p in pts] == [6, 12, 18, 6, 12, 18, 6]
+        assert all(p.converged and p.n_periods == 6 for p in pts)
 
 
 def test_poincare_map_and_edges():
     params = SpParams(delta=0.01)
     sys = make_system(params)
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     ics = [rom.model_plus.lift(np.array([0.45, 0.1])),
            rom.model_minus.lift(np.array([-0.4, -0.05]))]
     margin = lambda x: abs(sp_elastic_term(params, x)) - params.delta
@@ -111,7 +114,7 @@ def test_poincare_restart_consistency():
     # crossings (the return map composes)
     params = SpParams(delta=0.01)
     sys = make_system(params)
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     ic = rom.model_plus.lift(np.array([0.5, 0.0]))
     traj = integrate_hybrid(sys, ic, (0.0, 60.0))
     evs = [e for e in traj.events if e.kind == EventKind.CROSSING]
@@ -124,7 +127,7 @@ def test_poincare_restart_consistency():
 
 def test_surface_arcs_pass_near_fixed_points():
     params = SpParams(delta=0.05)
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     margin = lambda x: abs(sp_elastic_term(params, x)) - params.delta
     out = analysis.approx_invariant_curve(rom, margin, span=0.5, n=201)
     for b in "+-":
@@ -138,7 +141,7 @@ def test_advect_from_surface_takes_the_side_the_flow_leaves_on():
     # a start 1e-9 off the surface on the side against the flow: the first
     # hit is the short hop on the side the flow leaves on, not the crossing
     # half an orbit later that sign(sigma0) would select
-    rom = make_sp_rom(SpParams(delta=0.05))
+    rom = Oscillator(SpParams(delta=0.05)).rom()
     m = rom.model("+")
     y0 = _correct_onto_surface(rom, m, np.array([0.3, 0.1]), 0.0)
     x0 = m.lift(y0)
@@ -153,7 +156,7 @@ def test_advect_from_surface_takes_the_side_the_flow_leaves_on():
 
 
 def test_surface_arc_fails_loudly_when_cut_short(monkeypatch):
-    rom = make_sp_rom(SpParams(delta=0.05))
+    rom = Oscillator(SpParams(delta=0.05)).rom()
     full = analysis.surface_arc(rom, "+", 0.5, 21)
     assert full.shape == (21, 2)
     monkeypatch.setattr(analysis, "_trace_surface",

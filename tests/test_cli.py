@@ -8,6 +8,7 @@ import pytest
 
 import pwsrom
 from pwsrom import cli
+from pwsrom import vk_beam as vkb
 from pwsrom.ssm_model import SsmModel
 
 
@@ -41,6 +42,10 @@ def test_unknown_config_key_rejected(tmp_path):
 def test_unknown_nested_key_rejected(tmp_path):
     with pytest.raises(cli.ConfigError):
         cli.validate_config({"shaw_pierre": {"zeta": 1.0}})
+    # nothing forces the limit-cycle run, so forcing keys must not pass
+    with pytest.raises(cli.ConfigError,
+                       match="unknown key limitcycle.forcing_amp"):
+        cli.validate_config({"limitcycle": {"forcing_amp": 50.0}})
 
 
 def test_validate_tables_known_state(tmp_path):
@@ -83,35 +88,6 @@ def test_simulate_zero_span_header_only(tmp_path):
     assert r.returncode == 0
     lines = (tmp_path / "trajectory.csv").read_text().splitlines()
     assert lines == ["t,x1,x2,x3,x4,branch"]
-
-
-def test_simulate_writes_manifest(tmp_path):
-    cfg = tmp_path / "c.json"
-    write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.05},
-                    "simulate": {"x0": [1, 0.5, 0, 0], "t_span": [0, 2.0]}})
-    r = run_cli(["simulate", "--config", str(cfg), "--out-dir", str(tmp_path)],
-                tmp_path)
-    assert r.returncode == 0
-    man = json.loads((tmp_path / "simulate_manifest.json").read_text())
-    assert set(man["outputs"]) == {"trajectory.csv", "events.csv"}
-    assert "pwsrom" in man["versions"]
-
-
-def test_frc_roundtrip_determinism(tmp_path):
-    cfg = tmp_path / "c.json"
-    write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.001},
-                    "frc": {"omega_min": 1.0, "omega_max": 1.04,
-                            "n_points": 2, "eps": 0.15, "max_periods": 60,
-                            "chunk": 2}})
-    outs = []
-    for d in ("a", "b"):
-        od = tmp_path / d
-        od.mkdir()
-        r = run_cli(["frc", "--config", str(cfg), "--out-dir", str(od)],
-                    tmp_path)
-        assert r.returncode == 0, r.stderr
-        outs.append((od / "frc.csv").read_bytes())
-    assert outs[0] == outs[1]
 
 
 def test_fit_emits_loadable_models_and_datasets(tmp_path):
@@ -178,31 +154,11 @@ def test_poincare_outputs(tmp_path):
     assert edges["reduced_edge_plus"] is not None
 
 
-def test_fit_beam_writes_fitted_dataset(tmp_path):
-    # the datasets written are the six decays the models were fitted on
-    cfg = tmp_path / "c.json"
-    write_cfg(cfg, {"model": "vk_beam",
-                    "vk_beam": {"n_elements": 2, "variant": "coulomb",
-                                "delta_tilde": 1e-3},
-                    "fit": {"order_m": 2, "order_r": 3, "t_span": [0.0, 0.02],
-                            "dt": 1e-4}})
-    r = run_cli(["fit", "--config", str(cfg), "--out-dir", str(tmp_path)],
-                tmp_path)
-    assert r.returncode == 0, r.stderr
-    for tag in ("plus", "minus"):
-        dd = tmp_path / f"dataset_{tag}"
-        man = json.loads((dd / "manifest.json").read_text())
-        assert man["n_trajectories"] == 6
-        assert len(list(dd.glob("traj_*.csv"))) == 6
-        assert SsmModel.from_json(tmp_path / f"ssm_model_{tag}.json").source == "data"
-
-
-def test_frc_chunks_share_configured_tolerances(monkeypatch):
-    # both chunks integrate at frc.rtol/frc.atol (defaults 1e-8/1e-10) with
+def test_frc_chunks_share_configured_tolerances(monkeypatch, tmp_path):
+    # both sweeps integrate at frc.rtol/frc.atol (defaults 1e-8/1e-10) with
     # the same options at each frequency; the period steppers are stubbed,
     # only the options they receive are checked
     from pwsrom import analysis
-    seen = {"full": [], "rom": []}
 
     def full_stepper(make_system, omega, amp_index, opts):
         seen["full"].append(opts)
@@ -217,12 +173,11 @@ def test_frc_chunks_share_configured_tolerances(monkeypatch):
     omegas = [0.95, 1.05]
     for frc, tols in (({"rtol": 1e-7, "atol": 1e-9}, (1e-7, 1e-9)),
                       ({}, (1e-8, 1e-10))):
-        seen["full"].clear()
-        seen["rom"].clear()
+        seen = {"full": [], "rom": []}
         cfg = {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01},
-               "frc": {"eps": 0.15, **frc}}
-        cli._sp_frc_full_chunk((cfg, omegas))
-        cli._sp_frc_rom_chunk((cfg, omegas))
+               "frc": {"eps": 0.15, "omega_min": omegas[0],
+                       "omega_max": omegas[1], "n_points": 2, **frc}}
+        assert cli.cmd_frc(cfg, str(tmp_path)) == 0
         assert [(o.rtol, o.atol) for o in seen["rom"]] == [tols] * 2
         assert seen["rom"] == seen["full"]
         assert [o.max_step for o in seen["rom"]] == [2 * np.pi / om / 64
@@ -230,19 +185,88 @@ def test_frc_chunks_share_configured_tolerances(monkeypatch):
 
 
 def test_frc_does_not_depend_on_threads(tmp_path):
-    # each chunk integrates its own periods from its own warm start, so the
-    # worker count cannot move a result
+    # each chunk integrates its own periods from its own warm start, so
+    # neither a second run nor the worker count can move a result
     cfg = tmp_path / "c.json"
     write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01},
                     "frc": {"omega_min": 0.95, "omega_max": 1.05,
                             "n_points": 4, "eps": 0.15, "max_periods": 40,
                             "chunk": 2}})
     outs = []
-    for threads in ("1", "2"):
-        od = tmp_path / f"threads{threads}"
+    for k, threads in enumerate(("1", "1", "2")):
+        od = tmp_path / f"run{k}"
         od.mkdir()
         r = run_cli(["frc", "--config", str(cfg), "--out-dir", str(od),
                      "--threads", threads], tmp_path)
         assert r.returncode == 0, r.stderr
         outs.append((od / "frc.csv").read_bytes())
-    assert outs[0] == outs[1]
+    assert outs[0] == outs[1] == outs[2]
+
+
+_OSC = {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01}}
+_BEAM = {"model": "vk_beam", "vk_beam": {"n_elements": 2, "variant": "coulomb",
+                                         "delta_tilde": 1e-3}}
+_W1 = vkb.assemble_beam(vkb.BeamProperties(n_elements=2)).natural_frequencies()[0]
+_BAND = {"omega_min": 0.97 * _W1, "omega_max": _W1, "n_points": 2, "eps": 35e3,
+         "max_periods": 6}
+_FIT = {"order_m": 2, "order_r": 3, "t_span": [0.0, 0.02], "chart": "physical"}
+_TRAJ = ["trajectory.csv", "events.csv"]
+_MODELS = ["ssm_model_plus.json", "ssm_model_minus.json"]
+_BELT = "it needs model vk_beam with variant moving_belt"
+# id: (command, config, the outputs it writes or the reason it refuses)
+_MATRIX = {
+    "simulate-osc": ("simulate", {**_OSC, "simulate": {"t_span": [0, 2.0]}}, _TRAJ),
+    "simulate-beam": ("simulate", {**_BEAM, "simulate": {"t_span": [0, 5e-3]}},
+                      _TRAJ),
+    "simulate-beam-rom-unfitted": (
+        "simulate", {**_BEAM, "simulate": {"t_span": [0, 5e-3], "use_rom": True}},
+        "the beam ROM runs on fitted branch models"),
+    "fit-osc": ("fit", {**_OSC, "fit": {"order_m": 2, "order_r": 2, "n_ic": 4,
+                                        "t_span": [0.0, 5.0]}}, _MODELS),
+    "fit-beam": ("fit", {**_BEAM, "fit": _FIT}, _MODELS),
+    "frc-osc": ("frc", {**_OSC, "frc": {"omega_min": 1.0, "omega_max": 1.05,
+                                        "n_points": 2, "max_periods": 8}},
+                ["frc.csv"]),
+    "frc-beam-full": ("frc", {**_BEAM, "frc": {**_BAND, "with_rom": False}},
+                      ["frc.csv"]),
+    "frc-beam-rom": ("frc", {**_BEAM, "frc": _BAND, "fit": _FIT}, ["frc.csv"]),
+    "frc-beam-no-band": ("frc", _BEAM,
+                         "frc needs frc.omega_min, frc.omega_max, frc.eps"),
+    "poincare-osc": ("poincare", {**_OSC, "poincare": {
+        "n_ic": 1, "t_span": [0.0, 60.0], "skip": 1}}, ["poincare.csv", "edges.json"]),
+    "poincare-beam": ("poincare", _BEAM, "poincare runs on the oscillator"),
+    "limitcycle-osc": ("limitcycle", _OSC, _BELT),
+    "limitcycle-beam-coulomb": ("limitcycle", _BEAM, _BELT),
+    "validate-tables-beam": ("validate-tables", _BEAM,
+                             "checks the oscillator's published"),
+}
+
+
+@pytest.mark.parametrize("command,config,expect", list(_MATRIX.values()),
+                         ids=list(_MATRIX))
+def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, command,
+                                                 config, expect):
+    write_cfg(tmp_path / "c.json", config)
+    out = tmp_path / "out"
+    rc = cli.main([command, "--config", str(tmp_path / "c.json"),
+                   "--out-dir", str(out)])
+    err = capsys.readouterr().err
+    if isinstance(expect, str):
+        assert rc == 2 and "ConfigError: " in err and expect in err, err
+        return
+    assert rc == 0, err
+    man = json.loads((out / f"{command}_manifest.json").read_text())
+    assert set(man["outputs"]) == set(expect) and "pwsrom" in man["versions"]
+    for tag in ("plus", "minus") if command == "fit" else ():
+        # the datasets are the decays the models were fitted on: six per
+        # branch for the beam, fit.n_ic for the oscillator
+        data = json.loads((out / f"dataset_{tag}" / "manifest.json").read_text())
+        assert data["n_trajectories"] == config["fit"].get("n_ic", 6)
+        assert len(list((out / f"dataset_{tag}").glob("traj_*.csv"))) == \
+            data["n_trajectories"]
+        assert SsmModel.from_json(out / f"ssm_model_{tag}.json").source == "data"
+    if command == "frc":
+        # the ROM column is nan without the reduced model, finite with it
+        rows = (out / "frc.csv").read_text().splitlines()[1:]
+        finite = [np.isfinite(float(r.split(",")[2])) for r in rows]
+        assert finite == [config["frc"].get("with_rom", True)] * 2

@@ -11,7 +11,8 @@ from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          SwitchingFunction, classify_boundary,
                          StiffnessError, _float_stepper, _integrate_segment,
                          _Stepper, _stepper, filippov_field, integrate_hybrid)
-from pwsrom.rom import make_sp_rom, simulate_rom
+from pwsrom.problem import Oscillator
+from pwsrom.rom import simulate_rom
 from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
 from sp_oracles import sp_sliding_field, sp_sticking_test
 
@@ -365,6 +366,19 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert branches <= {"1", "-1", "0"}
 
 
+def test_write_rows_matches_csv_writer_bytes(tmp_path):
+    # the bytes of csv.writer over repr(float(v)), the earlier writer
+    import csv
+    rows = np.array([[-0.0, 1e-300, 1.7976931348623157e308, np.nan],
+                     [0.1, -2.5e-17, 6.02214076e23, -np.inf],
+                     [1.0, 5e-324, -1e16, 123456789.123456789]])
+    core.write_rows(tmp_path / "new.csv", ["t", "y1", "y2", "y3"], rows.tolist())
+    with open(tmp_path / "old.csv", "w", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(
+            [["t", "y1", "y2", "y3"]] + [[repr(float(v)) for v in r] for r in rows])
+    assert (tmp_path / "new.csv").read_text() == (tmp_path / "old.csv").read_text()
+
+
 def _assert_uniform_grid(traj, dt):
     """Samples that are not event or span-end times lie on k * dt exactly."""
     special = {float(ev.t) for ev in traj.events}
@@ -388,8 +402,7 @@ def test_sample_grid_uniform_across_events():
 
 
 def test_rom_sample_grid_uniform_across_events():
-    from pwsrom.rom import make_sp_rom, simulate_rom
-    rom = make_sp_rom(SpParams(delta=0.01))
+    rom = Oscillator(SpParams(delta=0.01)).rom()
     y0 = rom.model("+").chart(np.array([0.5, 0.3, -0.2, 0.1]))
     traj = simulate_rom(rom, y0, "+", (0.0, 40.0),
                         IntegratorOptions(t_eval_dt=0.1, record_steps=False))
@@ -415,8 +428,7 @@ def test_stepper_dense_output_spans_each_accepted_step():
 def _counted_reduced_field():
     """The forced two-state reduced field of the oscillator ROM, counting
     its calls."""
-    from pwsrom.rom import make_sp_rom
-    model = make_sp_rom(SpParams(eps=0.15, omega=1.0)).model("+")
+    model = Oscillator(SpParams(eps=0.15, omega=1.0)).rom().model("+")
     calls = [0]
 
     def f(t, y):
@@ -691,7 +703,7 @@ def _full_sticking_run(opts):
 
 
 def _rom_sticking_run(opts):
-    rom = make_sp_rom(SpParams(delta=0.05), ic_strategy="continuity_q1")
+    rom = Oscillator(SpParams(delta=0.05)).rom(ic_strategy="continuity_q1")
     y0 = rom.model("+").chart(np.array([0.5, 0.3, -0.2, 0.1]))
     return simulate_rom(rom, y0, "+", (0.0, 40.0), opts)
 

@@ -52,7 +52,8 @@ import pytest
 
 from pwsrom import vk_beam as vkb
 from pwsrom.core import IntegratorOptions, SwitchingFunction, integrate_hybrid
-from pwsrom.rom import make_sp_rom, simulate_rom
+from pwsrom.problem import Oscillator
+from pwsrom.rom import simulate_rom
 from pwsrom.shaw_pierre import SpParams, make_system
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden_events.json")
@@ -76,7 +77,7 @@ def _belt_beam():
 
 
 def _rom(delta, strategy, lifting_event=False):
-    rom = make_sp_rom(SpParams(delta=delta), ic_strategy=strategy)
+    rom = Oscillator(SpParams(delta=delta)).rom(ic_strategy=strategy)
     if lifting_event:
         # rebuilt from sigma and grad_sigma only, as a wrapper of sigma would
         # rebuild it: no affine form, so the branch events lift

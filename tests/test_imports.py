@@ -18,7 +18,8 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(pwsrom.__path__))
 
 
 def test_every_module_is_listed():
-    assert {"core", "rom", "ssm_analytic", "ssm_data", "cli"} <= set(MODULES)
+    assert {"core", "rom", "ssm_analytic", "ssm_data", "problem",
+            "cli"} <= set(MODULES)
 
 
 @pytest.mark.parametrize("name", MODULES)

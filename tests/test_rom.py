@@ -9,9 +9,10 @@ from pwsrom.beam_rom import make_beam_rom
 from pwsrom.core import (EventKind, IntegratorOptions, PiecewiseSmoothSystem,
                          SwitchingFunction, _Stepper, integrate_hybrid)
 from pwsrom.poly2 import monomials
+from pwsrom.problem import Oscillator
 from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StickingRule,
                         StrategyError, _correct_onto_surface, _trace_surface,
-                        make_sp_rom, simulate_rom, switch_ic, switching_value)
+                        simulate_rom, switch_ic, switching_value)
 from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
 from pwsrom.ssm_model import PeriodicCorrection, SsmModel
 from sp_oracles import sp_sliding_field, sp_sticking_test, sp_surface_pull
@@ -19,11 +20,11 @@ from sp_oracles import sp_sliding_field, sp_sticking_test, sp_surface_pull
 
 @pytest.fixture(scope="module")
 def rom_01():
-    return make_sp_rom(SpParams(delta=0.1))
+    return Oscillator(SpParams(delta=0.1)).rom()
 
 
 def test_projection_identity_at_zero_friction():
-    rom = make_sp_rom(SpParams(delta=0.0))
+    rom = Oscillator(SpParams(delta=0.0)).rom()
     y = np.array([0.3, -0.2])
     assert np.allclose(switch_ic(rom, y, "+"), y, atol=1e-14)
 
@@ -86,11 +87,11 @@ def _surface_state(rom, branch, y_guess):
 
 def test_unknown_strategy_rejected():
     with pytest.raises(ValueError):
-        make_sp_rom(SpParams(delta=0.1), ic_strategy="nope")
+        Oscillator(SpParams(delta=0.1)).rom(ic_strategy="nope")
 
 
 def test_rom_zero_friction_matches_smooth_reduced():
-    rom = make_sp_rom(SpParams(delta=0.0))
+    rom = Oscillator(SpParams(delta=0.0)).rom()
     rom.sticking = None
     y0 = np.array([0.3, 0.0])
     traj = simulate_rom(rom, y0, "+", (0.0, 25.0),
@@ -131,7 +132,7 @@ def test_rom_branch_validity(rom_01):
 def test_rom_jump_scales_with_friction():
     jumps = {}
     for delta in (2e-3, 1e-3):
-        rom = make_sp_rom(SpParams(delta=delta))
+        rom = Oscillator(SpParams(delta=delta)).rom()
         rom.sticking = None
         y0 = rom.model_plus.chart(np.array([0.5, 0.35, 0.0, 0.0]))
         traj = simulate_rom(rom, y0, "+", (0.0, 10.0))
@@ -150,7 +151,7 @@ def test_rom_jump_scales_with_friction():
 
 def test_rom_sticking_fidelity_reconstruction(rom_01):
     params = SpParams(delta=0.1)
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     y0 = rom.model_plus.chart(np.array([0.8, 0.5, 0.0, 0.0]))
     traj = simulate_rom(rom, y0, "+", (0.0, 60.0))
     saw = False
@@ -164,7 +165,7 @@ def test_rom_sticking_fidelity_reconstruction(rom_01):
 def test_sticking_samples_are_pinned_lifts():
     # a sticking segment is recorded by one batched lift with the pinned
     # coordinate assigned; each sample equals its own lift with dq1 = 0
-    rom = make_sp_rom(SpParams(delta=0.05))
+    rom = Oscillator(SpParams(delta=0.05)).rom()
     y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
     traj = simulate_rom(rom, y0, "+", (0.0, 40.0),
                         IntegratorOptions(t_eval_dt=0.05))
@@ -202,7 +203,7 @@ def test_sticking_chart_misconfiguration_detected(rom_01):
 
 def test_rom_tracks_full_model():
     params = SpParams(delta=1e-3)
-    rom = make_sp_rom(params)
+    rom = Oscillator(params).rom()
     sys = make_system(params)
     model = rom.model_plus
     x0 = model.lift(np.array([0.4, 0.25]))
@@ -233,7 +234,7 @@ def test_precomposed_switching_value_is_sigma_of_the_lift():
     # the lift's own coefficients and sums them in the lift's order
     rng = np.random.default_rng(7)
     for eps in (0.15, 0.0):
-        rom = make_sp_rom(SpParams(delta=0.1, eps=eps, omega=1.1))
+        rom = Oscillator(SpParams(delta=0.1, eps=eps, omega=1.1)).rom()
         sigma = rom.switching.sigma
         for branch in "+-":
             model = rom.model(branch)
@@ -276,7 +277,7 @@ def test_precomposed_belt_switching_value():
 
 
 def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
-    rom = make_sp_rom(SpParams(delta=0.01))
+    rom = Oscillator(SpParams(delta=0.01)).rom()
     rom.sticking = None
     y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
     lift = SsmModel.lift
@@ -340,7 +341,7 @@ def test_oscillator_rule_matches_the_analytic_oracles():
     rng = np.random.default_rng(11)
     for eps in (0.0, 0.15):
         params = SpParams(delta=0.1, eps=eps, omega=1.1)
-        rom = make_sp_rom(params)
+        rom = Oscillator(params).rom()
         rule = rom.sticking
         stuck = 0
         for branch in "+-":
@@ -383,7 +384,7 @@ def test_beam_rule_slides_at_the_held_velocity():
 def test_surface_search_is_the_same_on_both_paths(eps):
     # the precomposed value and slope against the lift and grad_sigma times
     # the lift Jacobian: Newton, the traced curve and both searches agree
-    rom = make_sp_rom(SpParams(delta=0.1, eps=eps, omega=1.1))
+    rom = Oscillator(SpParams(delta=0.1, eps=eps, omega=1.1)).rom()
     lifting = dataclasses.replace(
         rom, switching=dataclasses.replace(rom.switching, affine=None))
     t = 1.7

@@ -18,7 +18,8 @@ from pwsrom import ssm_analytic as sa
 from pwsrom import ssm_data as sd
 from pwsrom import ssm_model as sm
 from pwsrom.poly2 import monomials, vector_poly
-from pwsrom.rom import make_sp_rom, simulate_rom, switching_value
+from pwsrom.problem import Oscillator
+from pwsrom.rom import simulate_rom, switching_value
 from pwsrom.shaw_pierre import SpParams, sp_field
 from pwsrom.ssm_model import SsmModel
 
@@ -348,7 +349,7 @@ def test_one_evaluator_per_monomial_structure():
 
 
 def test_used_model_round_trips_through_pickle():
-    rom = make_sp_rom(SpParams(delta=0.05, eps=0.15, omega=1.0))
+    rom = Oscillator(SpParams(delta=0.05, eps=0.15, omega=1.0)).rom()
     model = rom.model("+")
     y0 = model.chart(np.array([0.5, 0.3, -0.2, 0.1]))
     simulate_rom(rom, y0, "+", (0.0, 5.0))
