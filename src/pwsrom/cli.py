@@ -203,14 +203,18 @@ def cmd_frc(cfg, out_dir, threads=1) -> int:
     sweep = {"chunk": fc.get("chunk", 16), "threads": threads,
              "max_periods": fc.get("max_periods", 500),
              "amp_coord": fc.get("amp_coord")}
+    rom = {"models": None, "order": fc.get("order", 3)}
+    if fc.get("with_rom", True) and not problem.analytic_rom:
+        rom["models"] = problem.fit(cfg.get("fit", {}))[0]
+        # a fitted ROM that cannot run (a chart that cannot stick) fails
+        # here, before the full sweep
+        problem.rom(grid[0], fc["eps"], **rom)
     full = analysis.frc_sweep(problem, grid, fc["eps"],
                               replace(problem.full_options, **tol), **sweep)
     if fc.get("with_rom", True):
-        models = (None if problem.analytic_rom
-                  else problem.fit(cfg.get("fit", {}))[0])
         romp = analysis.frc_sweep(
             problem, grid, fc["eps"], replace(problem.rom_options, **tol),
-            rom={"models": models, "order": fc.get("order", 3)}, **sweep)
+            rom=rom, **sweep)
     else:
         romp = [analysis.FrcPoint(omega=om, amplitude=np.nan, converged=False,
                                   n_periods=0) for om in grid]
@@ -295,9 +299,8 @@ def cmd_limitcycle(cfg, out_dir) -> int:
     x0 = vkb.branch_fixed_point(asm, problem.variant, "-") + 1e-4
     t_span = lc.get("t_span", [0.0, 1.5])
     traj = integrate_hybrid(problem.system(), x0, t_span, opts)
-    models, _ = problem.fit({"order_m": lc.get("order_m", 5),
-                             "order_r": lc.get("order_r", 5),
-                             "chart": "physical"})
+    models, _ = problem.fit({k: lc[k] for k in ("order_m", "order_r")
+                             if k in lc})
     nrom = problem.rom(models=models)
     rtraj = simulate_rom(nrom, nrom.model("-").chart(x0), "-", t_span,
                          IntegratorOptions(rtol=1e-8, atol=1e-11))

@@ -32,7 +32,6 @@ class TrajectoryDataset:
     trajectories: list                 # [(t (N,), y (N, n)), ...]
     branch: str = "+"
     trim_fraction: float = 0.05
-    full_state: bool = True
 
     def __post_init__(self):
         for t, y in self.trajectories:
@@ -40,10 +39,6 @@ class TrajectoryDataset:
                 raise ValueError("time grids must be strictly increasing")
             if not (np.isfinite(t).all() and np.isfinite(y).all()):
                 raise ValueError("non-finite samples in dataset")
-
-    @property
-    def n_obs(self) -> int:
-        return self.trajectories[0][1].shape[1]
 
     def trimmed(self):
         """Trajectories with the initial transient fraction dropped."""
@@ -136,9 +131,6 @@ def fit_manifold(data: TrajectoryDataset, v_matrix: np.ndarray, order: int,
         raise ValueError("order must be at least 2")
     V = np.asarray(v_matrix, dtype=float)
     n, d = V.shape
-    if not data.full_state and n < 2 * d + 1:
-        raise ValueError(f"observable dimension {n} below the minimal "
-                         f"embedding dimension {2 * d + 1} for a {d}-d manifold")
     if w_matrix is None:
         if np.linalg.norm(V.T @ V - np.eye(d)) > 1e-10:
             raise ValueError("v_matrix must have orthonormal columns (or pass "
@@ -249,26 +241,17 @@ def model_from_fits(fit: ManifoldFit, dyn: DynamicsFit, branch: str,
 
 
 def scale_dataset(data: TrajectoryDataset, x0: np.ndarray,
-                  scale: Optional[np.ndarray] = None, floor: float = 1e-12):
-    """Center a dataset and scale it to order-one amplitudes.
+                  scale: np.ndarray) -> TrajectoryDataset:
+    """The dataset centred on x0 and divided by the scale vector.
 
     Mixed physical units (displacements vs velocities) make monomial
     regressors ill-conditioned; fitting happens in y_s = (y - x0) / scale.
-    Without an explicit scale vector, per-coordinate amplitudes are used.
     """
     x0 = np.asarray(x0, dtype=float)
-    if scale is None:
-        amp = np.zeros(data.n_obs)
-        for t, y in data.trimmed():
-            amp = np.maximum(amp, np.abs(y - x0).max(axis=0))
-        scale = np.maximum(amp, floor * max(amp.max(), 1.0))
-    else:
-        scale = np.asarray(scale, dtype=float)
-    scaled = TrajectoryDataset(
+    scale = np.asarray(scale, dtype=float)
+    return TrajectoryDataset(
         trajectories=[(t, (y - x0) / scale) for t, y in data.trajectories],
-        branch=data.branch, trim_fraction=data.trim_fraction,
-        full_state=data.full_state)
-    return scaled, scale
+        branch=data.branch, trim_fraction=data.trim_fraction)
 
 
 def unscale_model(model: SsmModel, x0: np.ndarray,

@@ -19,7 +19,7 @@ from multiprocessing import Pool
 import numpy as np
 import pytest
 
-from pwsrom import analysis, beam_rom, spectral
+from pwsrom import analysis, spectral
 from pwsrom import ssm_analytic as sa
 from pwsrom import ssm_data as sd
 from pwsrom import vk_beam as vkb
@@ -765,12 +765,7 @@ def test_criterion_13_belt_limit_cycle_and_torus(beam_assembly):
     cyc = analysis.detect_limit_cycle(full, coord=asm.mid_dof_index)
     assert cyc is not None, "full model must exhibit a limit cycle"
 
-    models = {}
-    for b, tsp, kk in (("+", (0.0, 0.105), 2e-5), ("-", (0.0, 1.5), 5e-5)):
-        data = beam_rom.belt_training_data(asm, variant, b, t_span=tsp, kick=kk)
-        models[b] = beam_rom.fit_branch_from_data(asm, variant, b, data,
-                                                  chart="physical")
-        models[b].trust_radius = 1.15
+    models, _ = belt.fit({})
     rom = belt.rom(models=models)
     y0 = rom.model("-").chart(x0 + kick)
     rtraj = simulate_rom(rom, y0, "-", (0.0, 1.2),

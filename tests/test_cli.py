@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import pwsrom
-from pwsrom import cli
+from pwsrom import analysis, cli
 from pwsrom import vk_beam as vkb
 from pwsrom.ssm_model import SsmModel
 
@@ -175,8 +175,6 @@ def test_frc_chunks_share_configured_tolerances(monkeypatch, tmp_path):
     # both sweeps integrate at frc.rtol/frc.atol (defaults 1e-8/1e-10) with
     # the same options at each frequency; the period steppers are stubbed,
     # only the options they receive are checked
-    from pwsrom import analysis
-
     def full_stepper(make_system, omega, amp_index, opts):
         seen["full"].append(opts)
         return (lambda t0, x: (x, 1.0)), 2 * np.pi / omega
@@ -229,8 +227,10 @@ _BAND = {"omega_min": 0.97 * _W1, "omega_max": _W1, "n_points": 2, "eps": 35e3,
 _FIT = {"order_m": 2, "order_r": 3, "t_span": [0.0, 0.02], "chart": "physical"}
 _TRAJ = ["trajectory.csv", "events.csv"]
 _MODELS = ["ssm_model_plus.json", "ssm_model_minus.json"]
-_BELT = "it needs model vk_beam with variant moving_belt"
-# id: (command, config, the outputs it writes or the reason it refuses)
+_BELT = {"model": "vk_beam", "vk_beam": {"variant": "moving_belt", "delta": 8.0}}
+_NOT_BELT = "it needs model vk_beam with variant moving_belt"
+# id: (command, config, the outputs it writes or the reason it refuses: a
+# ConfigError's, or an (error, reason) pair)
 _MATRIX = {
     "simulate-osc": ("simulate", {**_OSC, "simulate": {"t_span": [0, 2.0]}}, _TRAJ),
     "simulate-beam": ("simulate", {**_BEAM, "simulate": {"t_span": [0, 5e-3]}},
@@ -241,19 +241,26 @@ _MATRIX = {
     "fit-osc": ("fit", {**_OSC, "fit": {"order_m": 2, "order_r": 2, "n_ic": 4,
                                         "t_span": [0.0, 5.0]}}, _MODELS),
     "fit-beam": ("fit", {**_BEAM, "fit": _FIT}, _MODELS),
+    "fit-belt": ("fit", _BELT, _MODELS),
+    "fit-belt-unread-key": ("fit", {**_BELT, "fit": {"static_load": 60e3}},
+                            "the belt fit does not read fit.static_load"),
     "frc-osc": ("frc", {**_OSC, "frc": {"omega_min": 1.0, "omega_max": 1.05,
                                         "n_points": 2, "max_periods": 8}},
                 ["frc.csv"]),
     "frc-beam-full": ("frc", {**_BEAM, "frc": {**_BAND, "with_rom": False}},
                       ["frc.csv"]),
     "frc-beam-rom": ("frc", {**_BEAM, "frc": _BAND, "fit": _FIT}, ["frc.csv"]),
+    "frc-beam-rom-modal-chart": (
+        "frc", {**_BEAM, "frc": _BAND, "fit": {**_FIT, "chart": "modal"}},
+        ("RomConfigurationError", "sticking requires the physical midpoint chart")),
     "frc-beam-no-band": ("frc", _BEAM,
                          "frc needs frc.omega_min, frc.omega_max, frc.eps"),
     "poincare-osc": ("poincare", {**_OSC, "poincare": {
         "n_ic": 1, "t_span": [0.0, 60.0], "skip": 1}}, ["poincare.csv", "edges.json"]),
     "poincare-beam": ("poincare", _BEAM, "poincare runs on the oscillator"),
-    "limitcycle-osc": ("limitcycle", _OSC, _BELT),
-    "limitcycle-beam-coulomb": ("limitcycle", _BEAM, _BELT),
+    "limitcycle-osc": ("limitcycle", _OSC, _NOT_BELT),
+    "limitcycle-beam-coulomb": ("limitcycle", _BEAM, _NOT_BELT),
+    "limitcycle-belt": ("limitcycle", _BELT, ["limitcycle.json"]),
     "validate-tables-beam": ("validate-tables", _BEAM,
                              "checks the oscillator's published"),
 }
@@ -261,24 +268,36 @@ _MATRIX = {
 
 @pytest.mark.parametrize("command,config,expect", list(_MATRIX.values()),
                          ids=list(_MATRIX))
-def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, command,
-                                                 config, expect):
+def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, monkeypatch,
+                                                 command, config, expect):
+    full_steppers = []
+    stepper = analysis.hybrid_period_stepper
+    monkeypatch.setattr(analysis, "hybrid_period_stepper",
+                        lambda *a: full_steppers.append(a) or stepper(*a))
     write_cfg(tmp_path / "c.json", config)
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(tmp_path / "c.json"),
                    "--out-dir", str(out)])
     err = capsys.readouterr().err
     if isinstance(expect, str):
-        assert rc == 2 and "ConfigError: " in err and expect in err, err
+        expect = ("ConfigError", expect)
+    if isinstance(expect, tuple):
+        error, reason = expect
+        assert rc == 2 and f"{error}: " in err and reason in err, err
+        # a refusal comes before any full-model period
+        assert not full_steppers
         return
     assert rc == 0, err
     man = json.loads((out / f"{command}_manifest.json").read_text())
     assert set(man["outputs"]) == set(expect) and "pwsrom" in man["versions"]
+    belt = config.get("vk_beam", {}).get("variant") == "moving_belt"
     for tag in ("plus", "minus") if command == "fit" else ():
-        # the datasets are the decays the models were fitted on: six per
-        # branch for the beam, fit.n_ic for the oscillator
+        # the datasets are the trajectories the models were fitted on: two
+        # spirals per branch for the belt, six decays for the other beams,
+        # fit.n_ic decays for the oscillator
         data = json.loads((out / f"dataset_{tag}" / "manifest.json").read_text())
-        assert data["n_trajectories"] == config["fit"].get("n_ic", 6)
+        assert data["n_trajectories"] == (2 if belt else
+                                          config["fit"].get("n_ic", 6))
         assert len(list((out / f"dataset_{tag}").glob("traj_*.csv"))) == \
             data["n_trajectories"]
         assert SsmModel.from_json(out / f"ssm_model_{tag}.json").source == "data"
@@ -287,3 +306,9 @@ def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, command,
         rows = (out / "frc.csv").read_text().splitlines()[1:]
         finite = [np.isfinite(float(r.split(",")[2])) for r in rows]
         assert finite == [config["frc"].get("with_rom", True)] * 2
+    if command == "limitcycle":
+        # the ROM's stick-slip cycle has the full model's frequency
+        cycles = json.loads((out / "limitcycle.json").read_text())
+        assert cycles["full"] and cycles["rom"]
+        f_full, f_rom = cycles["full"]["frequency"], cycles["rom"]["frequency"]
+        assert abs(f_rom - f_full) <= 0.01 * f_full

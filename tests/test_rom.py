@@ -5,11 +5,10 @@ import pytest
 
 from pwsrom import ssm_model
 from pwsrom import vk_beam as vkb
-from pwsrom.beam_rom import make_beam_rom
 from pwsrom.core import (EventKind, IntegratorOptions, PiecewiseSmoothSystem,
                          SwitchingFunction, _Stepper, integrate_hybrid)
 from pwsrom.poly2 import monomials
-from pwsrom.problem import Oscillator
+from pwsrom.problem import Beam, Oscillator
 from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StickingRule,
                         StrategyError, _correct_onto_surface, _trace_surface,
                         simulate_rom, switch_ic, switching_value)
@@ -312,10 +311,10 @@ def _physical_chart_beam_models(asm):
     W = np.zeros((2, 2 * n))
     V[i_q, 0], V[n + i_q, 1] = 2e-3, 0.5
     W[0, i_q], W[1, n + i_q] = 1 / 2e-3, 1 / 0.5
-    return [SsmModel(branch=b, x0=np.zeros(2 * n), tangent=V, chart_w=W,
-                     nl_coeffs={}, rdyn={(1, 0): np.array([0.0, -1.0]),
-                                         (0, 1): np.array([1.0, 0.0])},
-                     source="data") for b in "+-"]
+    return {b: SsmModel(branch=b, x0=np.zeros(2 * n), tangent=V, chart_w=W,
+                        nl_coeffs={}, rdyn={(1, 0): np.array([0.0, -1.0]),
+                                            (0, 1): np.array([1.0, 0.0])},
+                        source="data") for b in "+-"}
 
 
 def test_sticking_fields_return_float_pairs(rom_01):
@@ -327,8 +326,8 @@ def test_sticking_fields_return_float_pairs(rom_01):
     asm = vkb.assemble_beam()
     models = _physical_chart_beam_models(asm)
     belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
-    rom = make_beam_rom(asm, belt, *models)
-    out = rom.sticking.sliding(models[0], 0.0, (0.1, 0.2))[1]
+    rom = Beam(asm, belt).rom(models=models)
+    out = rom.sticking.sliding(models["+"], 0.0, (0.1, 0.2))[1]
     assert _is_float_pair(out)
     assert out == pytest.approx((belt.v_ground / 2e-3, 0.0), rel=1e-12, abs=0.0)
 
@@ -371,9 +370,9 @@ def test_beam_rule_slides_at_the_held_velocity():
     coulomb = vkb.NonsmoothVariant(kind="coulomb", delta=12.0)
     belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
     for variant, v_hold in ((coulomb, 0.0), (belt, belt.v_ground)):
-        rom = make_beam_rom(asm, variant, *models)
-        expected = (v_hold / models[0].tangent[asm.mid_dof_index, 0], 0.0)
-        for model in models:
+        rom = Beam(asm, variant).rom(models=models)
+        expected = (v_hold / models["+"].tangent[asm.mid_dof_index, 0], 0.0)
+        for model in models.values():
             for _ in range(20):
                 y = rng.uniform(-1.0, 1.0, 2)
                 dy = rom.sticking.sliding(model, rng.uniform(0.0, 0.1), y)[1]

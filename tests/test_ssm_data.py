@@ -42,13 +42,6 @@ def test_fit_requires_orthonormal_or_oblique_pair():
         sd.fit_manifold(data, 2.0 * np.eye(3)[:, :2], order=2)
 
 
-def test_embedding_dimension_guard():
-    data = quad_graph_dataset()
-    data.full_state = False
-    with pytest.raises(ValueError):
-        sd.fit_manifold(data, np.eye(3)[:, :2], order=2)
-
-
 def test_linear_dynamics_recovery():
     A = np.array([[-0.1, 1.0], [-1.0, -0.1]])
     t, Y = sd.smooth_integrate(lambda s, x: A @ x, [1.0, 0.2], (0, 20), 0.01)
