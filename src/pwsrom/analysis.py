@@ -93,7 +93,7 @@ def _rom_end(traj, branch):
 
 
 def frc_stepper(problem, omega: float, amp: float, opts: IntegratorOptions,
-                amp_coord: int, rom: Optional[dict] = None):
+                rom: Optional[dict] = None):
     """(stepper, period) at omega with a maximum step of a 64th period, of
     the full model of `problem` (a pwsrom.problem problem) or, with `rom`
     (keyword arguments of problem.rom), of its reduced model."""
@@ -101,19 +101,19 @@ def frc_stepper(problem, omega: float, amp: float, opts: IntegratorOptions,
     opts = replace(opts, max_step=period / 64)
     if rom is None:
         return hybrid_period_stepper(lambda w: problem.system(w, amp), omega,
-                                     amp_coord, opts)
-    return rom_period_stepper(problem.rom(omega, amp, **rom), amp_coord,
-                              opts), period
+                                     problem.amp_coord, opts)
+    return rom_period_stepper(problem.rom(omega, amp, **rom),
+                              problem.amp_coord, opts), period
 
 
 def _frc_chunk(task):
     """Warm-started points of one chunk. The cold start is rest, for the
     reduced model on problem.rom_branch0 after problem.rom_ramp periods whose
     forcing rises in equal steps to amp."""
-    problem, omegas, amp, opts, amp_coord, max_periods, rom = task
+    problem, omegas, amp, opts, max_periods, rom = task
     out, state = [], None
     for om in omegas:
-        step, period = frc_stepper(problem, om, amp, opts, amp_coord, rom)
+        step, period = frc_stepper(problem, om, amp, opts, rom)
         if state is None and rom is None:
             state = np.zeros(problem.dim)
         elif state is None:
@@ -132,15 +132,13 @@ def _frc_chunk(task):
 
 def frc_sweep(problem, omegas, amp: float, opts: IntegratorOptions,
               chunk: int = 16, threads: int = 1, max_periods: int = 500,
-              amp_coord: Optional[int] = None,
               rom: Optional[dict] = None) -> list:
     """FrcPoints at amplitude amp over `omegas` (frc_stepper), each point
     warm-started from the one before, in chunks of `chunk` points that start
     cold, so `threads` worker processes give the same result as one."""
-    amp_coord = problem.amp_coord if amp_coord is None else amp_coord
     omegas = np.asarray(omegas, dtype=float)
-    tasks = [(problem, omegas[i:i + chunk].tolist(), amp, opts, amp_coord,
-              max_periods, rom) for i in range(0, len(omegas), chunk)]
+    tasks = [(problem, omegas[i:i + chunk].tolist(), amp, opts, max_periods,
+              rom) for i in range(0, len(omegas), chunk)]
     if threads > 1:
         with Pool(threads) as pool:
             parts = pool.map(_frc_chunk, tasks)

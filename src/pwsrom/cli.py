@@ -32,14 +32,15 @@ _SCHEMA = {
     "seed": int,
     "shaw_pierre": _SP_KEYS,
     "vk_beam": _BEAM_KEYS,
-    "simulate": {"x0", "t_span", "use_rom", "order", "rtol", "atol",
-                 "sample_dt", "branch0", "ic_strategy", "rom_models"},
-    "fit": {"order_m", "order_r", "t_span", "dt", "chart", "n_ic", "radius",
-            "trim_fraction", "static_load"},
-    "frc": {"omega_min", "omega_max", "n_points", "eps", "amp_coord", "rtol",
-            "atol", "max_periods", "with_rom", "chunk", "order"},
-    "poincare": {"n_ic", "radius", "t_span", "skip", "rtol", "atol", "span"},
-    "limitcycle": {"t_span", "rtol", "atol", "order_m", "order_r"},
+    "simulate": {"x0", "t_span", "use_rom", "rtol", "atol", "sample_dt",
+                 "ic_strategy", "rom_models"},
+    # each model refuses the fit keys its recipe does not read (fit_config)
+    "fit": {*Oscillator.fit_defaults, *Beam.decay_fit_defaults,
+            *Beam.belt_fit_defaults},
+    "frc": {"omega_min", "omega_max", "n_points", "eps", "rtol", "atol",
+            "max_periods", "with_rom", "chunk"},
+    "poincare": {"n_ic", "radius", "t_span", "skip", "rtol", "atol"},
+    "limitcycle": {"t_span", "rtol", "atol"},
 }
 _PROBLEMS = {"shaw_pierre": Oscillator, "vk_beam": Beam}
 
@@ -140,10 +141,9 @@ def cmd_simulate(cfg, out_dir) -> int:
         paths = sc.get("rom_models")
         models = {"+": SsmModel.from_json(paths["plus"]),
                   "-": SsmModel.from_json(paths["minus"])} if paths else None
-        nrom = problem.rom(models=models, order=sc.get("order", 3),
+        nrom = problem.rom(models=models,
                            ic_strategy=sc.get("ic_strategy", "projection"))
-        branch0 = sc.get("branch0",
-                         "+" if nrom.switching.sigma(x0) >= 0 else "-")
+        branch0 = "+" if nrom.switching.sigma(x0) >= 0 else "-"
         y0 = nrom.model(branch0).chart(x0)
         traj = simulate_rom(nrom, y0, branch0, t_span, opts)
         outputs = ["trajectory_rom.csv", "events_rom.csv"]
@@ -201,9 +201,8 @@ def cmd_frc(cfg, out_dir, threads=1) -> int:
     grid = np.linspace(fc["omega_min"], fc["omega_max"], fc.get("n_points", 81))
     tol = {k: fc[k] for k in ("rtol", "atol") if k in fc}
     sweep = {"chunk": fc.get("chunk", 16), "threads": threads,
-             "max_periods": fc.get("max_periods", 500),
-             "amp_coord": fc.get("amp_coord")}
-    rom = {"models": None, "order": fc.get("order", 3)}
+             "max_periods": fc.get("max_periods", 500)}
+    rom = {"models": None}
     if fc.get("with_rom", True) and not problem.analytic_rom:
         rom["models"] = problem.fit(cfg.get("fit", {}))[0]
         # a fitted ROM that cannot run (a chart that cannot stick) fails
@@ -254,8 +253,7 @@ def cmd_poincare(cfg, out_dir) -> int:
     data = analysis.poincare_map(problem.system(), ics,
                                  pc.get("t_span", [0.0, 400.0]), margin,
                                  skip=pc.get("skip", 5), opts=opts)
-    approx = analysis.approx_invariant_curve(nrom, margin,
-                                             span=pc.get("span", 0.5))
+    approx = analysis.approx_invariant_curve(nrom, margin, span=0.5)
     points = data.invariant_points[:, [0, 2, 3]].tolist()
     write_rows(os.path.join(out_dir, "poincare.csv"),
                ["iter", "q1", "q2", "dq2", "direction"],
@@ -294,13 +292,12 @@ def cmd_limitcycle(cfg, out_dir) -> int:
                           "variant moving_belt")
     lc = cfg.get("limitcycle", {})
     asm = problem.assembly
+    models, _ = problem.fit(cfg.get("fit", {}))
     opts = IntegratorOptions(rtol=lc.get("rtol", 1e-7), atol=lc.get("atol", 1e-10),
                              first_step=1e-6)
     x0 = vkb.branch_fixed_point(asm, problem.variant, "-") + 1e-4
     t_span = lc.get("t_span", [0.0, 1.5])
     traj = integrate_hybrid(problem.system(), x0, t_span, opts)
-    models, _ = problem.fit({k: lc[k] for k in ("order_m", "order_r")
-                             if k in lc})
     nrom = problem.rom(models=models)
     rtraj = simulate_rom(nrom, nrom.model("-").chart(x0), "-", t_span,
                          IntegratorOptions(rtol=1e-8, atol=1e-11))

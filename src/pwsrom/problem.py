@@ -27,6 +27,16 @@ class ConfigError(ValueError):
 
 
 class Problem:
+    def fit_config(self, fc: dict) -> dict:
+        """fc over fit_defaults, the keys this model's fit reads; fit_branch
+        starts here, so any other key raises a ConfigError before training."""
+        for key in fc:
+            if key not in self.fit_defaults:
+                raise ConfigError(
+                    f"the {self.fit_recipe} fit does not read fit.{key}: it "
+                    f"reads {', '.join('fit.' + k for k in self.fit_defaults)}")
+        return {**self.fit_defaults, **fc}
+
     def fit(self, fc: dict):
         """({branch: SsmModel}, {branch: TrajectoryDataset}) of fit_branch."""
         models, datasets = zip(*(self.fit_branch(b, fc) for b in "+-"))
@@ -48,6 +58,10 @@ class Oscillator(Problem):
     full_options = rom_options = IntegratorOptions(rtol=1e-8, atol=1e-10)
     rom_branch0 = "+"
     rom_ramp = 0
+    fit_recipe = "oscillator"
+    fit_defaults = {"n_ic": 7, "radius": 0.35, "t_span": [0.0, 50.0],
+                    "dt": 0.02, "trim_fraction": 0.05, "order_m": 3,
+                    "order_r": 3}
 
     @classmethod
     def from_config(cls, section: dict) -> "Oscillator":
@@ -62,9 +76,8 @@ class Oscillator(Problem):
         return make_system(self._at(omega, amp))
 
     def rom(self, omega=None, amp=None, models: Optional[dict] = None,
-            order: int = 3, ic_strategy: str = "projection",
-            scale: float = 1.0) -> NonsmoothRom:
-        """The ROM on the analytic SSMs of `order` at the forcing amp * scale,
+            ic_strategy: str = "projection", scale: float = 1.0) -> NonsmoothRom:
+        """The ROM on the order-3 analytic SSMs at the forcing amp * scale,
         sticking through the modal chart with dq1 pinned to zero, or on given
         branch models (from files) as they are."""
         if models is not None:
@@ -73,25 +86,26 @@ class Oscillator(Problem):
                                 ic_strategy=ic_strategy)
         p = self._at(omega, None if amp is None else amp * scale)
         system = make_system(p)
-        return NonsmoothRom(*[build_analytic_model(p, b, order=order, eps=p.eps,
-                                                   omega=p.omega) for b in "+-"],
+        return NonsmoothRom(*[build_analytic_model(p, b, eps=p.eps, omega=p.omega)
+                              for b in "+-"],
                             switching=system.switching, ic_strategy=ic_strategy,
                             sticking=StickingRule(system=system, pin=(1, 0.0)))
 
     def fit_branch(self, branch: str, fc: dict):
         """(model, data): decays from a circle on the analytic SSM, fitted in
         its tangent space."""
+        fc = self.fit_config(fc)
         base = build_analytic_model(self.params, branch)
         Vt, _ = np.linalg.qr(base.tangent)
-        angles = np.linspace(0, 2 * np.pi, fc.get("n_ic", 7), endpoint=False)
-        ics = [base.lift(fc.get("radius", 0.35)
-                         * np.array([np.cos(a), np.sin(a)])) for a in angles]
+        angles = np.linspace(0, 2 * np.pi, fc["n_ic"], endpoint=False)
+        ics = [base.lift(fc["radius"] * np.array([np.cos(a), np.sin(a)]))
+               for a in angles]
         data = sd.generate_training(
             lambda t, x: sp_field(self.params, branch, t, x), ics,
-            fc.get("t_span", [0.0, 50.0]), fc.get("dt", 0.02), branch=branch,
-            trim_fraction=fc.get("trim_fraction", 0.05))
-        fit = sd.fit_manifold(data, Vt, fc.get("order_m", 3), x0=base.x0)
-        dyn = sd.fit_dynamics(data, fit, fc.get("order_r", 3))
+            fc["t_span"], fc["dt"], branch=branch,
+            trim_fraction=fc["trim_fraction"])
+        fit = sd.fit_manifold(data, Vt, fc["order_m"], x0=base.x0)
+        dyn = sd.fit_dynamics(data, fit, fc["order_r"])
         model = sd.model_from_fits(fit, dyn, branch)
         model.meta["in_sample_nmte"] = fit.in_sample_nmte
         return model, data
@@ -118,6 +132,10 @@ class Beam(Problem):
     # ends before its spiral leaves the region the fit can follow
     belt_kick = {"+": 2e-5, "-": 5e-5}
     belt_span = {"+": (0.0, 0.105), "-": (0.0, 1.5)}
+    decay_fit_defaults = {"static_load": 12e3, "t_span": (0.0, 0.35),
+                          "dt": 1e-4, "trim_fraction": 0.05, "chart": "modal",
+                          "order_m": 5, "order_r": 5}
+    belt_fit_defaults = {"chart": "physical", "order_m": 5, "order_r": 5}
 
     @classmethod
     def from_config(cls, section: dict) -> "Beam":
@@ -134,14 +152,18 @@ class Beam(Problem):
     dim = property(lambda self: 2 * self.assembly.n_dof)
     amp_coord = property(lambda self: self.assembly.mid_dof_index)
     default_x0 = property(lambda self: np.zeros(self.dim))
+    belt = property(lambda self: self.variant.kind == "moving_belt")
+    fit_recipe = property(lambda self: "belt" if self.belt
+                          else f"{self.variant.kind} beam")
+    fit_defaults = property(lambda self: self.belt_fit_defaults if self.belt
+                            else self.decay_fit_defaults)
 
     def system(self, omega=None, amp=None):
         forcing = vkb.mid_forcing(self.assembly, amp, omega) if amp else None
         return vkb.make_beam_system(self.assembly, self.variant, forcing)
 
     def rom(self, omega=None, amp=None, models: Optional[dict] = None,
-            order: int = 3, ic_strategy: str = "projection",
-            scale: float = 1.0) -> NonsmoothRom:
+            ic_strategy: str = "projection", scale: float = 1.0) -> NonsmoothRom:
         """The ROM on fitted branch models, forced by amp * scale * cos(omega
         t) at the midpoint when amp is nonzero: each model then gets the
         O(eps) correction of ssm_data.nonmodal_forcing_correction for the
@@ -149,7 +171,7 @@ class Beam(Problem):
         of 1.15. Sticking (Coulomb and belt) follows the full system's
         Filippov field with the midpoint velocity pinned to the surface
         value, which needs a chart on the midpoint displacement/velocity
-        pair. order is the oscillator's."""
+        pair."""
         if models is None:
             raise ConfigError("the beam ROM runs on fitted branch models: "
                               "write them with fit and name them in "
@@ -172,21 +194,16 @@ class Beam(Problem):
         i_vel = n + asm.mid_dof_index
         sticking = None
         if self.variant.kind != "soft_impact":
-            # verify that each chart pins the velocity coordinate exactly,
-            # with the model's scale read off its tangent
-            rng = np.random.default_rng(0)
+            # each chart must lift the pinned velocity as x0 + s_v * y[1]
             for model in (models["+"], models["-"]):
-                s_v = float(model.tangent[i_vel, 1])
-                for _ in range(3):
-                    y = rng.uniform(-1e-2, 1e-2, 2)
-                    err = abs(model.lift(y)[i_vel]
-                              - (s_v * y[1] + model.x0[i_vel]))
-                    if err > 1e-6 * max(abs(s_v), 1.0):
-                        raise RomConfigurationError(
-                            "sticking requires the physical midpoint chart; "
-                            "rechart the fitted models onto (q_mid, dq_mid)")
-            v_hold = (self.variant.v_ground
-                      if self.variant.kind == "moving_belt" else 0.0)
+                tol = 1e-6 * max(abs(model.tangent[i_vel, 1]), 1.0)
+                off = [model.tangent[i_vel, 0]] + [
+                    c[i_vel] for c in model.nl_coeffs.values()]
+                if max(abs(v) for v in off) > tol:
+                    raise RomConfigurationError(
+                        "sticking requires the physical midpoint chart; "
+                        "rechart the fitted models onto (q_mid, dq_mid)")
+            v_hold = self.variant.v_ground if self.belt else 0.0
             sticking = StickingRule(system=system, pin=(i_vel, v_hold))
         return NonsmoothRom(model_plus=models["+"], model_minus=models["-"],
                             switching=system.switching,
@@ -206,35 +223,26 @@ class Beam(Problem):
         The belt's velocity-weakening law destabilizes the branch fixed
         points, so it trains on two spirals growing from a midpoint kick
         (belt_kick, belt_span) on the physical chart with a trust radius of
-        1.15, reads fc['order_m'] and fc['order_r'] only, and refuses the
-        keys it would ignore."""
+        1.15. Each reads the keys of its fit_defaults only."""
+        fc = self.fit_config(fc)
         asm, n = self.assembly, self.assembly.n_dof
         x0 = vkb.branch_fixed_point(asm, self.variant, branch)
-        if self.variant.kind == "moving_belt":
-            unread = [k for k in fc if k not in ("order_m", "order_r", "chart")]
-            if fc.get("chart", "physical") != "physical":
-                unread.append("chart")
-            if unread:
-                raise ConfigError(
-                    f"the belt fit does not read fit.{unread[0]}: it trains "
-                    "on fixed spirals from the unstable branch equilibria on "
-                    "the physical chart and reads fit.order_m and "
-                    "fit.order_r only")
+        if self.belt:
+            if fc["chart"] != "physical":
+                raise ConfigError("the belt fit reads fit.chart 'physical' "
+                                  "only: it trains on the physical chart")
             ics = []
             for sign in (1.0, -1.0):
                 x = x0.copy()
                 x[asm.mid_dof_index] += sign * self.belt_kick[branch]
                 ics.append(x)
             t_span, dt, trim = self.belt_span[branch], 1e-4, 0.02
-            chart, trust_radius = "physical", 1.15
         else:
-            load = fc.get("static_load", 12e3)
+            load = fc["static_load"]
             ics = [np.concatenate([vkb.static_deflection(asm, s * f * load),
                                    np.zeros(n)])
                    for f in (1.0, 0.65, 0.4) for s in (1.0, -1.0)]
-            t_span, dt = fc.get("t_span", (0.0, 0.35)), fc.get("dt", 1e-4)
-            trim = fc.get("trim_fraction", 0.05)
-            chart, trust_radius = fc.get("chart", "modal"), None
+            t_span, dt, trim = fc["t_span"], fc["dt"], fc["trim_fraction"]
         data = sd.generate_training(
             lambda t, x: vkb.beam_field(asm, self.variant, branch, t, x), ics,
             t_span, dt, branch=branch, trim_fraction=trim,
@@ -250,8 +258,7 @@ class Beam(Problem):
         data_s = sd.scale_dataset(data, x0, scale)
         A_s = A * np.outer(1.0 / scale, scale)
         sub = spectral.subspace(spectral.decompose(A_s), [0])
-        order_m, order_r = fc.get("order_m", 5), fc.get("order_r", 5)
-        if chart == "physical":
+        if fc["chart"] == "physical":
             # reduced coordinates = midpoint pair normalized by its own data
             # extent, so the training support fills the unit square and a
             # trust radius near one bounds the fitted polynomials
@@ -261,18 +268,18 @@ class Beam(Problem):
                                      n + asm.mid_dof_index)):
                 W0[row, i] = 1.0 / np.abs(Ys[:, i]).max()
             V0 = sub.v_basis @ np.linalg.inv(W0 @ sub.v_basis)
-            fit = sd.fit_manifold(data_s, V0, order_m, w_matrix=W0)
+            fit = sd.fit_manifold(data_s, V0, fc["order_m"], w_matrix=W0)
             A_slow = W0 @ A_s @ V0
         else:
             V0, _ = np.linalg.qr(sub.v_basis)
-            fit = sd.fit_manifold(data_s, V0, order_m)
+            fit = sd.fit_manifold(data_s, V0, fc["order_m"])
             A_slow = V0.T @ A_s @ V0
         # the slow linear block is known from the linearization
-        dyn = sd.fit_dynamics(data_s, fit, order_r, known_linear=A_slow,
+        dyn = sd.fit_dynamics(data_s, fit, fc["order_r"], known_linear=A_slow,
                               ridge=1e-7)
         model = sd.unscale_model(sd.model_from_fits(fit, dyn, branch), x0,
                                  scale)
         model.meta["in_sample_nmte"] = fit.in_sample_nmte
         model.meta["scale"] = scale
-        model.trust_radius = trust_radius
+        model.trust_radius = 1.15 if self.belt else None
         return model, data

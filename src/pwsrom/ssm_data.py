@@ -7,12 +7,12 @@ physical-coordinate charts) and the forcing correction for arbitrary charts.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .core import IntegratorOptions, _stepper
+from .core import IntegratorOptions, _integrate_segment
 from .poly2 import Poly2, invert_map, monomial_matrix, monomials, vector_poly
 from .ssm_model import PeriodicCorrection, SsmModel
 
@@ -51,19 +51,14 @@ class TrajectoryDataset:
 
 def smooth_integrate(f: Callable, x0, t_span, dt: float,
                      opts: IntegratorOptions | None = None):
-    """Integrate a smooth field and sample it on a uniform grid."""
+    """Integrate a smooth field and sample it on the uniform grid t_span[0]
+    + k * dt; the last sample is the end state at t_span[1]."""
     opts = opts or IntegratorOptions(rtol=1e-9, atol=1e-11)
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    stepper = _stepper(f, t0, np.asarray(x0, dtype=float), opts)
-    grid = np.arange(t0, t1 + 0.5 * dt, dt)
-    out = np.empty((len(grid), len(x0)))
-    out[0] = x0
-    k = 1
-    while k < len(grid) and stepper.step(t1):
-        while k < len(grid) and grid[k] <= stepper.t + 1e-15:
-            out[k] = stepper.interpolate(min(grid[k], stepper.t))
-            k += 1
-    return grid[: max(k, 1)], out[: max(k, 1)]
+    t0 = float(t_span[0])
+    seg, _, _ = _integrate_segment(
+        f, t0, np.asarray(x0, dtype=float), float(t_span[1]),
+        replace(opts, t_eval_dt=dt, record_steps=False), t0)
+    return seg.t, seg.x
 
 
 def generate_training(field: Callable, ics, t_span, dt: float,

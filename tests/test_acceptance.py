@@ -535,16 +535,10 @@ def test_criterion_11_data_driven_fits(beam_assembly):
         np.concatenate([q_h, np.zeros(9)]), (0.0, 0.4), 1e-4,
         IntegratorOptions(rtol=1e-8, atol=1e-10, first_step=1e-6))
     k0 = int(0.12 * len(t))
-    from pwsrom.core import _Stepper
-    y = model.chart(Y[k0])
-    st = _Stepper(model.reduced_field, t[k0], y,
-                  IntegratorOptions(rtol=1e-10, atol=1e-12, first_step=1e-6))
-    rec = [model.lift(y)]
-    for tt in t[k0 + 1:]:
-        while st.t < tt:
-            st.step(tt)
-        rec.append(model.lift(st.interpolate(tt) if st.t > tt else st.x))
-    held_out = sd.nmte_arrays(Y[k0:], np.vstack(rec))
+    _, y = sd.smooth_integrate(
+        model.reduced_field, model.chart(Y[k0]), (t[k0], t[-1]), 1e-4,
+        IntegratorOptions(rtol=1e-10, atol=1e-12, first_step=1e-6))
+    held_out = sd.nmte_arrays(Y[k0:], model.lift_many(y))
 
     # oscillator fit (seven decays from radius 0.35 over [0, 50], orders 3)
     # against the analytic oracle, aligned chart
@@ -597,7 +591,7 @@ def _fold_probe(problem, omega, state, threshold, rel_change=1e-6,
     transient as a response on the branch.
     """
     step, period = analysis.frc_stepper(problem, omega, AMP,
-                                        problem.full_options, problem.amp_coord)
+                                        problem.full_options)
     prev = None
     streak = 0
     for k in range(max_periods):
@@ -664,7 +658,7 @@ def _bisect_folds(pool, problems, pending, resolution):
 def _fixed_horizon(problem, omega, state, n_periods):
     """The last period's amplitude after n_periods periods from `state`."""
     step, period = analysis.frc_stepper(problem, omega, AMP,
-                                        problem.full_options, problem.amp_coord)
+                                        problem.full_options)
     for k in range(n_periods):
         state, amp = step(k * period, state)
     return amp

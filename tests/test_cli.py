@@ -8,6 +8,7 @@ import pytest
 
 import pwsrom
 from pwsrom import analysis, cli
+from pwsrom import ssm_data as sd
 from pwsrom import vk_beam as vkb
 from pwsrom.ssm_model import SsmModel
 
@@ -16,6 +17,8 @@ from pwsrom.ssm_model import SsmModel
 # "src") no longer resolves; put the directory holding the imported package
 # first so the child runs the same code as the test process.
 PKG_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(pwsrom.__file__)))
+README = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                      "README.md")
 
 
 def run_cli(args, cwd, **env_vars):
@@ -46,6 +49,24 @@ def test_unknown_nested_key_rejected(tmp_path):
     with pytest.raises(cli.ConfigError,
                        match="unknown key limitcycle.forcing_amp"):
         cli.validate_config({"limitcycle": {"forcing_amp": 50.0}})
+    # the ROM order, the start branch, the amplitude coordinate, the reduced
+    # edge span and the limit cycle's fit orders are not settable
+    for key in ("simulate.order", "simulate.branch0", "frc.order",
+                "frc.amp_coord", "poincare.span", "limitcycle.order_m",
+                "limitcycle.order_r"):
+        section, sub = key.split(".")
+        with pytest.raises(cli.ConfigError, match=f"unknown key {key}$"):
+            cli.validate_config({section: {sub: 3}})
+
+
+def test_readme_config_skeleton_is_accepted():
+    # the skeleton passes the schema, and its fit section the fit-key check
+    # of the model it names
+    with open(README) as fh:
+        text = fh.read().split("Config skeleton", 1)[1]
+    cfg = cli.validate_config(json.loads(
+        text.split("```json\n", 1)[1].split("```", 1)[0]))
+    cli.problem_from(cfg).fit_config(cfg["fit"])
 
 
 def test_validate_tables_known_state(tmp_path):
@@ -242,8 +263,14 @@ _MATRIX = {
                                         "t_span": [0.0, 5.0]}}, _MODELS),
     "fit-beam": ("fit", {**_BEAM, "fit": _FIT}, _MODELS),
     "fit-belt": ("fit", _BELT, _MODELS),
+    "fit-osc-unread-key": ("fit", {**_OSC, "fit": {"chart": "modal"}},
+                           "the oscillator fit does not read fit.chart"),
+    "fit-beam-unread-key": ("fit", {**_BEAM, "fit": {"n_ic": 4}},
+                            "the coulomb beam fit does not read fit.n_ic"),
     "fit-belt-unread-key": ("fit", {**_BELT, "fit": {"static_load": 60e3}},
                             "the belt fit does not read fit.static_load"),
+    "fit-belt-modal-chart": ("fit", {**_BELT, "fit": {"chart": "modal"}},
+                             "the belt fit reads fit.chart 'physical' only"),
     "frc-osc": ("frc", {**_OSC, "frc": {"omega_min": 1.0, "omega_max": 1.05,
                                         "n_points": 2, "max_periods": 8}},
                 ["frc.csv"]),
@@ -261,6 +288,8 @@ _MATRIX = {
     "limitcycle-osc": ("limitcycle", _OSC, _NOT_BELT),
     "limitcycle-beam-coulomb": ("limitcycle", _BEAM, _NOT_BELT),
     "limitcycle-belt": ("limitcycle", _BELT, ["limitcycle.json"]),
+    "limitcycle-belt-unread-key": ("limitcycle", {**_BELT, "fit": {"dt": 1e-5}},
+                                   "the belt fit does not read fit.dt"),
     "validate-tables-beam": ("validate-tables", _BEAM,
                              "checks the oscillator's published"),
 }
@@ -270,10 +299,13 @@ _MATRIX = {
                          ids=list(_MATRIX))
 def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, monkeypatch,
                                                  command, config, expect):
-    full_steppers = []
+    full_steppers, trainings = [], []
     stepper = analysis.hybrid_period_stepper
     monkeypatch.setattr(analysis, "hybrid_period_stepper",
                         lambda *a: full_steppers.append(a) or stepper(*a))
+    train = sd.smooth_integrate
+    monkeypatch.setattr(sd, "smooth_integrate",
+                        lambda *a, **k: trainings.append(a) or train(*a, **k))
     write_cfg(tmp_path / "c.json", config)
     out = tmp_path / "out"
     rc = cli.main([command, "--config", str(tmp_path / "c.json"),
@@ -284,8 +316,10 @@ def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, monkeypatch,
     if isinstance(expect, tuple):
         error, reason = expect
         assert rc == 2 and f"{error}: " in err and reason in err, err
-        # a refusal comes before any full-model period
+        # a refusal comes before any full-model period, and a config's
+        # before any training integration
         assert not full_steppers
+        assert not (error == "ConfigError" and trainings)
         return
     assert rc == 0, err
     man = json.loads((out / f"{command}_manifest.json").read_text())

@@ -332,6 +332,21 @@ def test_sticking_fields_return_float_pairs(rom_01):
     assert out == pytest.approx((belt.v_ground / 2e-3, 0.0), rel=1e-12, abs=0.0)
 
 
+def test_sticking_chart_check_sees_a_small_velocity_term():
+    # a quadratic term on the pinned midpoint velocity of 2% of its linear
+    # scale moves the lift by 0.01 at y = (1, 0), inside the fitted models'
+    # trust radius, though by only 1e-6 where |y| <= 1e-2
+    asm = vkb.assemble_beam()
+    models = _physical_chart_beam_models(asm)
+    nl = np.zeros(2 * asm.n_dof)
+    nl[asm.n_dof + asm.mid_dof_index] = 0.01
+    models["+"] = dataclasses.replace(models["+"], nl_coeffs={(2, 0): nl})
+    belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
+    with pytest.raises(RomConfigurationError,
+                       match="sticking requires the physical midpoint chart"):
+        Beam(asm, belt).rom(models=models)
+
+
 def test_oscillator_rule_matches_the_analytic_oracles():
     # at pinned reconstructions of random reduced states, forced and unforced,
     # on both branches: the rule sticks where the closed-form test does,

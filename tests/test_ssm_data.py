@@ -6,6 +6,7 @@ import pytest
 
 from pwsrom import ssm_analytic as sa
 from pwsrom import ssm_data as sd
+from pwsrom.core import IntegratorOptions
 from pwsrom.shaw_pierre import SpParams, sp_field, sp_forcing_vector, sp_shifted
 from pwsrom.ssm_model import SsmModel
 
@@ -122,19 +123,13 @@ def test_rechart_equivalent_trajectories(sp_fit_bundle):
     # re-expansion truncation below the equivalence tolerance
     params, model, Vt, *_ = sp_fit_bundle
     _, re_model = sd.rechart(model, Vt.T, max_degree=5)
-    from pwsrom.core import IntegratorOptions, _Stepper
     y0 = np.array([0.25, -0.1])
     xi0 = re_model.chart(model.lift(y0))
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
-    s1 = _Stepper(model.reduced_field, 0.0, y0, opts)
-    s2 = _Stepper(re_model.reduced_field, 0.0, xi0, opts)
-    for t_target in np.linspace(1.0, 12.0, 6):
-        while s1.t < t_target:
-            s1.step(t_target)
-        while s2.t < t_target:
-            s2.step(t_target)
-        xa = model.lift(s1.x)
-        xb = re_model.lift(s2.x)
+    _, ya = sd.smooth_integrate(model.reduced_field, y0, (0.0, 12.0), 1.0, opts)
+    _, yb = sd.smooth_integrate(re_model.reduced_field, xi0, (0.0, 12.0), 1.0,
+                                opts)
+    for xa, xb in zip(model.lift_many(ya), re_model.lift_many(yb)):
         scale = max(np.linalg.norm(xa - model.x0), 1e-12)
         assert np.linalg.norm(xa - xb) / scale < 1e-6
 
