@@ -65,8 +65,7 @@ def hybrid_period_stepper(make_system, omega: float, amp_index: int,
 
     def step(t0, x):
         traj = integrate_hybrid(sys, x, (t0, t0 + period), opts)
-        xs = traj.states()[:, amp_index]
-        return traj.x_end, 0.5 * (xs.max() - xs.min())
+        return traj.x_end, _amplitude(traj, amp_index)
 
     return step, period
 
@@ -79,10 +78,17 @@ def rom_period_stepper(rom: NonsmoothRom, amp_index: int,
         y, branch = state
         period = 2 * np.pi / rom.model_plus.correction.omega
         traj = simulate_rom(rom, y, branch, (t0, t0 + period), opts)
-        xs = traj.states()[:, amp_index]
-        return _rom_end(traj, branch), 0.5 * (xs.max() - xs.min())
+        return _rom_end(traj, branch), _amplitude(traj, amp_index)
 
     return step
+
+
+def _amplitude(traj, i):
+    """Half the peak-to-peak range of coordinate i over traj, taken from
+    each segment's column range."""
+    cols = [s.x[:, i] for s in traj.segments]
+    hi, lo = np.max([c.max() for c in cols]), np.min([c.min() for c in cols])
+    return 0.5 * (hi - lo)
 
 
 def _rom_end(traj, branch):

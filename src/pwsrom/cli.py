@@ -67,11 +67,16 @@ def load_config(path) -> dict:
 
 
 def problem_from(cfg: dict):
-    """The config's model (pwsrom.problem), built from its own section."""
+    """The config's model (pwsrom.problem), built from its own section. A
+    fit section is checked against the model's fit here, so a command that
+    does not fit refuses it as the fit would."""
     model = cfg.get("model", "shaw_pierre")
     if model not in _PROBLEMS:
         raise ConfigError("model must be 'shaw_pierre' or 'vk_beam'")
-    return _PROBLEMS[model].from_config(cfg.get(model, {}))
+    problem = _PROBLEMS[model].from_config(cfg.get(model, {}))
+    if "fit" in cfg:
+        problem.fit_config(cfg["fit"])
+    return problem
 
 
 def _write_manifest(out_dir, command, cfg, outputs):

@@ -224,9 +224,23 @@ class HybridTrajectory:
         return np.vstack([s.x for s in self.segments])
 
     def sample(self, t_grid: np.ndarray) -> np.ndarray:
-        """Linear-in-segment resampling onto an arbitrary time grid."""
-        t_all = self.times()
-        x_all = self.states()
+        """Linear-in-segment resampling onto an arbitrary time grid. Only the
+        segments that reach from the last segment end at or before the
+        grid's first time to the first segment start after its last time
+        are read: they hold every sample that brackets a grid point, so the
+        result is the same to the bit as from the whole trajectory."""
+        segs = self.segments
+        if len(t_grid):
+            starts = np.array([s.t[0] for s in segs])
+            ends = np.array([s.t[-1] for s in segs])
+            before = ends[ends <= np.min(t_grid)]
+            after = starts[starts > np.max(t_grid)]
+            lo = before.max() if before.size else -np.inf
+            hi = after.min() if after.size else np.inf
+            segs = [s for s, a, b in zip(segs, starts, ends)
+                    if a <= hi and b >= lo]
+        t_all = np.concatenate([s.t for s in segs])
+        x_all = np.vstack([s.x for s in segs])
         order = np.argsort(t_all, kind="stable")
         t_all = t_all[order]
         x_all = x_all[order]
@@ -238,7 +252,7 @@ class HybridTrajectory:
     def write_csv(self, path, events_path=None, dim: int | None = None) -> None:
         """Columns t, x1..xn, branch (then xi1..xid for reduced segments);
         events sidecar t_event, kind, x1..xn."""
-        n = self.states().shape[1] if self.segments else int(dim or 0)
+        n = self.segments[0].x.shape[1] if self.segments else int(dim or 0)
         reduced = bool(self.segments) and self.segments[0].y is not None
         d = self.segments[0].y.shape[1] if reduced else 0
         code = {"+": 1, "-": -1, "sigma": 0}
@@ -532,45 +546,53 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
 
 def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
     """Samples of one segment: accepted steps (opts.record_steps) and the
-    points t_grid0 + k * opts.t_eval_dt after t0 from the dense output. With
+    points t_grid0 + k * opts.t_eval_dt after t0 from the dense output. They
+    are written as rows of a times buffer (N,) and a states buffer (N, d),
+    tuple and ndarray states alike. The buffers grow by a quarter when full
+    and end at the recorded size, both in place (ndarray.resize reallocates;
+    nothing else references them while recording), so a segment is never
+    held twice and no spare capacity outlives it. With
     observe(T, Y), which maps sample times (N,) and integrated states (N, d)
     to observed states (N, n), the integrated states are kept as Segment.y
     and the segment's x holds the observed states."""
-    ts = [t0]
-    xs = [np.asarray(x0).copy()]
+    T, X = np.empty(64), np.empty((64, len(x0)))
+    T[0], X[0], size = t0, x0, 1
     dt, record_steps = opts.t_eval_dt, opts.record_steps
     k = int(np.floor((t0 - t_grid0) / dt)) if dt else 0
     while dt and t_grid0 + k * dt <= t0:
         k += 1
 
+    def record(t, x):
+        nonlocal size
+        if size == len(T):
+            T.resize(size + size // 4, refcheck=False)
+            X.resize((len(T), X.shape[1]), refcheck=False)
+        T[size], X[size] = t, x
+        size += 1
+
     def flush_grid(stepper, t_limit):
         nonlocal k
         while dt and t_grid0 + k * dt <= t_limit:
-            ts.append(t_grid0 + k * dt)
-            xs.append(stepper.interpolate(ts[-1]))
+            t = t_grid0 + k * dt
+            record(t, stepper.interpolate(t))
             k += 1
 
-    # accepted states are fresh arrays that nothing mutates, so they are
-    # recorded without a copy
     def record_step(stepper):
         if dt:
             flush_grid(stepper, stepper.t)
         if record_steps:
-            ts.append(stepper.t)
-            xs.append(stepper.x)
+            record(stepper.t, stepper.x)
 
     def finish(stepper, t_f, x_f):
+        nonlocal size
         flush_grid(stepper, t_f)
-        if ts[-1] < t_f - 1e-15 * max(1.0, abs(t_f)):
-            ts.append(t_f)
-            xs.append(np.asarray(x_f).copy())
-        else:
-            ts[-1] = t_f
-            xs[-1] = np.asarray(x_f).copy()
-        X = np.vstack(xs)
+        if T[size - 1] >= t_f - 1e-15 * max(1.0, abs(t_f)):
+            size -= 1
+        record(t_f, x_f)
+        T.resize(size, refcheck=False)
+        X.resize((size, X.shape[1]), refcheck=False)
         if observe is None:
-            return Segment(branch=None, t=np.array(ts), x=X)
-        T = np.array(ts)
+            return Segment(branch=None, t=T, x=X)
         return Segment(branch=None, t=T, x=observe(T, X), y=X)
 
     return record_step, finish

@@ -27,15 +27,24 @@ class ConfigError(ValueError):
 
 
 class Problem:
+    fit_choices = {}
+
     def fit_config(self, fc: dict) -> dict:
         """fc over fit_defaults, the keys this model's fit reads; fit_branch
-        starts here, so any other key raises a ConfigError before training."""
+        starts here, so any other key, or a value outside fit_choices,
+        raises a ConfigError before training."""
         for key in fc:
             if key not in self.fit_defaults:
                 raise ConfigError(
                     f"the {self.fit_recipe} fit does not read fit.{key}: it "
                     f"reads {', '.join('fit.' + k for k in self.fit_defaults)}")
-        return {**self.fit_defaults, **fc}
+        fc = {**self.fit_defaults, **fc}
+        for key, values in self.fit_choices.items():
+            if fc[key] not in values:
+                raise ConfigError(
+                    f"the {self.fit_recipe} fit reads fit.{key} "
+                    f"{' or '.join(map(repr, values))} only")
+        return fc
 
     def fit(self, fc: dict):
         """({branch: SsmModel}, {branch: TrajectoryDataset}) of fit_branch."""
@@ -157,6 +166,9 @@ class Beam(Problem):
                           else f"{self.variant.kind} beam")
     fit_defaults = property(lambda self: self.belt_fit_defaults if self.belt
                             else self.decay_fit_defaults)
+    # the belt trains on the physical chart only
+    fit_choices = property(lambda self: {"chart": ("physical",) if self.belt
+                                         else ("modal", "physical")})
 
     def system(self, omega=None, amp=None):
         forcing = vkb.mid_forcing(self.assembly, amp, omega) if amp else None
@@ -228,9 +240,6 @@ class Beam(Problem):
         asm, n = self.assembly, self.assembly.n_dof
         x0 = vkb.branch_fixed_point(asm, self.variant, branch)
         if self.belt:
-            if fc["chart"] != "physical":
-                raise ConfigError("the belt fit reads fit.chart 'physical' "
-                                  "only: it trains on the physical chart")
             ics = []
             for sign in (1.0, -1.0):
                 x = x0.copy()

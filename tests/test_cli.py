@@ -256,6 +256,9 @@ _MATRIX = {
     "simulate-osc": ("simulate", {**_OSC, "simulate": {"t_span": [0, 2.0]}}, _TRAJ),
     "simulate-beam": ("simulate", {**_BEAM, "simulate": {"t_span": [0, 5e-3]}},
                       _TRAJ),
+    "simulate-beam-unread-fit-key": (
+        "simulate", {**_BEAM, "fit": {"n_ic": 4}, "simulate": {"t_span": [0, 5e-3]}},
+        "the coulomb beam fit does not read fit.n_ic"),
     "simulate-beam-rom-unfitted": (
         "simulate", {**_BEAM, "simulate": {"t_span": [0, 5e-3], "use_rom": True}},
         "the beam ROM runs on fitted branch models"),
@@ -271,9 +274,15 @@ _MATRIX = {
                             "the belt fit does not read fit.static_load"),
     "fit-belt-modal-chart": ("fit", {**_BELT, "fit": {"chart": "modal"}},
                              "the belt fit reads fit.chart 'physical' only"),
+    "fit-beam-chart-typo": ("fit", {**_BEAM, "fit": {**_FIT, "chart": "physcial"}},
+                            "the coulomb beam fit reads fit.chart 'modal' or "
+                            "'physical' only"),
     "frc-osc": ("frc", {**_OSC, "frc": {"omega_min": 1.0, "omega_max": 1.05,
                                         "n_points": 2, "max_periods": 8}},
                 ["frc.csv"]),
+    "frc-osc-unread-fit-key": ("frc", {**_OSC, "fit": {"static_load": 1}, "frc": {
+        "omega_min": 1.0, "omega_max": 1.05, "n_points": 2, "max_periods": 8}},
+        "the oscillator fit does not read fit.static_load"),
     "frc-beam-full": ("frc", {**_BEAM, "frc": {**_BAND, "with_rom": False}},
                       ["frc.csv"]),
     "frc-beam-rom": ("frc", {**_BEAM, "frc": _BAND, "fit": _FIT}, ["frc.csv"]),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -409,6 +410,135 @@ def test_rom_sample_grid_uniform_across_events():
     kinds = {ev.kind for ev in traj.events}
     assert {EventKind.CROSSING, EventKind.STICK_ENTRY, EventKind.STICK_EXIT} <= kinds
     _assert_uniform_grid(traj, 0.1)
+
+
+def _sample_whole(traj, t_grid):
+    """The resampling of every segment concatenated, stably sorted and
+    interpolated: the oracle for HybridTrajectory.sample."""
+    t_all, x_all = traj.times(), traj.states()
+    order = np.argsort(t_all, kind="stable")
+    t_all, x_all = t_all[order], x_all[order]
+    return np.column_stack([np.interp(t_grid, t_all, x_all[:, j])
+                            for j in range(x_all.shape[1])])
+
+
+def _sticking_trajectories():
+    """A full and a reduced oscillator run with crossings and sliding, and
+    segments with a gap between them, as after a tangential micro-step."""
+    full = integrate_hybrid(make_system(SpParams(delta=0.05)),
+                            [1.0, 0.5, 0.0, 0.0], (0.0, 40.0))
+    rom = Oscillator(SpParams(delta=0.05)).rom(ic_strategy="continuity_q1")
+    reduced = simulate_rom(rom, rom.model("+").chart(np.array([0.5, 0.3, -0.2, 0.1])),
+                           "+", (0.0, 40.0), IntegratorOptions(t_eval_dt=0.1))
+    rng = np.random.default_rng(0)
+    gap = core.HybridTrajectory([
+        core.Segment(b, t0 + np.linspace(0.0, 1.0, 5), rng.normal(size=(5, 2)))
+        for b, t0 in (("+", 0.0), ("-", 1.5), ("+", 2.5))])
+    return full, reduced, gap
+
+
+@pytest.mark.parametrize("grid", ["one segment", "event to event", "whole run",
+                                  "event times", "across a gap"])
+def test_sample_is_the_whole_trajectorys_resampling_to_the_bit(grid):
+    for traj in _sticking_trajectories():
+        # the gapped trajectory has no events: its segment ends stand in
+        events = [ev.t for ev in traj.events] or [1.0, 2.5]
+        seg = max(traj.segments, key=lambda s: len(s.t))
+        t_grid = {"one segment": np.linspace(seg.t[1], seg.t[-2], 257),
+                  "event to event": np.linspace(events[0], events[-1], 257),
+                  "whole run": np.linspace(-1.0, traj.t_end + 1.0, 1001),
+                  "event times": np.array(events),
+                  "across a gap": np.linspace(1.1, 1.4, 7)}[grid]
+        got, want = traj.sample(t_grid), _sample_whole(traj, t_grid)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _traced_peak(fn):
+    """(fn(), the peak of Python and numpy allocations while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_sampling_the_last_segment_reads_only_the_last_segments():
+    # 200 segments of 100 samples of 18 states, 3 MB
+    rng = np.random.default_rng(1)
+    traj = core.HybridTrajectory([
+        core.Segment("+", k + np.linspace(0.0, 1.0, 100),
+                     rng.normal(size=(100, 18))) for k in range(200)])
+    size = sum(s.t.nbytes + s.x.nbytes for s in traj.segments)
+    t_grid = np.linspace(199.0, 200.0, 257)
+    out, peak = _traced_peak(lambda: traj.sample(t_grid))
+    assert out.tobytes() == _sample_whole(traj, t_grid).tobytes()
+    assert peak <= 0.05 * size
+
+
+def test_recording_holds_a_segment_once():
+    # ndarray states, 40,000 samples, most of them in one sliding segment
+    # that grows from the recorder's first buffer
+    traj, peak = _traced_peak(lambda: integrate_hybrid(
+        _array_fields(SpParams(delta=0.05)), [0.5, 0.3, -0.2, 0.1],
+        (0.0, 400.0), IntegratorOptions(rtol=1e-8, atol=1e-10, t_eval_dt=0.01)))
+    rows = [len(s.t) for s in traj.segments]
+    assert max(rows) > 0.9 * sum(rows)
+    assert peak <= 1.3 * sum(s.t.nbytes + s.x.nbytes for s in traj.segments)
+
+
+def _list_recorder(opts, t_grid0, t0, x0, observe=None):
+    """The recorder as a list of samples stacked at the end: the oracle for
+    core._segment_recorder's buffers."""
+    ts, xs, dt = [t0], [np.asarray(x0).copy()], opts.t_eval_dt
+    k = int(np.floor((t0 - t_grid0) / dt)) if dt else 0
+    while dt and t_grid0 + k * dt <= t0:
+        k += 1
+
+    def flush_grid(stepper, t_limit):
+        nonlocal k
+        while dt and t_grid0 + k * dt <= t_limit:
+            ts.append(t_grid0 + k * dt)
+            xs.append(stepper.interpolate(ts[-1]))
+            k += 1
+
+    def record_step(stepper):
+        flush_grid(stepper, stepper.t)
+        if opts.record_steps:
+            ts.append(stepper.t)
+            xs.append(stepper.x)
+
+    def finish(stepper, t_f, x_f):
+        flush_grid(stepper, t_f)
+        if ts[-1] >= t_f - 1e-15 * max(1.0, abs(t_f)):
+            del ts[-1], xs[-1]
+        ts.append(t_f)
+        xs.append(np.asarray(x_f).copy())
+        T, X = np.array(ts), np.vstack(xs)
+        if observe is None:
+            return core.Segment(branch=None, t=T, x=X)
+        return core.Segment(branch=None, t=T, x=observe(T, X), y=X)
+
+    return record_step, finish
+
+
+@pytest.mark.parametrize("dt", [None, 0.1])
+def test_recorded_samples_are_the_listed_samples_to_the_bit(monkeypatch, dt):
+    # float and numpy steppers, full and reduced segments, sliding included
+    runs = [lambda opts, fields=fields: integrate_hybrid(
+        fields(SpParams(delta=0.05)), [1.0, 0.5, 0.0, 0.0], (0.0, 40.0), opts)
+            for fields in (make_system, _array_fields)] + [_rom_sticking_run]
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10, t_eval_dt=dt)
+    got = [run(opts) for run in runs]
+    monkeypatch.setattr(core, "_segment_recorder", _list_recorder)
+    for run, traj in zip(runs, got):
+        want = run(opts)
+        assert len(traj.segments) == len(want.segments) > 3
+        for a, b in zip(traj.segments, want.segments):
+            for part in ("t", "x", "y"):
+                pa, pb = getattr(a, part), getattr(b, part)
+                assert (pa is None and pb is None) or \
+                    (pa.shape == pb.shape and pa.tobytes() == pb.tobytes())
 
 
 def test_stepper_dense_output_spans_each_accepted_step():
