@@ -551,7 +551,8 @@ def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
     tuple and ndarray states alike. The buffers grow by a quarter when full
     and end at the recorded size, both in place (ndarray.resize reallocates;
     nothing else references them while recording), so a segment is never
-    held twice and no spare capacity outlives it. With
+    held twice and no spare capacity outlives it; a segment that fits the
+    first 64 rows is copied out instead. With
     observe(T, Y), which maps sample times (N,) and integrated states (N, d)
     to observed states (N, n), the integrated states are kept as Segment.y
     and the segment's x holds the observed states."""
@@ -584,13 +585,17 @@ def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
             record(stepper.t, stepper.x)
 
     def finish(stepper, t_f, x_f):
-        nonlocal size
+        nonlocal size, T, X
         flush_grid(stepper, t_f)
         if T[size - 1] >= t_f - 1e-15 * max(1.0, abs(t_f)):
             size -= 1
         record(t_f, x_f)
-        T.resize(size, refcheck=False)
-        X.resize((size, X.shape[1]), refcheck=False)
+        if len(T) == 64:
+            # copied out: shrinking the first buffer in place leaves holes
+            T, X = T[:size].copy(), X[:size].copy()
+        else:
+            T.resize(size, refcheck=False)
+            X.resize((size, X.shape[1]), refcheck=False)
         if observe is None:
             return Segment(branch=None, t=T, x=X)
         return Segment(branch=None, t=T, x=observe(T, X), y=X)

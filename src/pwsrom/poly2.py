@@ -24,9 +24,18 @@ def monomial_matrix(xi: np.ndarray, lo: int, hi: int) -> np.ndarray:
     """Evaluate all monomials of degree lo..hi at reduced coordinates.
 
     xi has shape (2,) or (2, N); returns (n_monomials,) or (n_monomials, N).
+    The powers of each coordinate are cumulative products, not libm pow.
     """
     xi = np.asarray(xi, dtype=float)
-    return np.stack([xi[0] ** p1 * xi[1] ** p2 for p1, p2 in monomials(lo, hi)])
+    pw = np.empty((hi + 1,) + xi.shape)        # pw[p] = (y1^p, y2^p)
+    pw[0] = 1.0
+    for p in range(1, hi + 1):
+        np.multiply(pw[p - 1], xi, out=pw[p])
+    idx = monomials(lo, hi)
+    out = np.empty((len(idx),) + xi.shape[1:])
+    for row, (p1, p2) in enumerate(idx):
+        np.multiply(pw[p1, 0], pw[p2, 1], out=out[row, ...])
+    return out
 
 
 class Poly2:

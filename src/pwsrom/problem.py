@@ -16,7 +16,7 @@ import numpy as np
 from . import spectral
 from . import ssm_data as sd
 from . import vk_beam as vkb
-from .core import IntegratorOptions
+from .core import IntegratorOptions, StiffnessError
 from .rom import NonsmoothRom, RomConfigurationError, StickingRule
 from .shaw_pierre import SpParams, make_system, sp_field
 from .ssm_analytic import build_analytic_model
@@ -252,10 +252,16 @@ class Beam(Problem):
                                    np.zeros(n)])
                    for f in (1.0, 0.65, 0.4) for s in (1.0, -1.0)]
             t_span, dt, trim = fc["t_span"], fc["dt"], fc["trim_fraction"]
-        data = sd.generate_training(
-            lambda t, x: vkb.beam_field(asm, self.variant, branch, t, x), ics,
-            t_span, dt, branch=branch, trim_fraction=trim,
-            opts=self.training_options)
+        try:
+            data = sd.generate_training(
+                lambda t, x: vkb.beam_field(asm, self.variant, branch, t, x),
+                ics, t_span, dt, branch=branch, trim_fraction=trim,
+                opts=self.training_options)
+        except StiffnessError as exc:
+            span = "belt_span (set on 4 elements)" if self.belt else "t_span"
+            raise StiffnessError(
+                f"the '{branch}' branch training failed inside {span} {t_span}"
+                f" with n_elements={asm.props.n_elements}: {exc}") from exc
         A = vkb.branch_jacobian(asm, self.variant, branch, x0)
         # one displacement scale and one velocity scale: balances the units
         # without distorting the eigenvector geometry
@@ -271,11 +277,11 @@ class Beam(Problem):
             # reduced coordinates = midpoint pair normalized by its own data
             # extent, so the training support fills the unit square and a
             # trust radius near one bounds the fitted polynomials
-            Ys = np.vstack([y for _, y in data_s.trimmed()])
             W0 = np.zeros((2, 2 * n))
             for row, i in enumerate((asm.mid_dof_index,
                                      n + asm.mid_dof_index)):
-                W0[row, i] = 1.0 / np.abs(Ys[:, i]).max()
+                W0[row, i] = 1.0 / max(np.abs(y[:, i]).max()
+                                       for _, y in data_s.trimmed())
             V0 = sub.v_basis @ np.linalg.inv(W0 @ sub.v_basis)
             fit = sd.fit_manifold(data_s, V0, fc["order_m"], w_matrix=W0)
             A_slow = W0 @ A_s @ V0

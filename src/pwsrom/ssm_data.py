@@ -2,6 +2,10 @@
 smooth extensions, constrained polynomial least squares for the manifold graph
 and reduced dynamics, trajectory-error metrics, chart changes (including
 physical-coordinate charts) and the forcing correction for arbitrary charts.
+
+Both regressions stream over the dataset one trajectory at a time: each
+trajectory's monomial block is folded into the normal equations and dropped,
+so a fit holds one trajectory's regressors, never the stacked dataset.
 """
 
 from __future__ import annotations
@@ -109,9 +113,22 @@ class DynamicsFit:
         return {p: self.r_coeffs[:, i] for i, p in enumerate(self.monomial_indices)}
 
 
-def _stack_dataset(data: TrajectoryDataset):
-    ys = [y for _, y in data.trimmed()]
-    return np.vstack(ys)
+def _least_squares(blocks, ridge: float = 0.0) -> np.ndarray:
+    """C (K, m) minimizing sum_b |Phi_b^T C - T_b|^2 over the blocks
+    (Phi_b (K, N_b), T_b (N_b, m)), whose normal equations are added in
+    order, each sum over samples by np.einsum (no BLAS, so its order does not
+    depend on the BLAS thread count). ridge is a relative Tikhonov weight;
+    without it a rank-deficient system gets 1e-10 and a warning."""
+    A = rhs = 0.0
+    for phi, target in blocks:
+        A = A + np.einsum("kn,ln->kl", phi, phi)
+        rhs = rhs + np.einsum("kn,jn->kj", phi, np.ascontiguousarray(target.T))
+    if ridge > 0.0:
+        A = A + ridge * (np.trace(A) / A.shape[0]) * np.eye(A.shape[0])
+    elif np.linalg.cond(A) > 1e12:
+        warnings.warn("rank-deficient regressors; adding ridge 1e-10")
+        A = A + 1e-10 * np.eye(A.shape[0])
+    return np.linalg.solve(A, rhs)
 
 
 def fit_manifold(data: TrajectoryDataset, v_matrix: np.ndarray, order: int,
@@ -121,6 +138,8 @@ def fit_manifold(data: TrajectoryDataset, v_matrix: np.ndarray, order: int,
     The tangent basis comes from the linearization; only the nonlinear
     coefficients are regressed, subject to the tangency constraint
     w_matrix @ m_coeffs = 0 (orthogonal-complement projection of the targets).
+    The regression and the in-sample NMTE stream over the trimmed dataset
+    one trajectory at a time.
     """
     if order < 2:
         raise ValueError("order must be at least 2")
@@ -136,21 +155,19 @@ def fit_manifold(data: TrajectoryDataset, v_matrix: np.ndarray, order: int,
         if np.linalg.norm(W @ V - np.eye(d)) > 1e-8:
             raise ValueError("w_matrix @ v_matrix must be the identity")
     x0 = np.zeros(n) if x0 is None else np.asarray(x0, dtype=float)
-    Y = _stack_dataset(data) - x0
-    Xi = Y @ W.T                               # (N, d)
-    B = Y - Xi @ V.T                           # residuals off the tangent space
-    Phi = monomial_matrix(Xi.T, 2, order)      # (K, N)
-    A = Phi @ Phi.T
-    rhs = Phi @ B
-    cond = np.linalg.cond(A)
-    if cond > 1e12:
-        warnings.warn("rank-deficient regressors; adding ridge 1e-10")
-        A = A + 1e-10 * np.eye(A.shape[0])
-    M = np.linalg.solve(A, rhs).T              # (n, K)
+
+    def blocks():
+        for _, y in data.trimmed():
+            Y = y - x0
+            Xi = Y @ W.T                       # (N_b, d)
+            # residuals off the tangent space against monomials (K, N_b)
+            yield monomial_matrix(Xi.T, 2, order), Y - Xi @ V.T
+
+    M = _least_squares(blocks()).T             # (n, K)
     M = M - V @ (W @ M)                        # exact tangency
     fit = ManifoldFit(x0=x0, v_matrix=V, w_matrix=W, m_coeffs=M, order=order)
-    recon = fit.reconstruct(Xi)
-    fit.in_sample_nmte = nmte_arrays(Y + x0, recon)
+    fit.in_sample_nmte = _nmte_blocks(
+        (y, fit.reconstruct((y - x0) @ W.T)) for _, y in data.trimmed())
     return fit
 
 
@@ -183,49 +200,49 @@ def fit_dynamics(data: TrajectoryDataset, fit: ManifoldFit, order: int,
     regressed, matching the known-linear-part assumption of the method.
     ridge is a relative Tikhonov weight (times the mean regressor power);
     near-circular decay data makes high-order monomials collinear and a
-    small ridge suppresses the canceling-coefficient artifact.
+    small ridge suppresses the canceling-coefficient artifact. Like
+    fit_manifold it streams over the trajectories one at a time.
     """
-    xis = []
-    dxis = []
-    for t, y in data.trimmed():
-        ym, dym = estimate_derivatives(t, y)
-        xis.append((ym - fit.x0) @ fit.w_matrix.T)
-        dxis.append(dym @ fit.w_matrix.T)
-    Xi = np.vstack(xis)
-    dXi = np.vstack(dxis)
-    if known_linear is not None:
-        target = dXi - Xi @ np.asarray(known_linear, dtype=float).T
-        Phi = monomial_matrix(Xi.T, 2, order)
-    else:
-        target = dXi
-        Phi = monomial_matrix(Xi.T, 1, order)
-    A = Phi @ Phi.T
-    if ridge > 0.0:
-        A = A + ridge * (np.trace(A) / A.shape[0]) * np.eye(A.shape[0])
-    elif np.linalg.cond(A) > 1e12:
-        warnings.warn("rank-deficient regressors; adding ridge 1e-10")
-        A = A + 1e-10 * np.eye(A.shape[0])
-    R_free = np.linalg.solve(A, Phi @ target).T
-    if known_linear is not None:
-        R = np.column_stack([np.asarray(known_linear, dtype=float), R_free])
-    else:
-        R = R_free
+    L = None if known_linear is None else np.asarray(known_linear, dtype=float)
+
+    def blocks():
+        for t, y in data.trimmed():
+            ym, dym = estimate_derivatives(t, y)
+            xi = (ym - fit.x0) @ fit.w_matrix.T
+            dxi = dym @ fit.w_matrix.T
+            yield (monomial_matrix(xi.T, 1 if L is None else 2, order),
+                   dxi if L is None else dxi - xi @ L.T)
+
+    R_free = _least_squares(blocks(), ridge).T
+    R = R_free if L is None else np.column_stack([L, R_free])
     return DynamicsFit(r_coeffs=R, order=order)
 
 
 def nmte_arrays(reference: np.ndarray, reconstruction: np.ndarray,
                 normalization: Optional[np.ndarray] = None) -> float:
-    """Normalized mean trajectory error between two equally long sample sets."""
-    ref = np.asarray(reference, dtype=float)
-    rec = np.asarray(reconstruction, dtype=float)
-    if ref.shape != rec.shape:
-        raise ValueError("trajectories must have equal shapes")
-    if normalization is None:
-        normalization = ref[np.argmax(np.linalg.norm(ref, axis=1))]
-    nv = np.linalg.norm(normalization)
+    """Normalized mean trajectory error between two equally long sample sets:
+    the mean row error over the norm of normalization, or else of the
+    reference row of largest norm."""
+    return _nmte_blocks([(reference, reconstruction)], normalization)
+
+
+def _nmte_blocks(pairs, normalization: Optional[np.ndarray] = None) -> float:
+    """nmte_arrays over all rows of the (reference, reconstruction) pairs,
+    read one pair at a time."""
+    total, rows, top = 0.0, 0, None
+    for ref, rec in pairs:
+        ref, rec = np.asarray(ref, dtype=float), np.asarray(rec, dtype=float)
+        if ref.shape != rec.shape:
+            raise ValueError("trajectories must have equal shapes")
+        total += np.linalg.norm(ref - rec, axis=1).sum()
+        rows += len(ref)
+        norms = np.linalg.norm(ref, axis=1)
+        if top is None or norms.max() > top[0]:
+            top = (norms.max(), ref[np.argmax(norms)])
+    nv = np.linalg.norm(top[1] if normalization is None else normalization)
     if nv == 0.0:
         raise ZeroDivisionError("zero normalization vector")
-    return float(np.mean(np.linalg.norm(ref - rec, axis=1)) / nv)
+    return float(total / rows / nv)
 
 
 def model_from_fits(fit: ManifoldFit, dyn: DynamicsFit, branch: str,

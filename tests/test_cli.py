@@ -176,6 +176,23 @@ def test_fit_repeats_to_the_byte_on_one_blas_thread(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_fit_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the same oscillator fit at one and two BLAS threads: the regressions
+    # fix their own summation order over the samples
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 1e-2},
+                    "fit": {"order_m": 5, "order_r": 5, "t_span": [0.0, 50.0]}})
+    outs = []
+    for threads in ("1", "2"):
+        od = tmp_path / threads
+        r = run_cli(["fit", "--config", str(cfg), "--out-dir", str(od)],
+                    tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert r.returncode == 0, r.stderr
+        outs.append([(od / f"ssm_model_{b}.json").read_bytes()
+                     for b in ("plus", "minus")])
+    assert outs[0] == outs[1]
+
+
 def test_poincare_outputs(tmp_path):
     cfg = tmp_path / "c.json"
     write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01},
@@ -272,6 +289,9 @@ _MATRIX = {
                             "the coulomb beam fit does not read fit.n_ic"),
     "fit-belt-unread-key": ("fit", {**_BELT, "fit": {"static_load": 60e3}},
                             "the belt fit does not read fit.static_load"),
+    "fit-belt-two-elements": (
+        "fit", {**_BELT, "vk_beam": {**_BELT["vk_beam"], "n_elements": 2}},
+        ("StiffnessError", "belt_span")),
     "fit-belt-modal-chart": ("fit", {**_BELT, "fit": {"chart": "modal"}},
                              "the belt fit reads fit.chart 'physical' only"),
     "fit-beam-chart-typo": ("fit", {**_BEAM, "fit": {**_FIT, "chart": "physcial"}},

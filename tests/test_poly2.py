@@ -14,6 +14,20 @@ def test_monomial_matrix_values():
     assert np.allclose(m, [4.0, 6.0, 9.0])
 
 
+def test_monomial_matrix_matches_the_pow_form_to_a_few_ulp():
+    # the cumulative products against the libm pow form they replace
+    rng = np.random.default_rng(2)
+    for xi in (rng.uniform(-1.5, 1.5, 2), rng.uniform(-1.5, 1.5, (2, 500)),
+               np.array([[0.0, 1.0, -2.0], [3.0, 0.0, -0.5]])):
+        for lo in (1, 2):
+            got = monomial_matrix(xi, lo, 6)
+            want = np.stack([xi[0] ** p1 * xi[1] ** p2
+                             for p1, p2 in monomials(lo, 6)])
+            assert got.shape == want.shape
+            assert (np.abs(got - want) <= 4 * np.finfo(float).eps
+                    * np.abs(want)).all()
+
+
 def test_mul_and_call():
     p = Poly2({(1, 0): 2.0, (0, 1): -1.0})
     q = p.mul(p)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,47 @@ def test_linear_dynamics_recovery():
     fit = sd.fit_manifold(data, np.eye(3)[:, :2], order=2)
     dyn = sd.fit_dynamics(data, fit, order=1)
     assert np.abs(dyn.r_coeffs - A).max() < 1e-6
+
+
+def spiral_dataset(n_traj, n_rows):
+    """Decaying spirals on a quadratic graph over the first two coordinates."""
+    t = np.arange(n_rows) * 0.05
+    trajs = []
+    for k in range(n_traj):
+        r = (0.2 + 0.3 * k / n_traj) * np.exp(-0.05 * t)
+        xi = np.column_stack([r * np.cos(t + k), r * np.sin(t + k)])
+        trajs.append((t, np.column_stack([xi, xi[:, 0] ** 2,
+                                          xi[:, 0] * xi[:, 1]])))
+    return sd.TrajectoryDataset(trajectories=trajs, trim_fraction=0.05)
+
+
+def test_fits_hold_one_trajectory_not_the_dataset():
+    data = spiral_dataset(100, 400)
+    t, y = data.trajectories[0]
+    one = t.nbytes + y.nbytes
+    V = np.eye(4)[:, :2]
+    tracemalloc.start()
+    try:
+        fit = sd.fit_manifold(data, V, order=5)
+        sd.fit_dynamics(data, fit, order=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one trajectory's monomial block takes about four times its bytes, the
+    # stacked dataset's about 400 times
+    assert peak <= 20 * one
+
+
+def test_streamed_in_sample_nmte_is_the_stacked_nmte():
+    data = spiral_dataset(7, 300)
+    x0 = np.array([0.01, -0.02, 0.0, 0.0])
+    V, _ = np.linalg.qr(np.array([[1.0, 0.1], [0.2, 1.0], [0.0, 0.1],
+                                  [0.1, 0.0]]))
+    fit = sd.fit_manifold(data, V, order=2, x0=x0)
+    Y = np.vstack([y for _, y in data.trimmed()])
+    want = sd.nmte_arrays(Y, fit.reconstruct((Y - x0) @ V))
+    assert want > 1e-4
+    assert abs(fit.in_sample_nmte - want) <= 1e-13 * want
 
 
 def test_derivative_estimator_order():
