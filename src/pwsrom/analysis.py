@@ -1,8 +1,8 @@
-"""Validation analyses: forced response curves by brute-force steady-state
-integration (one warm-started, chunked sweep for both models), return maps
-on the switching surface with invariant-curve and edge-point extraction, the
-reduced-only invariant-curve approximation, limit cycle detection and
-response spectra."""
+"""Validation analyses: forced response curves whose points are fixed
+points of the period map, found by gated Anderson mixing (one warm-started,
+chunked sweep for both models), return maps on the switching surface with
+invariant-curve and edge-point extraction, the reduced-only invariant-curve
+approximation, limit cycle detection and response spectra."""
 
 from __future__ import annotations
 
@@ -28,33 +28,86 @@ class FrcPoint:
     amplitude: float
     converged: bool
     n_periods: int
+    residual: float = np.nan          # final |P(x) - x| / |P(x)|
     state: object = None              # the last period's end state
 
 
-def steady_state_amplitude(step_period: Callable, state, period: float,
-                           rel_change: float = 1e-3, consecutive: int = 5,
-                           max_periods: int = 500):
-    """Iterate one-period integrations until the amplitude settles.
+_GATE = 0.1     # relative residual below which periods are mixed
+_DEPTH = 5      # differences the mixing keeps
+_TOL = 1e-6     # relative residual of a steady state
 
-    step_period(t0, state) must return (state, amplitude-over-period).
-    Convergence: successive-period amplitude change below rel_change for
-    `consecutive` periods in a row.
+
+class SteadyState(tuple):
+    """(amplitude, converged, n_periods, state) of steady_state_amplitude,
+    with the final relative residual |P(x) - x| / |P(x)| as `residual`."""
+
+    def __new__(cls, amplitude, converged, n_periods, state, residual):
+        self = super().__new__(cls, (amplitude, converged, n_periods, state))
+        self.residual = residual
+        return self
+
+
+def steady_state_amplitude(step_period: Callable, state, period: float,
+                           max_periods: int = 500) -> SteadyState:
+    """Fixed point of the period map P by gated Anderson mixing.
+
+    step_period(t0, state) must return (P(state), amplitude over the
+    period); a state is an array, or a reduced (y, branch) whose y is mixed
+    and whose branch is that of the latest P(x). While the residual
+    |P(x) - x| is above _GATE |P(x)| plain periods run and the mixing
+    history is cleared, so the iterates follow the plain orbit into the
+    basin that brute-force periods reach. Below it, Anderson mixing on the
+    last _DEPTH differences (Walker & Ni 2011) picks the next state by least
+    squares. Once the residual is at most _TOL |P(x)|, one plain guard
+    period runs from P(x); the point is accepted if that period's residual
+    is at most max(previous residual, _TOL |P^2(x)|), and otherwise the
+    history is cleared and the iteration goes on. The reported amplitude
+    and state are the guard period's. The guard catches a residual that
+    climbs out of tolerance, not an exact landing on an unstable orbit:
+    the solver does not check the period map's multipliers.
     """
-    t = 0.0
-    prev = None
-    streak = 0
-    amp = np.nan
-    for k in range(1, max_periods + 1):
-        state, amp = step_period(t, state)
+    t, x = 0.0, state
+    px, amp, rel = state, np.nan, np.nan
+    dX, dG = [], []                   # differences of iterates, residuals
+    last = guard = None
+    for n in range(1, max_periods + 1):
+        px, amp = step_period(t, x)
         t += period
-        if prev is not None and abs(amp - prev) <= rel_change * max(abs(amp), 1e-300):
-            streak += 1
-            if streak >= consecutive:
-                return amp, True, k, state
-        else:
-            streak = 0
-        prev = amp
-    return amp, False, max_periods, state
+        u, pu = _mixed(x), _mixed(px)
+        g = pu - u
+        res, scale = np.linalg.norm(g), np.linalg.norm(pu)
+        rel = res / scale if scale else (np.inf if res else 0.0)
+        if guard is not None and res <= max(guard, _TOL * scale):
+            return SteadyState(amp, True, n, px, rel)
+        if guard is not None or rel > _GATE:
+            dX.clear()
+            dG.clear()
+            last = None
+        guard = None
+        if rel <= _TOL:
+            guard, x = res, px
+            continue
+        if rel > _GATE:
+            x = px
+            continue
+        if last is not None:
+            dX.append(u - last[0])
+            dG.append(g - last[1])
+            del dX[:-_DEPTH], dG[:-_DEPTH]
+        last = u, g
+        if dX:
+            DX, DG = np.column_stack(dX), np.column_stack(dG)
+            gamma = np.linalg.lstsq(DG, g, rcond=None)[0]
+            pu = pu - (DX + DG) @ gamma
+        x = (pu, px[1]) if isinstance(px, tuple) else pu
+    return SteadyState(amp, False, max_periods, px, rel)
+
+
+def _mixed(state):
+    """The part of a state that the mixing sees: y of a reduced (y, branch),
+    else the whole state, as a float array."""
+    return np.asarray(state[0] if isinstance(state, tuple) else state,
+                      dtype=float)
 
 
 def hybrid_period_stepper(make_system, omega: float, amp_index: int,
@@ -130,9 +183,10 @@ def _frc_chunk(task):
                 traj = simulate_rom(rom_k, *state,
                                     (k * period, (k + 1) * period), ramp_opts)
                 state = _rom_end(traj, state[1])
-        a, conv, nper, state = steady_state_amplitude(
-            step, state, period, max_periods=max_periods)
-        out.append(FrcPoint(om, a, conv, nper, state))
+        steady = steady_state_amplitude(step, state, period,
+                                        max_periods=max_periods)
+        a, conv, nper, state = steady
+        out.append(FrcPoint(om, a, conv, nper, steady.residual, state))
     return out
 
 

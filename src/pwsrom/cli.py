@@ -79,14 +79,14 @@ def problem_from(cfg: dict):
     return problem
 
 
-def _write_manifest(out_dir, command, cfg, outputs):
+def _write_manifest(out_dir, command, cfg, outputs, **extra):
     hashes = {}
     for name in outputs:
         with open(os.path.join(out_dir, name), "rb") as fh:
             hashes[name] = hashlib.sha256(fh.read()).hexdigest()
     manifest = {"command": command, "config": cfg, "outputs": hashes,
                 "versions": {"pwsrom": __version__, "numpy": np.__version__,
-                             "python": sys.version.split()[0]}}
+                             "python": sys.version.split()[0]}, **extra}
     path = os.path.join(out_dir, f"{command}_manifest.json")
     with open(path, "w") as fh:
         json.dump(manifest, fh, indent=1, sort_keys=True)
@@ -228,7 +228,13 @@ def cmd_frc(cfg, out_dir, threads=1) -> int:
                [[float(pf.omega), float(pf.amplitude), float(pr.amplitude),
                  int(pf.converged), int(pr.converged)]
                 for pf, pr in zip(full, romp)])
-    _write_manifest(out_dir, "frc", cfg, ["frc.csv"])
+    # per point: periods run and the final relative residual (null without
+    # a reduced model)
+    points = {name: [{"n_periods": p.n_periods, "residual":
+                      None if np.isnan(p.residual) else float(p.residual)}
+                     for p in pts] for name, pts in (("full", full),
+                                                     ("rom", romp))}
+    _write_manifest(out_dir, "frc", cfg, ["frc.csv"], points=points)
     return 0
 
 

@@ -256,6 +256,31 @@ def test_frc_does_not_depend_on_threads(tmp_path):
     assert outs[0] == outs[1]
 
 
+def test_frc_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # the same FRC at one and two BLAS threads: the mixing's least squares
+    # must not bring in a dependence on the thread count; the manifest
+    # lists each point's periods and final residual for both models
+    cfg = tmp_path / "c.json"
+    write_cfg(cfg, {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01},
+                    "frc": {"omega_min": 0.95, "omega_max": 1.05,
+                            "n_points": 3, "eps": 0.15, "max_periods": 100}})
+    outs = []
+    for threads in ("1", "2"):
+        od = tmp_path / threads
+        r = run_cli(["frc", "--config", str(cfg), "--out-dir", str(od)],
+                    tmp_path, OPENBLAS_NUM_THREADS=threads)
+        assert r.returncode == 0, r.stderr
+        outs.append((od / "frc.csv").read_bytes())
+        points = json.loads((od / "frc_manifest.json").read_text())["points"]
+        for model in ("full", "rom"):
+            assert len(points[model]) == 3
+            assert all(p["n_periods"] < 100 and p["residual"] <= 1e-6
+                       for p in points[model])
+    assert outs[0] == outs[1]
+    assert outs[0].decode().splitlines()[0] == ("omega,amp_full,amp_rom,"
+                                                "converged_full,converged_rom")
+
+
 _OSC = {"model": "shaw_pierre", "shaw_pierre": {"delta": 0.01}}
 _BEAM = {"model": "vk_beam", "vk_beam": {"n_elements": 2, "variant": "coulomb",
                                          "delta_tilde": 1e-3}}
