@@ -228,12 +228,12 @@ def cmd_frc(cfg, out_dir, threads=1) -> int:
                [[float(pf.omega), float(pf.amplitude), float(pr.amplitude),
                  int(pf.converged), int(pr.converged)]
                 for pf, pr in zip(full, romp)])
-    # per point: periods run and the final relative residual (null without
-    # a reduced model)
-    points = {name: [{"n_periods": p.n_periods, "residual":
-                      None if np.isnan(p.residual) else float(p.residual)}
-                     for p in pts] for name, pts in (("full", full),
-                                                     ("rom", romp))}
+    # each point's periods and final relative residual (null without the
+    # reduced model)
+    points = {name: [{"n_periods": p.n_periods,
+                      "residual": None if np.isnan(p.residual)
+                      else float(p.residual)} for p in pts]
+              for name, pts in (("full", full), ("rom", romp))}
     _write_manifest(out_dir, "frc", cfg, ["frc.csv"], points=points)
     return 0
 
