@@ -15,7 +15,7 @@ import numpy as np
 from .core import (EventKind, IntegratorOptions, _integrate_segment,
                    classify_boundary, integrate_hybrid)
 from .rom import (NonsmoothRom, StrategyError, _trace_surface, simulate_rom,
-                  switching_value)
+                  surface_pair, switching_value)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +348,9 @@ def _advect_to_surface(rom, branch, y0, t_max=50.0):
     model = rom.model(branch)
     value = switching_value(rom, model)
     y0 = np.asarray(y0, dtype=float)
-    x0 = model.lift(y0)
-    s0 = rom.switching.sigma(x0)
+    s0, slope = surface_pair(rom, model)(y0, None)
     if abs(s0) <= 1e-7:
-        s0 = float(np.asarray(rom.switching.grad_sigma(x0))
-                   @ model.lift_jacobian(y0) @ model.reduced_field(0.0, y0))
+        s0 = float(np.dot(slope(), model.reduced_field(0.0, y0)))
     sgn = 1.0 if s0 >= 0 else -1.0
     opts = IntegratorOptions(rtol=1e-11, atol=1e-13)
     seg, hit, _ = _integrate_segment(model.reduced_field, 0.0, y0, t_max,

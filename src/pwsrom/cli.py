@@ -142,13 +142,17 @@ def cmd_simulate(cfg, out_dir) -> int:
     opts = IntegratorOptions(rtol=sc.get("rtol", 1e-9), atol=sc.get("atol", 1e-11),
                              t_eval_dt=sc.get("sample_dt"))
     x0 = np.asarray(sc.get("x0", problem.default_x0), dtype=float)
+    if x0.shape != (problem.dim,):
+        raise ConfigError(f"simulate.x0 needs {problem.dim} entries, one per "
+                          f"state, not {x0.size}")
     if sc.get("use_rom", False):
         paths = sc.get("rom_models")
         models = {"+": SsmModel.from_json(paths["plus"]),
                   "-": SsmModel.from_json(paths["minus"])} if paths else None
         nrom = problem.rom(models=models,
                            ic_strategy=sc.get("ic_strategy", "projection"))
-        branch0 = "+" if nrom.switching.sigma(x0) >= 0 else "-"
+        index, level = nrom.surface
+        branch0 = "+" if x0[index] - level >= 0 else "-"
         y0 = nrom.model(branch0).chart(x0)
         traj = simulate_rom(nrom, y0, branch0, t_span, opts)
         outputs = ["trajectory_rom.csv", "events_rom.csv"]

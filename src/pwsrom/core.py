@@ -66,15 +66,19 @@ class DegenerateDenominatorError(RuntimeError):
 
 @dataclass(frozen=True)
 class SwitchingFunction:
-    """Scalar switching function sigma and its gradient.
-
-    affine = (g, c), when set, declares sigma(x) = g . x + c, which lets the
-    reduced model precompose sigma with its lift (SsmModel.affine_switching).
-    """
+    """Scalar switching function sigma and its gradient."""
 
     sigma: Callable[[np.ndarray], float]
     grad_sigma: Callable[[np.ndarray], np.ndarray]
-    affine: Optional[tuple[np.ndarray, float]] = None
+
+    @classmethod
+    def coordinate(cls, dim: int, surface: tuple[int, float]):
+        """sigma(x) = x[index] - level for surface = (index, level), with its
+        constant unit gradient: the form of every surface the models declare."""
+        i, level = surface
+        grad = np.zeros(dim)
+        grad[i] = 1.0
+        return cls(sigma=lambda x: float(x[i]) - level, grad_sigma=lambda x: grad)
 
 
 @dataclass(frozen=True)

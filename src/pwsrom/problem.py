@@ -17,8 +17,8 @@ from . import spectral
 from . import ssm_data as sd
 from . import vk_beam as vkb
 from .core import IntegratorOptions, StiffnessError
-from .rom import NonsmoothRom, RomConfigurationError, StickingRule
-from .shaw_pierre import SpParams, make_system, sp_field
+from .rom import NonsmoothRom, RomConfigurationError
+from .shaw_pierre import SP_SURFACE, SpParams, make_system, sp_field
 from .ssm_analytic import build_analytic_model
 
 
@@ -50,6 +50,14 @@ class Problem:
         """({branch: SsmModel}, {branch: TrajectoryDataset}) of fit_branch."""
         models, datasets = zip(*(self.fit_branch(b, fc) for b in "+-"))
         return dict(zip("+-", models)), dict(zip("+-", datasets))
+
+    def _check_models(self, models: dict) -> None:
+        """Refuse branch models of another state dimension than the problem's."""
+        for branch, model in models.items():
+            if model.dim != self.dim:
+                raise ConfigError(
+                    f"the '{branch}' branch model has {model.dim} states, but "
+                    f"the {self.fit_recipe} problem has {self.dim}")
 
 
 @dataclass(frozen=True)
@@ -90,15 +98,14 @@ class Oscillator(Problem):
         sticking through the modal chart with dq1 pinned to zero, or on given
         branch models (from files) as they are."""
         if models is not None:
-            return NonsmoothRom(models["+"], models["-"],
-                                switching=self.system().switching,
+            self._check_models(models)
+            return NonsmoothRom(models["+"], models["-"], surface=SP_SURFACE,
                                 ic_strategy=ic_strategy)
         p = self._at(omega, None if amp is None else amp * scale)
-        system = make_system(p)
         return NonsmoothRom(*[build_analytic_model(p, b, eps=p.eps, omega=p.omega)
                               for b in "+-"],
-                            switching=system.switching, ic_strategy=ic_strategy,
-                            sticking=StickingRule(system=system, pin=(1, 0.0)))
+                            surface=SP_SURFACE, ic_strategy=ic_strategy,
+                            sticking=make_system(p))
 
     def fit_branch(self, branch: str, fc: dict):
         """(model, data): decays from a circle on the analytic SSM, fitted in
@@ -188,6 +195,7 @@ class Beam(Problem):
             raise ConfigError("the beam ROM runs on fitted branch models: "
                               "write them with fit and name them in "
                               "simulate.rom_models")
+        self._check_models(models)
         asm, n = self.assembly, self.assembly.n_dof
         forcing = None
         if amp:
@@ -202,7 +210,6 @@ class Beam(Problem):
                 forced[b] = replace(m, correction=corr, trust_radius=1.15)
             models = forced
             forcing = vkb.mid_forcing(asm, amp * scale, omega)
-        system = vkb.make_beam_system(asm, self.variant, forcing)
         i_vel = n + asm.mid_dof_index
         sticking = None
         if self.variant.kind != "soft_impact":
@@ -215,10 +222,9 @@ class Beam(Problem):
                     raise RomConfigurationError(
                         "sticking requires the physical midpoint chart; "
                         "rechart the fitted models onto (q_mid, dq_mid)")
-            v_hold = self.variant.v_ground if self.belt else 0.0
-            sticking = StickingRule(system=system, pin=(i_vel, v_hold))
+            sticking = vkb.make_beam_system(asm, self.variant, forcing)
         return NonsmoothRom(model_plus=models["+"], model_minus=models["-"],
-                            switching=system.switching,
+                            surface=vkb.beam_surface(asm, self.variant),
                             ic_strategy=ic_strategy, sticking=sticking,
                             coord_indices={"q1": asm.mid_dof_index,
                                            "q2": i_vel})

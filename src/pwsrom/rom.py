@@ -4,22 +4,20 @@ Integrates the branch reduced dynamics, monitors the switching function on
 reconstructed observables with the same event machinery as the full model,
 transfers initial conditions across branches at crossings, and optionally
 sticks, slides and releases by the full system's Filippov field evaluated at
-the reconstructed state (StickingRule), with the calls core makes for the
-full model.
+the reconstructed state, with the calls core makes for the full model.
 
-Every reduced segment runs on core's float stepper of length 2. When the
-switching function declares its affine form, the branch event evaluates sigma
-precomposed with the lift (SsmModel.affine_switching) instead of lifting the
-full state at every step; otherwise it lifts.
+The ROM's switching surface is one coordinate at one level, declared once
+per model (shaw_pierre.SP_SURFACE, vk_beam.beam_surface) and held as
+NonsmoothRom.surface = (index, level): sigma(x) = x[index] - level. Every
+reduced segment runs on core's float stepper of length 2, and the branch
+event evaluates sigma precomposed with the lift (SsmModel.lift_component,
+equal to sigma(lift(y, t)) to the bit), so it never lifts the full state.
 
 The IC transfer's surface search (Newton onto the surface, tracing the
 surface curve, scoring candidates and the golden-section refinement) runs
-once, on float pairs. It takes sigma(lift(y, t)) and its y-gradient from
-surface_pair: precomposed for an affine switching function (the value and
-SsmModel.affine_slope), else one lift serves both, with grad_sigma times
-lift_jacobian. The objectives compare lift components in floats
-(SsmModel.lift_component, equal to the lift to the bit). The search's
-public helpers still return ndarrays.
+once, on float pairs. It takes that value and its y-gradient
+(SsmModel.component_slope) from surface_pair. The objectives compare lift
+components in floats too. The search's public helpers still return ndarrays.
 """
 
 from __future__ import annotations
@@ -31,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .core import (EPS_EVENT, BoundaryKind, EventKind, HybridTrajectory,
-                   IntegratorOptions, PiecewiseSmoothSystem, SwitchingFunction,
+                   IntegratorOptions, PiecewiseSmoothSystem,
                    _integrate_segment, classify_boundary, filippov_field)
 from .ssm_model import SsmModel
 
@@ -46,53 +44,25 @@ class RomConfigurationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class StickingRule:
-    """Sticking in reduced coordinates by the full model's Filippov convention.
-
-    The reduced state sticks, slides and releases as the full system does at
-    its reconstruction: the lift with observable pin[0] held at pin[1], which
-    puts it on the switching surface exactly. A surface hit sticks where
-    classify_boundary finds attracting sliding there; while sticking, the
-    reduced field is chart_w applied to the Filippov field, and the model
-    releases where the Filippov coefficient lambda reaches +-1, onto the
-    branch of its sign, as core's sliding segments do.
-    """
-
-    system: PiecewiseSmoothSystem
-    pin: tuple[int, float]
-
-    def state(self, model: SsmModel, t: float, y) -> np.ndarray:
-        """Reconstructed observable state while sticking."""
-        x = model.lift(y, t)
-        x[self.pin[0]] = self.pin[1]
-        return x
-
-    def states(self, model: SsmModel, T, Y) -> np.ndarray:
-        """Reconstructed states of the rows of Y (N, d) at times T (N,)."""
-        X = model.lift_many(Y, T)
-        X[:, self.pin[0]] = self.pin[1]
-        return X
-
-    def sticks(self, model: SsmModel, t: float, y) -> bool:
-        """Whether the full system slides (attracting) at the reconstruction."""
-        cls = classify_boundary(self.system, self.state(model, t, y), t)
-        return cls.kind == BoundaryKind.ATTRACTING_SLIDING
-
-    def sliding(self, model: SsmModel, t: float, y) -> tuple[float, tuple]:
-        """lambda and the in-surface reduced field (a pair of Python floats for
-        the float stepper) at the reconstruction."""
-        lam, f_sigma = filippov_field(self.system, self.state(model, t, y), t)
-        return lam, tuple((model.chart_w @ f_sigma).tolist())
-
-
 @dataclass
 class NonsmoothRom:
+    """Two branch models switched at surface = (index, level).
+
+    sticking, when set, is the full system whose Filippov convention the
+    reduced state follows at its pinned reconstruction: the lift with
+    observable index held at level, which puts it on the surface exactly. A
+    surface hit sticks where classify_boundary finds attracting sliding
+    there; while sticking, the reduced field is chart_w applied to the
+    Filippov field, and the model releases where the Filippov coefficient
+    lambda reaches +-1, onto the branch of its sign, as core's sliding
+    segments do.
+    """
+
     model_plus: SsmModel
     model_minus: SsmModel
-    switching: SwitchingFunction
+    surface: tuple[int, float]
     ic_strategy: str = "projection"
-    sticking: Optional[StickingRule] = None
+    sticking: Optional[PiecewiseSmoothSystem] = None
     coord_indices: dict = field(default_factory=lambda: {"q1": 0, "q2": 2})
 
     def __post_init__(self):
@@ -103,6 +73,30 @@ class NonsmoothRom:
 
     def model(self, branch: str) -> SsmModel:
         return self.model_plus if branch == "+" else self.model_minus
+
+    def pinned_state(self, model: SsmModel, t: float, y) -> np.ndarray:
+        """Reconstructed observable state while sticking."""
+        x = model.lift(y, t)
+        x[self.surface[0]] = self.surface[1]
+        return x
+
+    def pinned_states(self, model: SsmModel, T, Y) -> np.ndarray:
+        """Reconstructed states of the rows of Y (N, d) at times T (N,)."""
+        X = model.lift_many(Y, T)
+        X[:, self.surface[0]] = self.surface[1]
+        return X
+
+    def sticks(self, model: SsmModel, t: float, y) -> bool:
+        """Whether the full system slides (attracting) at the reconstruction."""
+        cls = classify_boundary(self.sticking, self.pinned_state(model, t, y), t)
+        return cls.kind == BoundaryKind.ATTRACTING_SLIDING
+
+    def sliding(self, model: SsmModel, t: float, y) -> tuple[float, tuple]:
+        """lambda and the in-surface reduced field (a pair of Python floats for
+        the float stepper) at the reconstruction."""
+        lam, f_sigma = filippov_field(self.sticking,
+                                      self.pinned_state(model, t, y), t)
+        return lam, tuple((model.chart_w @ f_sigma).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +256,7 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
 
     Crossings of the reconstructed switching function are located by the
     event kernel of pwsrom.core; the configured IC strategy transfers the
-    reduced state to the other branch. When a sticking rule is present and
+    reduced state to the other branch. When the ROM has a sticking system and
     the full system slides at the reconstructed surface hit, the in-surface
     reduced field runs until lambda reaches +-1, then integration resumes on
     the branch of its sign.
@@ -276,8 +270,8 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
     mode, h = "branch", None
     if rom.sticking is not None:
         model0 = rom.model(branch)
-        if (abs(rom.switching.sigma(model0.lift(y, t0))) < 1e-6
-                and rom.sticking.sticks(model0, t0, y)):
+        if (abs(switching_value(rom, model0)(y, t0)) < 1e-6
+                and rom.sticks(model0, t0, y)):
             mode = "sticking"
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         run = _rom_branch_segment if mode == "branch" else _rom_sticking_segment
@@ -286,38 +280,20 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
 
 
 def switching_value(rom: NonsmoothRom, model: SsmModel):
-    """sigma(lift(y, t)) as a function value(y, t=None) of a reduced state:
-    precomposed when the switching function is affine, else by lifting."""
-    if rom.switching.affine is not None:
-        return model.affine_switching(*rom.switching.affine)
-    sigma = rom.switching.sigma
-
-    def value(y, t=None):
-        return sigma(model.lift(y, t))
-
-    return value
+    """sigma(lift(y, t)) as a function value(y, t=None) of a reduced state,
+    precomposed with the lift."""
+    return model.lift_component(*rom.surface)
 
 
 def surface_pair(rom: NonsmoothRom, model: SsmModel):
     """sigma(lift(y, t)) and its y-gradient at a reduced pair y, as a
     function pair(y, t) -> (value, slope) whose slope() returns the gradient
-    as a float pair, computed only when asked. Precomposed when the
-    switching function is affine (SsmModel.affine_slope); else one lift
-    serves both, the gradient being grad_sigma there times lift_jacobian."""
-    if rom.switching.affine is not None:
-        value = model.affine_switching(*rom.switching.affine)
-        grad = model.affine_slope(rom.switching.affine[0])
-
-        def pair(y, t):
-            return value(y, t), lambda: grad(None, *y)
-
-        return pair
-    sigma, grad_sigma = rom.switching.sigma, rom.switching.grad_sigma
+    as a float pair, computed only when asked."""
+    value = switching_value(rom, model)
+    grad = model.component_slope(rom.surface[0])
 
     def pair(y, t):
-        x = model.lift(y, t)
-        return sigma(x), lambda: tuple(
-            (np.asarray(grad_sigma(x)) @ model.lift_jacobian(y)).tolist())
+        return value(y, t), lambda: grad(None, *y)
 
     return pair
 
@@ -335,7 +311,7 @@ def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
     if not hit:
         return t_ev, y_ev, branch, "branch", h
-    if rom.sticking is not None and rom.sticking.sticks(model, t_ev, y_ev):
+    if rom.sticking is not None and rom.sticks(model, t_ev, y_ev):
         traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
         return t_ev, y_ev, branch, "sticking", h
     traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
@@ -344,28 +320,27 @@ def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
 
 
 def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
-    rule = rom.sticking
     model = rom.model(branch)
 
     def f_slide(t, y):
-        return rule.sliding(model, t, y)[1]
+        return rom.sliding(model, t, y)[1]
 
     def lam_margin(t, y):
         # sticking ends where |lambda| reaches 1
-        lam = rule.sliding(model, t, y)[0]
+        lam = rom.sliding(model, t, y)[0]
         return 1.0 - lam * lam
 
     _validate_sticking_chart(rom, model, f_slide, t0, y0)
     seg, hit, h = _integrate_segment(
         f_slide, t0, y0, t_end, opts, t_grid0, event=lam_margin, eps=1e-12,
-        observe=lambda T, Y: rule.states(model, T, Y), h=h)
+        observe=lambda T, Y: rom.pinned_states(model, T, Y), h=h)
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
     if not hit:
         return t_ev, y_ev, branch, "sticking", h
     traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
-    lam = rule.sliding(model, t_ev, y_ev)[0]
+    lam = rom.sliding(model, t_ev, y_ev)[0]
     return t_ev, y_ev, ("+" if lam > 0 else "-"), "branch", h
 
 
@@ -378,8 +353,8 @@ def _validate_sticking_chart(rom, model, f_slide, t, y):
     y = np.asarray(y, dtype=float)
     dy = np.asarray(f_slide(t, y))
     h = 1e-7
-    s0 = rom.switching.sigma(model.lift(y, t))
-    s1 = rom.switching.sigma(model.lift(y + h * dy, t + h))
+    value = switching_value(rom, model)
+    s0, s1 = value(y, t), value(y + h * dy, t + h)
     drift = abs(s1 - s0) / h
     scale = 1.0 + float(np.linalg.norm(dy))
     if drift > 0.15 * scale:

@@ -69,11 +69,13 @@ def sp_field(params: SpParams, branch: str, t: float, x) -> tuple:
     )
 
 
+# the switching surface (index, level): sigma(x) = dq1, the velocity with
+# which the friction force flips sign
+SP_SURFACE = (1, 0.0)
+
+
 def sp_switching() -> SwitchingFunction:
-    """sigma(x) = dq1; the friction force flips sign with this velocity."""
-    grad = np.array([0.0, 1.0, 0.0, 0.0])
-    return SwitchingFunction(sigma=lambda x: float(x[1]),
-                             grad_sigma=lambda x: grad, affine=(grad, 0.0))
+    return SwitchingFunction.coordinate(4, SP_SURFACE)
 
 
 def sp_elastic_term(params: SpParams, x: np.ndarray) -> float:

@@ -20,8 +20,8 @@ it, and contracts. The lift adds its terms one at a time in table order, x0
 last, so an unforced lift is bit-identical to the term-by-term (Poly2) sum
 of the dicts and full-model runs started from lifted states do not move.
 
-The reduced dynamics (always two coordinates) and sigma precomposed with the
-lift run in Python floats on straight-line code, generated by exec once per
+The reduced dynamics (always two coordinates) and single lift components
+run in Python floats on straight-line code, generated by exec once per
 monomial structure (_evaluator, cached on the nonzero exponent pairs and
 whether the model is forced) and bound to each model's coefficients; nothing
 is generated at import, and a model pickles without the compiled code and
@@ -32,17 +32,16 @@ amplitudes. reduced_field returns the float pair (y1', y2'), which the
 float-pair stepper of pwsrom.core consumes directly; trust_radius is read at
 every call.
 
-An affine switching function sigma(x) = g . x + c precomposes with the lift
-into one scalar polynomial in (y1, y2, cos omega t, sin omega t) whose
-coefficients are C @ g (affine_switching, bound once per (g, c)). It is
+A single observable of the lift minus a level, lift(y, t)[i] - level, runs
+as one scalar polynomial in (y1, y2, cos omega t, sin omega t) on the lift's
+own coefficients C[:, i] (lift_component, bound once per (i, level)). It is
 evaluated in the lift's order: the nonzero monomials, then x0, cos and sin,
-then c. For a unit g, as every shipped switching function has, C @ g is
-exact and the value equals sigma(lift(y, t)) to the bit; so lift_component
-(the unit vectors' compositions) gives single observables of the lift in
-floats. The y-slope of the composition is the pair of polynomials g @ J over
-the same table (affine_slope, bound once per g), generated like the reduced
-dynamics; it agrees with g @ lift_jacobian(y) to round-off (BLAS sums the
-latter in its own order). Both are cached per model by g (and c) alone.
+then the level, so it equals lift(y, t)[i] - level to the bit. The switched
+ROM evaluates its switching surface, one coordinate at one level, this way,
+and the IC transfer's objectives read single observables by it. Its y-slope
+is the pair of polynomials J[i] over the same table (component_slope, bound
+once per i), generated like the reduced dynamics; it agrees with
+lift_jacobian(y)[i] to round-off (BLAS sums the latter in its own order).
 """
 
 from __future__ import annotations
@@ -136,8 +135,8 @@ class SsmModel:
         self._reduced = _evaluator(_PAIR, pairs, self.correction is not None)(
             self._omega, *rforce, a[:, 0].tolist(), a[:, 1].tolist())
         self._deg, self._exps = deg, exps
-        self._affine = {}                               # (g, c) -> sigma o lift
-        self._slopes = {}                               # g -> its y-slope
+        self._components = {}                           # (i, level) -> value
+        self._slopes = {}                               # i -> its y-slope
         self._C, self._J = C, J.reshape(n * d, K + 3)
         # phi = P[e1] * P[e2] on P = [y1^0..y1^deg, y2^0..y2^deg, cos, sin]
         one = deg + 1                                   # y2^0
@@ -173,38 +172,31 @@ class SsmModel:
             P[:, -1] = np.sin(wt)
         return (P[:, self._e1] * P[:, self._e2]) @ self._C
 
-    def affine_switching(self, g, c: float = 0.0):
-        """sigma(lift(y, t)) for sigma(x) = g . x + c, as a function
-        value(y, t=None) of a reduced pair, compiled once per (g, c)."""
-        g = np.asarray(g, dtype=float)
-        key = (g.tobytes(), float(c))
-        value = self._affine.get(key)
+    def lift_component(self, i: int, level: float = 0.0):
+        """lift(y, t)[i] - level as a function value(y, t=None) of a reduced
+        pair, in floats and equal to it to the bit, compiled once per
+        (i, level)."""
+        key = (i, float(level))
+        value = self._components.get(key)
         if value is None:
-            s = (self._C @ g).tolist()
+            s = self._C[:, i].tolist()
             pairs = tuple(p for p, a in zip(self._exps, s) if a)
-            value = self._affine[key] = _evaluator(_AFFINE, pairs)(
-                self._omega, *s[-3:], float(c), [a for a in s[:-3] if a])
+            value = self._components[key] = _evaluator(_COMPONENT, pairs)(
+                self._omega, *s[-3:], float(level), [a for a in s[:-3] if a])
         return value
 
-    def affine_slope(self, g):
-        """The y-gradient of affine_switching(g, c) as a function
+    def component_slope(self, i: int):
+        """The y-gradient of lift_component(i, level) as a function
         slope(t, y1, y2) -> (d/dy1, d/dy2) of floats (t is unused), compiled
-        once per g: the pair of polynomials g @ J over the exponent table."""
-        g = np.asarray(g, dtype=float)
-        key = g.tobytes()
-        slope = self._slopes.get(key)
+        once per i: the pair of polynomials J[i] over the exponent table."""
+        slope = self._slopes.get(i)
         if slope is None:
-            a, b = np.tensordot(g, self._J.reshape(self.dim, 2, -1), 1).tolist()
+            a, b = self._J.reshape(self.dim, 2, -1)[i].tolist()
             cols = [k for k in range(len(self._exps)) if a[k] or b[k]]
-            slope = self._slopes[key] = _evaluator(
+            slope = self._slopes[i] = _evaluator(
                 _PAIR, tuple(self._exps[k] for k in cols))(
                 0.0, 0.0, 0.0, 0.0, 0.0, [a[k] for k in cols], [b[k] for k in cols])
         return slope
-
-    def lift_component(self, i: int):
-        """Observable i of the lift as a function value(y, t=None) of floats:
-        affine_switching of the unit vector e_i, equal to lift(y, t)[i]."""
-        return self.affine_switching(np.eye(self.dim)[i])
 
     def lift_jacobian(self, y) -> np.ndarray:
         """d lift / d y, shape (n, d)."""
@@ -317,7 +309,7 @@ class SsmModel:
 # Straight-line evaluators (module doc): bind(...) takes a model's values
 # and returns the evaluator with them bound. _PAIR is two polynomials in
 # (y1, y2) with their cos/sin forcing amplitudes: the reduced dynamics, and
-# unforced the y-slope of sigma o lift.
+# unforced the y-slope of a lift component.
 _PAIR = """\
 def bind(omega, c1, c2, s1, s2, a, b):
     [{a}], [{b}] = a, b
@@ -330,8 +322,8 @@ def bind(omega, c1, c2, s1, s2, a, b):
         return f1, f2
     return reduced
 """
-_AFFINE = """\
-def bind(omega, s_x0, s_cos, s_sin, c, a):
+_COMPONENT = """\
+def bind(omega, s_x0, s_cos, s_sin, level, a):
     [{a}] = a
     def value(y, t=None):
         y1, y2 = float(y[0]), float(y[1])
@@ -339,7 +331,7 @@ def bind(omega, s_x0, s_cos, s_sin, c, a):
         v = 0.0{sum_a} + s_x0
         if t is not None:
             v = v + s_cos * cos(omega * t) + s_sin * sin(omega * t)
-        return v + c
+        return v - level
     return value
 """
 

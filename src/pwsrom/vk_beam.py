@@ -262,22 +262,21 @@ def beam_field(assembly: BeamAssembly, variant: Optional[NonsmoothVariant],
     return assembly.field_operator @ np.concatenate(z + (forcing(t),))
 
 
+def beam_surface(assembly: BeamAssembly,
+                 variant: NonsmoothVariant) -> tuple[int, float]:
+    """The switching surface (index, level), sigma(x) = x[index] - level: the
+    midpoint displacement for the soft impact, the midpoint velocity for
+    Coulomb friction, and its speed relative to the belt for the belt."""
+    i, n = assembly.mid_dof_index, assembly.n_dof
+    if variant.kind == "soft_impact":
+        return i, 0.0
+    return n + i, variant.v_ground if variant.kind == "moving_belt" else 0.0
+
+
 def beam_switching(assembly: BeamAssembly,
                    variant: NonsmoothVariant) -> SwitchingFunction:
-    i = assembly.mid_dof_index
-    n = assembly.n_dof
-    g = np.zeros(2 * n)
-    if variant.kind == "soft_impact":
-        g[i] = 1.0
-        return SwitchingFunction(sigma=lambda x: float(x[i]),
-                                 grad_sigma=lambda x: g, affine=(g, 0.0))
-    g[n + i] = 1.0
-    if variant.kind == "coulomb":
-        return SwitchingFunction(sigma=lambda x: float(x[n + i]),
-                                 grad_sigma=lambda x: g, affine=(g, 0.0))
-    v_g = variant.v_ground
-    return SwitchingFunction(sigma=lambda x: float(x[n + i] - v_g),
-                             grad_sigma=lambda x: g, affine=(g, -v_g))
+    return SwitchingFunction.coordinate(2 * assembly.n_dof,
+                                        beam_surface(assembly, variant))
 
 
 def make_beam_system(assembly: BeamAssembly, variant: NonsmoothVariant,

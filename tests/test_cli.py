@@ -298,6 +298,14 @@ _MATRIX = {
     "simulate-osc": ("simulate", {**_OSC, "simulate": {"t_span": [0, 2.0]}}, _TRAJ),
     "simulate-beam": ("simulate", {**_BEAM, "simulate": {"t_span": [0, 5e-3]}},
                       _TRAJ),
+    "simulate-osc-short-x0": (
+        "simulate", {**_OSC, "simulate": {"t_span": [0, 2.0],
+                                          "x0": [0.5, 0.3, -0.2]}},
+        "simulate.x0 needs 4 entries, one per state, not 3"),
+    "simulate-osc-rom-short-x0": (
+        "simulate", {**_OSC, "simulate": {"t_span": [0, 2.0], "use_rom": True,
+                                          "x0": [0.5, 0.3, -0.2]}},
+        "simulate.x0 needs 4 entries, one per state, not 3"),
     "simulate-beam-unread-fit-key": (
         "simulate", {**_BEAM, "fit": {"n_ic": 4}, "simulate": {"t_span": [0, 5e-3]}},
         "the coulomb beam fit does not read fit.n_ic"),
@@ -400,3 +408,27 @@ def test_each_command_runs_or_refuses_each_model(tmp_path, capsys, monkeypatch,
         assert cycles["full"] and cycles["rom"]
         f_full, f_rom = cycles["full"]["frequency"], cycles["rom"]["frequency"]
         assert abs(f_rom - f_full) <= 0.01 * f_full
+
+
+@pytest.mark.parametrize("config,n_model", [(_OSC, 18), (_BEAM, 4)],
+                         ids=["osc-18", "beam-4"])
+def test_rom_models_of_another_dimension_are_refused(tmp_path, capsys, config,
+                                                     n_model):
+    # linear branch models of the wrong state count, named in rom_models
+    tangent = np.zeros((n_model, 2))
+    tangent[0, 0] = tangent[1, 1] = 1.0
+    paths = {}
+    for branch, tag in (("+", "plus"), ("-", "minus")):
+        paths[tag] = str(tmp_path / f"ssm_model_{tag}.json")
+        SsmModel(branch=branch, x0=np.zeros(n_model), tangent=tangent,
+                 chart_w=tangent.T, nl_coeffs={},
+                 rdyn={(1, 0): np.array([0.0, -1.0]),
+                       (0, 1): np.array([1.0, 0.0])}).to_json(paths[tag])
+    write_cfg(tmp_path / "c.json", {**config, "simulate": {
+        "t_span": [0.0, 1e-3], "use_rom": True, "rom_models": paths}})
+    rc = cli.main(["simulate", "--config", str(tmp_path / "c.json"),
+                   "--out-dir", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    n_problem = cli.problem_from(config).dim
+    assert rc == 2 and "ConfigError: " in err, err
+    assert f"has {n_model} states" in err and f"problem has {n_problem}" in err

@@ -3,16 +3,17 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pwsrom import ssm_model
+from pwsrom import rom as rom_module
+from pwsrom import shaw_pierre, ssm_model
 from pwsrom import vk_beam as vkb
 from pwsrom.core import (EventKind, IntegratorOptions, PiecewiseSmoothSystem,
-                         SwitchingFunction, _Stepper, integrate_hybrid)
+                         _Stepper, integrate_hybrid)
 from pwsrom.poly2 import monomials
 from pwsrom.problem import Beam, Oscillator
-from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StickingRule,
-                        StrategyError, _correct_onto_surface, _trace_surface,
+from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StrategyError,
+                        _correct_onto_surface, _newton, _trace, _trace_surface,
                         simulate_rom, switch_ic, switching_value)
-from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
+from pwsrom.shaw_pierre import SP_SURFACE, SpParams, make_system, sp_switching
 from pwsrom.ssm_model import PeriodicCorrection, SsmModel
 from sp_oracles import sp_sliding_field, sp_sticking_test, sp_surface_pull
 
@@ -47,7 +48,7 @@ def test_continuity_q1_matches_coordinate(rom_01):
     y_to = switch_ic(rom, y_from, "+", strategy="continuity_q1")
     x_to = rom.model_minus.lift(y_to)
     assert abs(x_to[0] - x_from[0]) < 1e-10
-    assert abs(rom.switching.sigma(x_to)) < 1e-9
+    assert abs(sp_switching().sigma(x_to)) < 1e-9
 
 
 def test_continuity_q1q2_matches_both(rom_01):
@@ -66,13 +67,13 @@ def test_min_all_vars_beats_neighbors(rom_01):
     x_from = rom.model_plus.lift(y_from)
     y_min = switch_ic(rom, y_from, "+", strategy="min_all_vars")
     x_min = rom.model_minus.lift(y_min)
-    assert abs(rom.switching.sigma(x_min)) < 1e-9
+    assert abs(sp_switching().sigma(x_min)) < 1e-9
     base = np.linalg.norm(x_min - x_from)
     # perturbations along the constraint curve cannot do better
     from pwsrom.rom import _correct_onto_surface
     for ds in (-0.02, 0.02):
         J = rom.model_minus.lift_jacobian(y_min)
-        gs = np.asarray(rom.switching.grad_sigma(x_min)) @ J
+        gs = np.asarray(sp_switching().grad_sigma(x_min)) @ J
         tang = np.array([-gs[1], gs[0]])
         tang /= np.linalg.norm(tang)
         y_alt = _correct_onto_surface(rom, rom.model_minus, y_min + ds * tang, 0.0)
@@ -192,9 +193,8 @@ def test_sticking_chart_misconfiguration_detected(rom_01):
         dim=4, f_plus=lambda t, x: tuple(push + [0.0, -1.0, 0.0, 0.0]),
         f_minus=lambda t, x: tuple(push + [0.0, 1.0, 0.0, 0.0]),
         switching=sp_switching(), delta=1.0)
-    bad_rule = StickingRule(system=system, pin=(1, 0.0))
     rom = NonsmoothRom(model_plus=base.model_plus, model_minus=base.model_minus,
-                       switching=sp_switching(), sticking=bad_rule)
+                       surface=SP_SURFACE, sticking=system)
     y0 = rom.model_plus.chart(np.array([0.8, 0.5, 0.0, 0.0]))
     with pytest.raises(RomConfigurationError):
         simulate_rom(rom, y0, "+", (0.0, 60.0))
@@ -234,7 +234,7 @@ def test_precomposed_switching_value_is_sigma_of_the_lift():
     rng = np.random.default_rng(7)
     for eps in (0.15, 0.0):
         rom = Oscillator(SpParams(delta=0.1, eps=eps, omega=1.1)).rom()
-        sigma = rom.switching.sigma
+        sigma = sp_switching().sigma
         for branch in "+-":
             model = rom.model(branch)
             value = switching_value(rom, model)
@@ -248,10 +248,10 @@ def test_precomposed_switching_value_is_sigma_of_the_lift():
 def test_precomposed_belt_switching_value():
     # sigma = dq_mid - v_ground on a forced order-5 model of the beam's size
     asm = vkb.assemble_beam()
-    sw = vkb.beam_switching(asm, vkb.NonsmoothVariant(kind="moving_belt",
-                                                      delta=8.0))
-    g, c = sw.affine
-    assert c != 0.0
+    belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
+    sw = vkb.beam_switching(asm, belt)
+    i, level = vkb.beam_surface(asm, belt)
+    assert level != 0.0
     n = 2 * asm.n_dof
     rng = np.random.default_rng(2)
     tangent = rng.standard_normal((n, 2))
@@ -264,21 +264,17 @@ def test_precomposed_belt_switching_value():
         correction=PeriodicCorrection(omega=659.0, eps=0.3,
                                       r_hat_1=np.array([0.1j, 0.2]),
                                       v_hat_1=amp))
-    value = model.affine_switching(g, c)
-    i = int(np.argmax(g))
+    value = model.lift_component(i, level)
     for _ in range(300):
         y = rng.uniform(-1.5, 1.5, 2)
         t = rng.uniform(0.0, 0.1)
         terms = model._C[:, i] * model._phi(y, t)
-        scale = np.abs(terms).sum() + abs(c)
+        scale = np.abs(terms).sum() + abs(level)
         assert abs(value(y, t) - sw.sigma(model.lift(y, t))) <= 1e-15 * scale
         assert abs(value(y) - sw.sigma(model.lift(y))) <= 1e-15 * scale
 
 
 def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
-    rom = Oscillator(SpParams(delta=0.01)).rom()
-    rom.sticking = None
-    y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
     lift = SsmModel.lift
     calls = []
 
@@ -286,18 +282,34 @@ def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
         calls.append(t)
         return lift(self, y, t)
 
+    def lift_times():
+        rom = Oscillator(SpParams(delta=0.01)).rom()
+        rom.sticking = None
+        y0 = rom.model_plus.chart(np.array([0.5, 0.3, -0.2, 0.1]))
+        calls.clear()
+        traj = simulate_rom(rom, y0, "+", (0.0, 40.0))
+        crossings = [ev.t for ev in traj.events if ev.kind == EventKind.CROSSING]
+        assert len(crossings) >= 4
+        return calls[:], crossings
+
     monkeypatch.setattr(SsmModel, "lift", counted)
-    traj = simulate_rom(rom, y0, "+", (0.0, 40.0))
-    crossings = [ev.t for ev in traj.events if ev.kind == EventKind.CROSSING]
-    assert len(crossings) >= 4
     # the projection transfer lifts once per crossing, at its time
-    assert calls == crossings
-    # without the affine form the event lifts at every accepted step
-    calls.clear()
-    rom.switching = SwitchingFunction(sigma=rom.switching.sigma,
-                                      grad_sigma=rom.switching.grad_sigma)
-    simulate_rom(rom, y0, "+", (0.0, 40.0))
-    assert len(calls) > 10 * len(crossings)
+    lifts, crossings = lift_times()
+    assert lifts == crossings
+    # the same with the full model's switching function rebuilt from sigma
+    # and grad_sigma alone, as a wrapper that counts sigma calls rebuilds
+    # it: the ROM takes its surface from the model's declaration
+    rebuilt = []
+    make = shaw_pierre.sp_switching
+
+    def wrapped():
+        sw = make()
+        rebuilt.append(sw)
+        return type(sw)(sigma=lambda x: sw.sigma(x), grad_sigma=sw.grad_sigma)
+
+    monkeypatch.setattr(shaw_pierre, "sp_switching", wrapped)
+    assert lift_times() == (lifts, crossings)
+    assert rebuilt
 
 
 def _is_float_pair(v):
@@ -320,14 +332,14 @@ def _physical_chart_beam_models(asm):
 def test_sticking_fields_return_float_pairs(rom_01):
     # the float-pair stepper runs sticking segments on Python floats too
     model = rom_01.model_plus
-    assert _is_float_pair(rom_01.sticking.sliding(model, 0.3, (0.1, -0.05))[1])
+    assert _is_float_pair(rom_01.sliding(model, 0.3, (0.1, -0.05))[1])
     # the beam rule on a linear model over the physical midpoint chart; the
     # Filippov field holds the midpoint velocity at v_ground up to round-off
     asm = vkb.assemble_beam()
     models = _physical_chart_beam_models(asm)
     belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
     rom = Beam(asm, belt).rom(models=models)
-    out = rom.sticking.sliding(models["+"], 0.0, (0.1, 0.2))[1]
+    out = rom.sliding(models["+"], 0.0, (0.1, 0.2))[1]
     assert _is_float_pair(out)
     assert out == pytest.approx((belt.v_ground / 2e-3, 0.0), rel=1e-12, abs=0.0)
 
@@ -356,19 +368,18 @@ def test_oscillator_rule_matches_the_analytic_oracles():
     for eps in (0.0, 0.15):
         params = SpParams(delta=0.1, eps=eps, omega=1.1)
         rom = Oscillator(params).rom()
-        rule = rom.sticking
         stuck = 0
         for branch in "+-":
             model = rom.model(branch)
             for _ in range(300):
                 y = rng.uniform(-0.3, 0.3, 2)
                 t = rng.uniform(0.0, 60.0)
-                x = rule.state(model, t, y)
+                x = rom.pinned_state(model, t, y)
                 assert x[1] == 0.0
-                sticks = rule.sticks(model, t, y)
+                sticks = rom.sticks(model, t, y)
                 assert sticks == sp_sticking_test(params, x, t)
                 stuck += sticks
-                lam, dy = rule.sliding(model, t, y)
+                lam, dy = rom.sliding(model, t, y)
                 ref = model.chart_w @ sp_sliding_field(params, t, x)
                 assert np.abs(np.array(dy) - ref).max() <= 1e-12
                 assert (lam > 0) == (sp_surface_pull(params, x, t) > 0)
@@ -390,73 +401,83 @@ def test_beam_rule_slides_at_the_held_velocity():
         for model in models.values():
             for _ in range(20):
                 y = rng.uniform(-1.0, 1.0, 2)
-                dy = rom.sticking.sliding(model, rng.uniform(0.0, 0.1), y)[1]
+                dy = rom.sliding(model, rng.uniform(0.0, 0.1), y)[1]
                 assert dy == pytest.approx(expected, rel=1e-12, abs=0.0)
 
 
+def _lifting_pair(rom, model):
+    """The oracle of rom.surface_pair: sigma of one lift of the reduced pair
+    and grad_sigma there times the lift Jacobian."""
+    sw = sp_switching()
+
+    def pair(y, t):
+        x = model.lift(y, t)
+        return sw.sigma(x), lambda: tuple(
+            (np.asarray(sw.grad_sigma(x)) @ model.lift_jacobian(y)).tolist())
+
+    return pair
+
+
 @pytest.mark.parametrize("eps", [0.0, 0.15])
-def test_surface_search_is_the_same_on_both_paths(eps):
-    # the precomposed value and slope against the lift and grad_sigma times
-    # the lift Jacobian: Newton, the traced curve and both searches agree
+def test_surface_search_is_the_same_on_both_paths(eps, monkeypatch):
+    # the precomposed value and slope against the lifting oracle: Newton,
+    # the traced curve and both searches agree
     rom = Oscillator(SpParams(delta=0.1, eps=eps, omega=1.1)).rom()
-    lifting = dataclasses.replace(
-        rom, switching=dataclasses.replace(rom.switching, affine=None))
     t = 1.7
+    starts, searched = [], []
     for y_guess in ([0.3, 0.1], [-0.25, 0.2], [0.35, -0.05]):
         for branch in "+-":
             model = rom.model(branch)
+            oracle = _lifting_pair(rom, model)
             y = _correct_onto_surface(rom, model, np.array(y_guess), t)
-            y_lift = _correct_onto_surface(lifting, model, np.array(y_guess), t)
             assert type(y) is np.ndarray and y.shape == (2,)
-            assert np.abs(y - y_lift).max() <= 1e-10
+            assert np.abs(y - _newton(oracle, y_guess, t)[0]).max() <= 1e-10
             arc = _trace_surface(rom, model, y, t, 0.01, 20)
-            arc_lift = _trace_surface(lifting, model, y, t, 0.01, 20)
+            arc_lift = [p for p, _ in _trace(oracle, y, t, 0.01, 20)]
             assert len(arc) == len(arc_lift) == 41
             assert np.abs(np.vstack(arc) - np.vstack(arc_lift)).max() <= 1e-10
             for strategy in ("min_all_vars", "continuity_q1"):
                 got = switch_ic(rom, y, branch, t, strategy)
-                want = switch_ic(lifting, y, branch, t, strategy)
                 assert type(got) is np.ndarray
-                assert np.abs(got - want).max() <= 1e-10
+                starts.append((y, branch, strategy))
+                searched.append(got)
+    # the whole transfer with the search on the oracle
+    monkeypatch.setattr(rom_module, "surface_pair", _lifting_pair)
+    for (y, branch, strategy), got in zip(starts, searched):
+        want = switch_ic(rom, y, branch, t, strategy)
+        assert np.abs(got - want).max() <= 1e-10
 
 
 def test_repeated_transfers_compile_nothing_new(rom_01):
-    # the search's evaluators are bound once per (g, c) of a model, never per
-    # transfer target
+    # the search's evaluators are bound once per (i, level) of a model, never
+    # per transfer target
     for strategy in ("min_all_vars", "continuity_q1"):
         rom = dataclasses.replace(rom_01, ic_strategy=strategy)
         y_from = _surface_state(rom, "+", np.array([0.3, 0.1]))
         switch_ic(rom, y_from, "+")
         m = rom.model_minus
-        sizes = (len(m._affine), len(m._slopes),
+        sizes = (len(m._components), len(m._slopes),
                  ssm_model._evaluator.cache_info().currsize)
         rng = np.random.default_rng(1)
         for _ in range(20):
             y = _surface_state(rom, "+", y_from + rng.uniform(-0.05, 0.05, 2))
             switch_ic(rom, y, "+")
-        assert (len(m._affine), len(m._slopes),
+        assert (len(m._components), len(m._slopes),
                 ssm_model._evaluator.cache_info().currsize) == sizes
 
 
-def _flat_below_zero():
-    # sigma = max(dq1, 0)^2 is flat for dq1 < 0, where its gradient vanishes
-    return SwitchingFunction(
-        sigma=lambda x: max(float(x[1]), 0.0) ** 2,
-        grad_sigma=lambda x: np.array([0.0, 2.0 * max(float(x[1]), 0.0), 0.0, 0.0]))
-
-
-def _zero_affine():
-    # sigma = 0 . x + 0: the precomposed value and slope vanish everywhere
-    return SwitchingFunction(sigma=lambda x: 0.0, grad_sigma=lambda x: np.zeros(4),
-                             affine=(np.zeros(4), 0.0))
-
-
-@pytest.mark.parametrize("switching", [_flat_below_zero, _zero_affine])
-def test_golden_search_refuses_a_vanishing_gradient(rom_01, switching):
-    # the transfer lands on the surface where the gradient is zero, so the
-    # golden-section refinement has no tangent to search along
-    rom = dataclasses.replace(rom_01, ic_strategy="min_all_vars",
-                              switching=switching())
+def test_golden_search_refuses_a_vanishing_gradient(rom_01):
+    # a target model whose lift is flat in dq1: the whole chart is on the
+    # surface and the switching value has no gradient, so the golden-section
+    # refinement has no tangent to search along
+    flat = rom_01.model_minus
+    tangent, nl = flat.tangent.copy(), dict(flat.nl_coeffs)
+    tangent[1] = 0.0
+    for p, v in nl.items():
+        nl[p] = v.copy()
+        nl[p][1] = 0.0
+    flat = dataclasses.replace(flat, tangent=tangent, nl_coeffs=nl)
+    rom = dataclasses.replace(rom_01, model_minus=flat, ic_strategy="min_all_vars")
     y_from = rom.model_plus.chart(np.array([0.2, -0.1, 0.05, 0.0]))
     with pytest.raises(StrategyError, match="switching gradient vanishes"):
         switch_ic(rom, y_from, "+")

@@ -223,10 +223,10 @@ def loop_field(m):
     return field
 
 
-def loop_affine(m, g, c):
-    """sigma(lift(y, t)) for sigma = g . x + c as the loop over the nonzero
-    entries of C @ g that SsmModel.affine_switching composed before."""
-    s = (m._C @ np.asarray(g, dtype=float)).tolist()
+def loop_component(m, i, level):
+    """lift(y, t)[i] - level as the loop over the nonzero entries of C[:, i]
+    that SsmModel.lift_component composed before."""
+    s = m._C[:, i].tolist()
     K, deg = len(s) - 3, m._deg
     omega = m.correction.omega if m.correction is not None else 0.0
     terms = [(i, j, s[k]) for k, (i, j) in enumerate(monomials(0, deg)) if s[k]]
@@ -244,7 +244,7 @@ def loop_affine(m, g, c):
             wt = omega * t
             v += s_cos * math.cos(wt)
             v += s_sin * math.sin(wt)
-        return v + c
+        return v - level
 
     return value
 
@@ -289,19 +289,15 @@ def test_generated_reduced_field_is_the_loop_to_the_bit(name):
 @pytest.mark.parametrize("name", sorted(EVALUATOR_MODELS))
 def test_generated_switching_value_is_the_loop_to_the_bit(name):
     m = EVALUATOR_MODELS[name]()
-    rng = np.random.default_rng(11)
-    g_general = rng.standard_normal(m.dim)
     Y, T = random_points(seed=8)
-    for g, c in ((np.eye(m.dim)[1], 0.0), (g_general, -0.3)):
-        value, ref = m.affine_switching(g, c), loop_affine(m, g, c)
-        assert m.affine_switching(g, c) is value
+    for i, level in ((1, 0.0), (m.dim - 1, 0.3)):
+        value, ref = m.lift_component(i, level), loop_component(m, i, level)
+        assert m.lift_component(i, level) is value
         for y, t in zip(Y, T):
             assert repr(value(y)) == repr(ref(y))
             assert repr(value(y, t)) == repr(ref(y, t))
-    # a unit g gives sigma(lift(y, t)) itself
-    value = m.affine_switching(np.eye(m.dim)[1])
-    for y, t in zip(Y[:200], T[:200]):
-        assert value(y, t) == m.lift(y, t)[1]
+        for y, t in zip(Y[:200], T[:200]):
+            assert value(y, t) == m.lift(y, t)[i] - level
 
 
 @pytest.mark.parametrize("name", sorted(EVALUATOR_MODELS))
@@ -309,13 +305,12 @@ def test_generated_slope_is_grad_sigma_times_the_lift_jacobian(name):
     # the same products as the oracle, summed left to right instead of by
     # BLAS, so they agree to round-off: the worst seen is 3e-14 at order 10
     m = EVALUATOR_MODELS[name]()
-    rng = np.random.default_rng(12)
     Y, _ = random_points(seed=10)
-    for g in (np.eye(m.dim)[1], rng.standard_normal(m.dim)):
-        slope = m.affine_slope(g)
-        assert m.affine_slope(g) is slope
+    for i in (1, m.dim - 1):
+        slope = m.component_slope(i)
+        assert m.component_slope(i) is slope
         for y in Y:
-            got, ref = slope(None, *y), g @ m.lift_jacobian(y)
+            got, ref = slope(None, *y), m.lift_jacobian(y)[i]
             assert _is_float_pair(got)
             assert np.abs(np.subtract(got, ref)).max() <= REL * np.abs(ref).max()
 
