@@ -466,18 +466,33 @@ def test_repeated_transfers_compile_nothing_new(rom_01):
                 ssm_model._evaluator.cache_info().currsize) == sizes
 
 
-def test_golden_search_refuses_a_vanishing_gradient(rom_01):
-    # a target model whose lift is flat in dq1: the whole chart is on the
-    # surface and the switching value has no gradient, so the golden-section
-    # refinement has no tangent to search along
-    flat = rom_01.model_minus
-    tangent, nl = flat.tangent.copy(), dict(flat.nl_coeffs)
-    tangent[1] = 0.0
+def _flat_in_dq1(model, x0_dq1):
+    # model whose lift is the constant x0_dq1 in dq1, whatever the reduced state
+    x0, tangent, nl = model.x0.copy(), model.tangent.copy(), dict(model.nl_coeffs)
+    x0[1], tangent[1] = x0_dq1, 0.0
     for p, v in nl.items():
         nl[p] = v.copy()
         nl[p][1] = 0.0
-    flat = dataclasses.replace(flat, tangent=tangent, nl_coeffs=nl)
-    rom = dataclasses.replace(rom_01, model_minus=flat, ic_strategy="min_all_vars")
+    return dataclasses.replace(model, x0=x0, tangent=tangent, nl_coeffs=nl)
+
+
+def _flat_below_zero(model):
+    # sigma(lift(y)) = -0.1 everywhere: off the surface with a zero gradient,
+    # so the Newton projection onto the surface has no direction to step in
+    return _flat_in_dq1(model, -0.1)
+
+
+def _zero_affine(model):
+    # sigma(lift(y)) = 0 . y + 0: the whole chart is on the surface, so the
+    # golden-section refinement has no tangent to search along
+    return _flat_in_dq1(model, 0.0)
+
+
+@pytest.mark.parametrize("flatten", [_flat_below_zero, _zero_affine])
+def test_golden_search_refuses_a_vanishing_gradient(rom_01, flatten):
+    # the target model's switching value has a zero gradient in the chart
+    rom = dataclasses.replace(rom_01, model_minus=flatten(rom_01.model_minus),
+                              ic_strategy="min_all_vars")
     y_from = rom.model_plus.chart(np.array([0.2, -0.1, 0.05, 0.0]))
     with pytest.raises(StrategyError, match="switching gradient vanishes"):
         switch_ic(rom, y_from, "+")
