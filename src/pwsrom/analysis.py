@@ -1,13 +1,14 @@
 """Validation analyses: forced response curves whose points are fixed
 points of the period map, found by gated Anderson mixing (one warm-started,
-chunked sweep for both models), return maps on the switching surface with
-invariant-curve and edge-point extraction, the reduced-only invariant-curve
-approximation, limit cycle detection and response spectra."""
+chunked sweep for both models, each point starting from the state and the
+mixing history of the one before, each period from the step size of the one
+before), return maps on the switching surface with invariant-curve and
+edge-point extraction, the reduced-only invariant-curve approximation, limit
+cycle detection and response spectra."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from multiprocessing import Pool
 from typing import Callable, Optional
 
 import numpy as np
@@ -39,16 +40,21 @@ _TOL = 1e-6     # relative residual of a steady state
 
 class SteadyState(tuple):
     """(amplitude, converged, n_periods, state) of steady_state_amplitude,
-    with the final relative residual |P(x) - x| / |P(x)| as `residual`."""
+    with the final relative residual |P(x) - x| / |P(x)| as `residual` and
+    the mixing history it ended with, its last (dx, dg) differences of
+    iterates and residuals, as `history`."""
 
-    def __new__(cls, amplitude, converged, n_periods, state, residual):
+    def __new__(cls, amplitude, converged, n_periods, state, residual,
+                history=()):
         self = super().__new__(cls, (amplitude, converged, n_periods, state))
         self.residual = residual
+        self.history = history
         return self
 
 
 def steady_state_amplitude(step_period: Callable, state, period: float,
-                           max_periods: int = 500) -> SteadyState:
+                           max_periods: int = 500,
+                           history: tuple = ()) -> SteadyState:
     """Fixed point of the period map P by gated Anderson mixing.
 
     step_period(t0, state) must return (P(state), amplitude over the
@@ -65,10 +71,16 @@ def steady_state_amplitude(step_period: Callable, state, period: float,
     and state are the guard period's. The guard catches a residual that
     climbs out of tolerance, not an exact landing on an unstable orbit:
     the solver does not check the period map's multipliers.
+
+    `history`, the SteadyState.history of a neighbouring point, starts the
+    mixing with that point's differences, so a warm start mixes from its
+    first period below the gate; the gate and the guard clear it like any
+    other history.
     """
     t, x = 0.0, state
     px, amp, rel = state, np.nan, np.nan
-    dX, dG = [], []                   # differences of iterates, residuals
+    dX = [dx for dx, _ in history]    # differences of iterates
+    dG = [dg for _, dg in history]    # and of residuals
     last = guard = None
     for n in range(1, max_periods + 1):
         px, amp = step_period(t, x)
@@ -78,7 +90,7 @@ def steady_state_amplitude(step_period: Callable, state, period: float,
         res, scale = np.linalg.norm(g), np.linalg.norm(pu)
         rel = res / scale if scale else (np.inf if res else 0.0)
         if guard is not None and res <= max(guard, _TOL * scale):
-            return SteadyState(amp, True, n, px, rel)
+            return SteadyState(amp, True, n, px, rel, tuple(zip(dX, dG)))
         if guard is not None or rel > _GATE:
             dX.clear()
             dG.clear()
@@ -100,7 +112,7 @@ def steady_state_amplitude(step_period: Callable, state, period: float,
             gamma = np.linalg.lstsq(DG, g, rcond=None)[0]
             pu = pu - (DX + DG) @ gamma
         x = (pu, px[1]) if isinstance(px, tuple) else pu
-    return SteadyState(amp, False, max_periods, px, rel)
+    return SteadyState(amp, False, max_periods, px, rel, tuple(zip(dX, dG)))
 
 
 def _mixed(state):
@@ -112,12 +124,17 @@ def _mixed(state):
 
 def hybrid_period_stepper(make_system, omega: float, amp_index: int,
                           opts: IntegratorOptions):
-    """Per-period stepper for the full model at one forcing frequency."""
+    """Per-period stepper for the full model at one forcing frequency. Its
+    first period starts at opts.first_step, each later one at the step the
+    period before would take next."""
     sys = make_system(omega)
     period = 2 * np.pi / omega
+    run = opts
 
     def step(t0, x):
-        traj = integrate_hybrid(sys, x, (t0, t0 + period), opts)
+        nonlocal run
+        traj = integrate_hybrid(sys, x, (t0, t0 + period), run)
+        run = replace(opts, first_step=traj.next_step)
         return traj.x_end, _amplitude(traj, amp_index)
 
     return step, period
@@ -125,12 +142,16 @@ def hybrid_period_stepper(make_system, omega: float, amp_index: int,
 
 def rom_period_stepper(rom: NonsmoothRom, amp_index: int,
                        opts: IntegratorOptions):
-    """Per-period stepper for the switched reduced model."""
+    """Per-period stepper for the switched reduced model, carrying the step
+    size from period to period as hybrid_period_stepper does."""
+    run = opts
 
     def step(t0, state):
+        nonlocal run
         y, branch = state
         period = 2 * np.pi / rom.model_plus.correction.omega
-        traj = simulate_rom(rom, y, branch, (t0, t0 + period), opts)
+        traj = simulate_rom(rom, y, branch, (t0, t0 + period), run)
+        run = replace(opts, first_step=traj.next_step)
         return _rom_end(traj, branch), _amplitude(traj, amp_index)
 
     return step
@@ -166,11 +187,13 @@ def frc_stepper(problem, omega: float, amp: float, opts: IntegratorOptions,
 
 
 def _frc_chunk(task):
-    """Warm-started points of one chunk. The cold start is rest, for the
-    reduced model on problem.rom_branch0 after problem.rom_ramp periods whose
-    forcing rises in equal steps to amp."""
+    """Warm-started points of one chunk: each starts from the state and the
+    mixing history (SteadyState.history) of the point before. The cold start
+    is rest with no history, for the reduced model on problem.rom_branch0
+    after problem.rom_ramp periods whose forcing rises in equal steps to
+    amp."""
     problem, omegas, amp, opts, max_periods, rom = task
-    out, state = [], None
+    out, state, history = [], None, ()
     for om in omegas:
         step, period = frc_stepper(problem, om, amp, opts, rom)
         if state is None and rom is None:
@@ -184,8 +207,10 @@ def _frc_chunk(task):
                                     (k * period, (k + 1) * period), ramp_opts)
                 state = _rom_end(traj, state[1])
         steady = steady_state_amplitude(step, state, period,
-                                        max_periods=max_periods)
+                                        max_periods=max_periods,
+                                        history=history)
         a, conv, nper, state = steady
+        history = steady.history
         out.append(FrcPoint(om, a, conv, nper, steady.residual, state))
     return out
 
@@ -200,6 +225,8 @@ def frc_sweep(problem, omegas, amp: float, opts: IntegratorOptions,
     tasks = [(problem, omegas[i:i + chunk].tolist(), amp, opts, max_periods,
               rom) for i in range(0, len(omegas), chunk)]
     if threads > 1:
+        # imported here only: multiprocessing adds 1.5 MB to every process
+        from multiprocessing import Pool
         with Pool(threads) as pool:
             parts = pool.map(_frc_chunk, tasks)
     else:

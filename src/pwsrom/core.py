@@ -23,7 +23,9 @@ oscillator) runs on the float stepper as well, with its projection onto the
 surface in floats; ndarray fields (the beam) slide on numpy stages. Within one
 integrate_hybrid or simulate_rom call, each segment after an event starts at
 the last accepted step size (capped by max_step); only the first segment of
-a call starts at opts.first_step.
+a call starts at opts.first_step. The trajectory reports as next_step the
+step its stepper would take after t_end, so a caller that continues from
+there (one forcing period after another) can start at it.
 """
 
 from __future__ import annotations
@@ -205,6 +207,7 @@ class HybridTrajectory:
 
     segments: list[Segment] = field(default_factory=list)
     events: list[Event] = field(default_factory=list)
+    next_step: Optional[float] = None   # the step the stepper takes after t_end
 
     @property
     def t_end(self) -> float:
@@ -522,7 +525,9 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
     when given, maps the start, every accepted state and the located event
     state back onto a constraint set. Returns the recorded Segment (branch
     unset), whose last sample is the end or event state, whether the event
-    fired, and then the last accepted step size (else None).
+    fired, and then the step to carry on with: the last accepted step size
+    after an event, else the larger of the steps the stepper proposed before
+    and after its last step (which was cut short to end at t_end).
     """
     if project is not None:
         x0 = project(x0)
@@ -534,6 +539,7 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
     else:
         def state(t):
             return project(stepper.interpolate(t))
+    before = after = stepper.h
     while stepper.step(t_end):
         if project is not None:
             stepper.x = project(stepper.x)
@@ -545,7 +551,8 @@ def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
             if not armed and g_new > arm_above:
                 armed = True
         record_step(stepper)
-    return finish(stepper, stepper.t, stepper.x), False, None
+        before, after = after, stepper.h
+    return finish(stepper, stepper.t, stepper.x), False, max(before, after)
 
 
 def _segment_recorder(opts, t_grid0, t0, x0, observe=None):
@@ -625,7 +632,8 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
     traj = HybridTrajectory()
     if sys.delta == 0.0:
         # smooth limit: the two fields coincide and the surface is inert
-        seg, _, _ = _integrate_segment(sys.f_plus, t0, x0, t_end, opts, t0)
+        seg, _, traj.next_step = _integrate_segment(sys.f_plus, t0, x0,
+                                                    t_end, opts, t0)
         seg.branch = "+" if sys.switching.sigma(x0) >= 0 else "-"
         traj.segments.append(seg)
         return traj
@@ -648,6 +656,7 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
             t, x, mode, h = _run_sliding(sys, t, x, t_end, opts, t0, traj, h)
         else:
             t, x, mode, h = _run_branch(sys, mode, t, x, t_end, opts, t0, traj, h)
+    traj.next_step = h
     return traj
 
 

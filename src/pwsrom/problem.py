@@ -4,11 +4,13 @@ spirals), built once from a config section. A problem supplies what the
 commands and analysis.frc_sweep share: the full system and the switched ROM
 at a forcing (omega, amplitude), the per-branch fit, and defaults: initial
 state, amplitude coordinate, options and cold start of the forced response.
-Problems pickle for sweep workers."""
+The oscillator solves its unforced branch SSMs once per problem and forces a
+copy per frequency. Problems pickle for sweep workers."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -19,7 +21,7 @@ from . import vk_beam as vkb
 from .core import IntegratorOptions, StiffnessError
 from .rom import NonsmoothRom, RomConfigurationError
 from .shaw_pierre import SP_SURFACE, SpParams, make_system, sp_field
-from .ssm_analytic import build_analytic_model
+from .ssm_analytic import build_analytic_model, with_analytic_forcing
 
 
 class ConfigError(ValueError):
@@ -92,17 +94,25 @@ class Oscillator(Problem):
     def system(self, omega=None, amp=None):
         return make_system(self._at(omega, amp))
 
+    @cached_property
+    def branch_models(self) -> dict:
+        """The unforced order-3 analytic SSM of each branch, solved once per
+        problem: no part of it depends on the forcing."""
+        return {b: build_analytic_model(self.params, b) for b in "+-"}
+
     def rom(self, omega=None, amp=None, models: Optional[dict] = None,
             ic_strategy: str = "projection", scale: float = 1.0) -> NonsmoothRom:
-        """The ROM on the order-3 analytic SSMs at the forcing amp * scale,
-        sticking through the modal chart with dq1 pinned to zero, or on given
-        branch models (from files) as they are."""
+        """The ROM on the order-3 analytic SSMs at the forcing amp * scale
+        (branch_models, each forced in a new model), sticking through the
+        modal chart with dq1 pinned to zero, or on given branch models (from
+        files) as they are."""
         if models is not None:
             self._check_models(models)
             return NonsmoothRom(models["+"], models["-"], surface=SP_SURFACE,
                                 ic_strategy=ic_strategy)
         p = self._at(omega, None if amp is None else amp * scale)
-        return NonsmoothRom(*[build_analytic_model(p, b, eps=p.eps, omega=p.omega)
+        return NonsmoothRom(*[with_analytic_forcing(self.branch_models[b], p,
+                                                    p.eps, p.omega)
                               for b in "+-"],
                             surface=SP_SURFACE, ic_strategy=ic_strategy,
                             sticking=make_system(p))
@@ -111,7 +121,7 @@ class Oscillator(Problem):
         """(model, data): decays from a circle on the analytic SSM, fitted in
         its tangent space."""
         fc = self.fit_config(fc)
-        base = build_analytic_model(self.params, branch)
+        base = self.branch_models[branch]
         Vt, _ = np.linalg.qr(base.tangent)
         angles = np.linspace(0, 2 * np.pi, fc["n_ic"], endpoint=False)
         ics = [base.lift(fc["radius"] * np.array([np.cos(a), np.sin(a)]))

@@ -276,6 +276,7 @@ def simulate_rom(rom: NonsmoothRom, y0, branch0: str, t_span,
     while t < t_end - 1e-14 * max(1.0, abs(t_end)):
         run = _rom_branch_segment if mode == "branch" else _rom_sticking_segment
         t, y, branch, mode, h = run(rom, branch, t, y, t_end, opts, t0, traj, h)
+    traj.next_step = h
     return traj
 
 

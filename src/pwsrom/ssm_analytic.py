@@ -6,13 +6,15 @@ solved order by order from the invariance equation. At delta = 0.1 every
 entry of the published reference tables is the computed coefficient at its
 printed precision: 56 of 64 rounded, the other 8 truncated. A forced model
 takes its O(eps) correction from the chart-general solver of
-pwsrom.ssm_data, over the modal chart.
+pwsrom.ssm_data, over the modal chart. Nothing but that correction depends
+on the forcing, so a sweep over frequencies builds each branch once and
+forces a copy per frequency (with_analytic_forcing).
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import floor, log10
 
 import numpy as np
@@ -247,18 +249,35 @@ def build_analytic_model(params: SpParams, branch: str, order: int = 3,
     x0 = sp_fixed_points(params).x0(branch)
     V = split.v_matrix
     nl = {p: V[:, 2:] @ v for p, v in h.items()}
-    corr = None
-    if eps:
-        corr = nonmodal_forcing_correction(sp_shifted(params, branch).a_tilde,
-                                           V[:, :2], split.v_inv[:2, :],
-                                           sp_forcing_vector(params), eps,
-                                           omega)
+    corr = _forcing(params, branch, V[:, :2], split.v_inv[:2, :], eps, omega)
     return SsmModel(
         branch=branch, x0=x0, tangent=V[:, :2], chart_w=split.v_inv[:2, :],
         nl_coeffs=nl, rdyn=rdyn, correction=corr, source="analytic",
         meta={"V": V, "h": h, "a_y": split.a_y, "a_z": split.a_z,
               "r_y": split.r_y, "r_z": split.r_z,
               "q_argument": split.q_argument})
+
+
+def with_analytic_forcing(model: SsmModel, params: SpParams, eps: float,
+                          omega: float) -> SsmModel:
+    """A new model: the unforced analytic branch model of params (as
+    build_analytic_model returns it) with the O(eps) forcing correction at
+    omega, none at eps = 0. It equals build_analytic_model(params,
+    model.branch, eps=eps, omega=omega) to the bit and shares the graph and
+    reduced-dynamics arrays of `model`, which it does not solve again."""
+    corr = _forcing(params, model.branch, model.tangent, model.chart_w, eps,
+                    omega)
+    return replace(model, correction=corr, meta=dict(model.meta))
+
+
+def _forcing(params, branch, tangent, chart_w, eps, omega):
+    """The O(eps) correction over the modal chart (tangent, chart_w), or None
+    at eps = 0."""
+    if not eps:
+        return None
+    return nonmodal_forcing_correction(sp_shifted(params, branch).a_tilde,
+                                       tangent, chart_w,
+                                       sp_forcing_vector(params), eps, omega)
 
 
 # ---------------------------------------------------------------------------

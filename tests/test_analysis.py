@@ -93,9 +93,44 @@ def test_steady_state_amplitude_identity_converges_at_once():
     assert steady.residual == 0.0
 
 
-def _brute_force(step_period, state, period, max_periods=500):
+def test_stale_history_converges_to_the_new_fixed_point():
+    # the history of one contraction starts the solve of another: the first
+    # sub-gate period is mixed on it, and the solver still lands on the new
+    # map's fixed point through a plain guard period
+    history = analysis.steady_state_amplitude(_contraction(), np.zeros(2),
+                                              1.0).history
+    assert 0 < len(history) <= analysis._DEPTH
+    A2, b2 = np.array([[0.7, -0.3], [0.2, 0.85]]), np.array([0.4, 1.2])
+    fixed = np.linalg.solve(np.eye(2) - A2, b2)
+    seen = []
+
+    def step(t0, x):
+        seen.append(np.array(x, dtype=float))
+        x = A2 @ x + b2
+        return x, float(np.linalg.norm(x))
+
+    start = fixed + np.array([0.05, -0.03])
+    steady = analysis.steady_state_amplitude(step, start, 1.0,
+                                             history=history)
+    amp, conv, n, x = steady
+    assert conv and n == len(seen)
+    assert np.linalg.norm(x - fixed) <= 1e-6 * np.linalg.norm(fixed)
+    assert steady.residual <= analysis._TOL
+    assert not np.array_equal(seen[1], A2 @ seen[0] + b2)   # mixed at once
+    # the guard: the accepted state is one plain period from P(x) of the
+    # period before
+    assert np.array_equal(seen[-1], A2 @ seen[-2] + b2)
+    assert np.array_equal(x, A2 @ seen[-1] + b2)
+    # above the gate the same history is dropped: plain periods run
+    seen.clear()
+    analysis.steady_state_amplitude(step, 50 * fixed, 1.0, history=history)
+    assert np.array_equal(seen[1], A2 @ seen[0] + b2)
+
+
+def _brute_force(step_period, state, period, max_periods=500, history=()):
     """Oracle: plain periods until the amplitude changes by at most 1e-6
-    relative for five periods in a row."""
+    relative for five periods in a row. It takes the mixing history of the
+    point before, as the solver does, and leaves it unused."""
     prev, streak = None, 0
     for k in range(1, max_periods + 1):
         state, amp = step_period((k - 1) * period, state)
@@ -127,6 +162,52 @@ def test_steady_states_match_brute_force(monkeypatch, rom):
         assert abs(pf.amplitude - ps.amplitude) <= 2e-3 * ps.amplitude
         assert pf.residual <= analysis._TOL
     assert sum(p.n_periods for p in fast) < sum(p.n_periods for p in slow)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("rom", [None, {}])
+def test_chunk_alone_equals_the_chunk_in_a_sweep(rom, threads):
+    # what a point hands to the next (state, mixing history, step size)
+    # stays inside its chunk: the second chunk of a sweep is the same to
+    # the bit as that chunk swept alone, at any worker count
+    problem = Oscillator(SpParams(delta=1e-2))
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
+    grid = np.linspace(0.95, 1.05, 4)
+    sweep = analysis.frc_sweep(problem, grid, 0.15, opts, chunk=2,
+                               threads=threads, max_periods=60, rom=rom)
+    alone = analysis.frc_sweep(problem, grid[2:], 0.15, opts, chunk=2,
+                               max_periods=60, rom=rom)
+    assert all(p.converged for p in sweep)
+
+    def bits(p):
+        state = p.state[0] if rom is not None else p.state
+        return (p.omega, p.amplitude, p.n_periods, p.residual,
+                np.asarray(state).tobytes())
+
+    assert [bits(p) for p in sweep[2:]] == [bits(p) for p in alone]
+
+
+def test_each_period_starts_at_the_step_the_one_before_takes_next(
+        monkeypatch):
+    # a point's first period starts at opts.first_step, each later period
+    # at the previous trajectory's next_step
+    runs = []
+
+    def integrate(sys, x, t_span, opts):
+        traj = integrate_hybrid(sys, x, t_span, opts)
+        runs.append((opts.first_step, traj.next_step))
+        return traj
+
+    monkeypatch.setattr(analysis, "integrate_hybrid", integrate)
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10, first_step=1e-4)
+    step, period = analysis.frc_stepper(Oscillator(SpParams(delta=1e-2)),
+                                        1.0, 0.15, opts)
+    x = np.zeros(4)
+    for k in range(4):
+        x, _ = step(k * period, x)
+    assert runs[0][0] == 1e-4
+    assert [first for first, _ in runs[1:]] == [nxt for _, nxt in runs[:-1]]
+    assert all(nxt > 1e-4 for _, nxt in runs)
 
 
 def linear_frf_amplitude(params, omega):

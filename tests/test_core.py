@@ -215,6 +215,22 @@ def test_smooth_limit_single_segment():
     assert np.linalg.norm(traj.x_end) < 0.05
 
 
+def test_next_step_is_not_shrunk_by_the_cut_last_step():
+    # a run that ends 1e-9 after one of its own steps takes the same steps
+    # up to there and then a 1e-9 step; the step it reports for going on is
+    # the one it had proposed before that cut, which the longer run took
+    sys = make_system(SpParams(delta=0.0))
+    x0 = [0.4, 0.3, -0.1, 0.2]
+    opts = IntegratorOptions(rtol=1e-8, atol=1e-10)
+    long = integrate_hybrid(sys, x0, (0.0, 30.0), opts)
+    t = long.segments[0].t
+    k = len(t) // 2
+    short = integrate_hybrid(sys, x0, (0.0, t[k] + 1e-9), opts)
+    assert np.array_equal(short.segments[0].t[:k + 1], t[:k + 1])
+    assert short.next_step >= t[k + 1] - t[k] > 1e-3
+    assert long.next_step > 0.0
+
+
 def test_hybrid_refinement_oracle():
     # a run at 100x tighter tolerances fixes the event schedule
     params = SpParams(delta=0.05)

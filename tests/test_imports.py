@@ -39,3 +39,15 @@ def test_module_imports_alone(name):
     r = subprocess.run([sys.executable, "-c", code],
                        env=env, capture_output=True, text=True)
     assert r.returncode == 0, r.stderr
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # frc_sweep imports multiprocessing only to start workers
+    path = [PKG_ROOT] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    code = ("import sys\n"
+            "import pwsrom.cli\n"
+            "assert 'multiprocessing' not in sys.modules\n")
+    r = subprocess.run([sys.executable, "-c", code],
+                       env=env, capture_output=True, text=True)
+    assert r.returncode == 0, r.stderr

@@ -6,6 +6,7 @@ import pytest
 from pwsrom import ssm_analytic as sa
 from pwsrom.core import IntegratorOptions, _Stepper
 from pwsrom.poly2 import Poly2, vector_poly
+from pwsrom.problem import Oscillator
 from pwsrom.shaw_pierre import (SpParams, sp_field, sp_fixed_points,
                                 sp_forcing_vector, sp_shifted)
 from pwsrom.ssm_data import nonmodal_forcing_correction
@@ -305,3 +306,30 @@ def test_build_model_roundtrip(tmp_path, split_plus):
     old = SsmModel.from_dict(legacy)
     assert np.array_equal(old.lift(y, 0.3), model.lift(y, 0.3))
     assert old.reduced_field(0.2, y) == model.reduced_field(0.2, y)
+
+
+@pytest.mark.parametrize("omega", [0.9, 1.07])
+def test_problem_rom_models_are_fresh_builds_to_the_bit(omega):
+    # the oscillator solves each branch once and forces a new copy per
+    # frequency: the copy is a fresh forced build to the bit, and a new
+    # object that shares no state with the last one
+    problem = Oscillator(SpParams(delta=1e-2))
+    roms = [problem.rom(omega, 0.15), problem.rom(omega, 0.15)]
+    p = SpParams(delta=1e-2, eps=0.15, omega=omega)
+    ys = [np.array([0.0, 0.0]), np.array([0.31, -0.12]),
+          np.array([-0.07, 0.44])]
+    for b in "+-":
+        fresh = sa.build_analytic_model(p, b, eps=0.15, omega=omega)
+        got = roms[0].model(b)
+        assert got is not fresh and got is not roms[1].model(b)
+        assert got is not problem.branch_models[b]
+        assert got.meta is not problem.branch_models[b].meta
+        assert problem.branch_models[b].correction is None
+        c, cf = got.correction, fresh.correction
+        assert (c.omega, c.eps) == (cf.omega, cf.eps) == (omega, 0.15)
+        assert np.array_equal(c.r_hat_1, cf.r_hat_1)
+        assert np.array_equal(c.v_hat_1, cf.v_hat_1)
+        for y in ys:
+            for t in (0.0, 1.3, 7.9):
+                assert np.array_equal(got.lift(y, t), fresh.lift(y, t))
+                assert got.reduced_field(t, y) == fresh.reduced_field(t, y)
