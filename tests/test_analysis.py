@@ -180,29 +180,35 @@ def test_chunk_alone_equals_the_chunk_in_a_sweep(rom, threads):
     assert all(p.converged for p in sweep)
 
     def bits(p):
-        state = p.state[0] if rom is not None else p.state
+        y, branch = (p.state, None) if rom is None else p.state
         return (p.omega, p.amplitude, p.n_periods, p.residual,
-                np.asarray(state).tobytes())
+                np.asarray(y).tobytes(), branch)
 
     assert [bits(p) for p in sweep[2:]] == [bits(p) for p in alone]
 
 
+@pytest.mark.parametrize("rom", [None, {}])
 def test_each_period_starts_at_the_step_the_one_before_takes_next(
-        monkeypatch):
+        monkeypatch, rom):
     # a point's first period starts at opts.first_step, each later period
-    # at the previous trajectory's next_step
+    # at the previous trajectory's next_step, on either model
     runs = []
 
-    def integrate(sys, x, t_span, opts):
-        traj = integrate_hybrid(sys, x, t_span, opts)
-        runs.append((opts.first_step, traj.next_step))
-        return traj
+    def recorded(run):
+        def integrate(*args):
+            traj = run(*args)
+            runs.append((args[-1].first_step, traj.next_step))
+            return traj
+        return integrate
 
-    monkeypatch.setattr(analysis, "integrate_hybrid", integrate)
+    monkeypatch.setattr(analysis, "integrate_hybrid",
+                        recorded(analysis.integrate_hybrid))
+    monkeypatch.setattr(analysis, "simulate_rom",
+                        recorded(analysis.simulate_rom))
     opts = IntegratorOptions(rtol=1e-8, atol=1e-10, first_step=1e-4)
     step, period = analysis.frc_stepper(Oscillator(SpParams(delta=1e-2)),
-                                        1.0, 0.15, opts)
-    x = np.zeros(4)
+                                        1.0, 0.15, opts, rom)
+    x = np.zeros(4) if rom is None else (np.zeros(2), "+")
     for k in range(4):
         x, _ = step(k * period, x)
     assert runs[0][0] == 1e-4
