@@ -12,7 +12,6 @@ from .core import (
     IntegratorOptions,
     PiecewiseSmoothSystem,
     RepellingSlidingError,
-    SwitchingFunction,
     classify_boundary,
     filippov_field,
     integrate_hybrid,

@@ -19,13 +19,13 @@ generated on first use from the tableau's literal fractions with the stages
 unrolled (_float_stepper); its sums run left to right, not through BLAS, so
 it agrees with _Stepper to round-off, not to the bit. filippov_field returns
 f_sigma in the type the fields return, so sliding on tuple fields (the
-oscillator) runs on the float stepper as well, with its projection onto the
-surface in floats; ndarray fields (the beam) slide on numpy stages. Within one
-integrate_hybrid or simulate_rom call, each segment after an event starts at
-the last accepted step size (capped by max_step); only the first segment of
-a call starts at opts.first_step. The trajectory reports as next_step the
-step its stepper would take after t_end, so a caller that continues from
-there (one forcing period after another) can start at it.
+oscillator) runs on the float stepper as well; ndarray fields (the beam) slide
+on numpy stages. Within one integrate_hybrid or simulate_rom call, each
+segment after an event starts at the last accepted step size (capped by
+max_step); only the first segment of a call starts at opts.first_step. The
+trajectory reports as next_step the step its stepper would take after t_end,
+so a caller that continues from there (one forcing period after another) can
+start at it.
 """
 
 from __future__ import annotations
@@ -34,14 +34,13 @@ import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from operator import mul
 from typing import Callable, Optional
 
 import numpy as np
 
 EPS_EVENT = 1e-10          # absolute tolerance on sigma at reported events
-TANGENTIAL_WINDOW = 1e-9   # |grad sigma . f| below this (scaled) is tangential
-MAX_EVENTS = 10_000        # chattering guard
+TANGENTIAL_WINDOW = 1e-9   # |f[index]| below this (scaled) is tangential
+MAX_EVENTS = 10_000        # chattering guard: events in one call
 
 
 class RepellingSlidingError(RuntimeError):
@@ -67,36 +66,25 @@ class DegenerateDenominatorError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SwitchingFunction:
-    """Scalar switching function sigma and its gradient."""
-
-    sigma: Callable[[np.ndarray], float]
-    grad_sigma: Callable[[np.ndarray], np.ndarray]
-
-    @classmethod
-    def coordinate(cls, dim: int, surface: tuple[int, float]):
-        """sigma(x) = x[index] - level for surface = (index, level), with its
-        constant unit gradient: the form of every surface the models declare."""
-        i, level = surface
-        grad = np.zeros(dim)
-        grad[i] = 1.0
-        return cls(sigma=lambda x: float(x[i]) - level, grad_sigma=lambda x: grad)
-
-
-@dataclass(frozen=True)
 class PiecewiseSmoothSystem:
-    """Two smooth vector fields separated by the zero set of sigma.
+    """Two smooth vector fields separated by the surface sigma(x) = 0, where
+    sigma(x) = x[index] - level for surface = (index, level): one state
+    coordinate crossing one level, the form of every surface the models
+    declare. Its unit normal makes f[index] the normal component of a field.
 
     f_plus governs sigma > 0, f_minus governs sigma < 0; both must evaluate on
     either side of the surface. Immutable and safe to share across
     concurrently running integrations.
     """
 
-    dim: int
     f_plus: Callable[[float, np.ndarray], np.ndarray]
     f_minus: Callable[[float, np.ndarray], np.ndarray]
-    switching: SwitchingFunction
+    surface: tuple[int, float]
     delta: float = 0.0
+
+    def sigma(self, x) -> float:
+        i, level = self.surface
+        return float(x[i]) - level
 
 
 class BoundaryKind(Enum):
@@ -127,13 +115,12 @@ def classify_boundary(sys: PiecewiseSmoothSystem, x: np.ndarray,
     when either component vanishes within the scaled window.
     """
     x = np.asarray(x, dtype=float)
-    if abs(sys.switching.sigma(x)) > EPS_EVENT * 100:
+    if abs(sys.sigma(x)) > EPS_EVENT * 100:
         raise ValueError("state is not on the switching surface within tolerance")
-    g = np.asarray(sys.switching.grad_sigma(x), dtype=float)
+    i = sys.surface[0]
     fp = np.asarray(sys.f_plus(t, x))
     fm = np.asarray(sys.f_minus(t, x))
-    a_plus = float(g @ fp)
-    a_minus = float(g @ fm)
+    a_plus, a_minus = float(fp[i]), float(fm[i])
     wp = TANGENTIAL_WINDOW * (1.0 + np.linalg.norm(fp))
     wm = TANGENTIAL_WINDOW * (1.0 + np.linalg.norm(fm))
     if abs(a_plus) < wp or abs(a_minus) < wm:
@@ -152,31 +139,28 @@ def filippov_field(sys: PiecewiseSmoothSystem, x: np.ndarray,
     """Convex-combination sliding field tangent to the switching surface.
 
     Returns (lambda_sigma, f_sigma) with lambda_sigma in (-1, 1) on attracting
-    sliding states and grad_sigma . f_sigma = 0 by construction. f_sigma is
-    a tuple of floats when the fields return tuples (then x may be a tuple),
-    else an ndarray; for a unit gradient the two agree to the bit.
+    sliding states. The normal components are a+- = f+-[index], so
+    f_sigma[index] = (a- a+ - a+ a-) / den is exactly 0.0: a sliding segment
+    started at x[index] = level stays there to the bit, in every stage, step
+    and dense-output point. f_sigma is a tuple of floats when the fields
+    return tuples (then x may be a tuple), else an ndarray; the two agree to
+    the bit.
     """
     if not isinstance(x, tuple):
         x = np.asarray(x, dtype=float)
-    g = np.asarray(sys.switching.grad_sigma(x), dtype=float)
+    i = sys.surface[0]
     fp, fm = sys.f_plus(t, x), sys.f_minus(t, x)
-    floats = isinstance(fp, tuple)
-    if floats:
-        g = g.tolist()
-        a_plus, a_minus = sum(map(mul, g, fp)), sum(map(mul, g, fm))
-    else:
-        fp, fm = np.asarray(fp), np.asarray(fm)
-        a_plus, a_minus = float(g @ fp), float(g @ fm)
+    a_plus, a_minus = float(fp[i]), float(fm[i])
     den = a_minus - a_plus
     scale = 1.0 + abs(a_plus) + abs(a_minus)
     if abs(den) < 1e-14 * scale:
         raise DegenerateDenominatorError(
-            "(f_minus - f_plus) . grad_sigma vanishes; sliding field undefined")
+            "f_minus[index] - f_plus[index] vanishes; sliding field undefined")
     lam = (a_minus + a_plus) / den
-    if floats:
+    if isinstance(fp, tuple):
         return lam, tuple([(a_minus * p - a_plus * m) / den
                            for p, m in zip(fp, fm)])
-    return lam, (a_minus * fp - a_plus * fm) / den
+    return lam, (a_minus * np.asarray(fp) - a_plus * np.asarray(fm)) / den
 
 
 class EventKind(Enum):
@@ -220,12 +204,12 @@ class HybridTrajectory:
     def times(self) -> np.ndarray:
         return np.concatenate([s.t for s in self.segments])
 
-    def add_event(self, t, x, kind, max_events: int) -> None:
-        """Append an event; more than max_events raise ChatteringError."""
+    def add_event(self, t, x, kind) -> None:
+        """Append an event; more than MAX_EVENTS raise ChatteringError."""
         self.events.append(Event(t=t, x=np.asarray(x).copy(), kind=kind))
-        if len(self.events) > max_events:
+        if len(self.events) > MAX_EVENTS:
             raise ChatteringError(
-                f"more than {max_events} events in one time span")
+                f"more than {MAX_EVENTS} events in one time span")
 
     def states(self) -> np.ndarray:
         return np.vstack([s.x for s in self.segments])
@@ -289,7 +273,6 @@ class IntegratorOptions:
     atol: float = 1e-11
     max_step: float = np.inf
     first_step: float = 1e-4   # of a call; a segment after an event carries h
-    max_events: int = MAX_EVENTS
     t_eval_dt: Optional[float] = None   # also sample t_span[0] + k * t_eval_dt
     record_steps: bool = True
     min_step: float = 1e-14
@@ -513,40 +496,30 @@ def _bisect(g, state, t_lo, t_hi, eps, max_iter=200):
 
 
 def _integrate_segment(f, t0, x0, t_end, opts, t_grid0, event=None,
-                       arm_above=None, eps=EPS_EVENT, project=None,
-                       observe=None, h=None):
+                       arm_above=None, eps=EPS_EVENT, observe=None, h=None):
     """Integrate one smooth field from (t0, x0) until t_end or an event.
 
     The field's return type picks the stepper (_stepper), which starts at
     step h (opts.first_step without h). event(t, x) is a scalar event
     function. It is armed once it exceeds arm_above (from the start when
     arm_above is None) and fires at the first accepted step where it is
-    negative; the event state is then bisected on the dense output. project,
-    when given, maps the start, every accepted state and the located event
-    state back onto a constraint set. Returns the recorded Segment (branch
-    unset), whose last sample is the end or event state, whether the event
-    fired, and then the step to carry on with: the last accepted step size
-    after an event, else the larger of the steps the stepper proposed before
-    and after its last step (which was cut short to end at t_end).
+    negative; the event state is then bisected on the dense output. Returns
+    the recorded Segment (branch unset), whose last sample is the end or
+    event state, whether the event fired, and then the step to carry on
+    with: the last accepted step size after an event, else the larger of the
+    steps the stepper proposed before and after its last step (which was cut
+    short to end at t_end).
     """
-    if project is not None:
-        x0 = project(x0)
     stepper = _stepper(f, t0, x0, opts, h)
     record_step, finish = _segment_recorder(opts, t_grid0, t0, x0, observe)
     armed = arm_above is None or event(t0, x0) > arm_above
-    if project is None:
-        state = stepper.interpolate
-    else:
-        def state(t):
-            return project(stepper.interpolate(t))
     before = after = stepper.h
     while stepper.step(t_end):
-        if project is not None:
-            stepper.x = project(stepper.x)
         if event is not None:
             g_new = event(stepper.t, stepper.x)
             if armed and g_new < 0.0:
-                t_ev, x_ev = _bisect(event, state, stepper.t_old, stepper.t, eps)
+                t_ev, x_ev = _bisect(event, stepper.interpolate, stepper.t_old,
+                                     stepper.t, eps)
                 return finish(stepper, t_ev, x_ev), True, stepper.h_old
             if not armed and g_new > arm_above:
                 armed = True
@@ -634,10 +607,10 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
         # smooth limit: the two fields coincide and the surface is inert
         seg, _, traj.next_step = _integrate_segment(sys.f_plus, t0, x0,
                                                     t_end, opts, t0)
-        seg.branch = "+" if sys.switching.sigma(x0) >= 0 else "-"
+        seg.branch = "+" if sys.sigma(x0) >= 0 else "-"
         traj.segments.append(seg)
         return traj
-    s0 = sys.switching.sigma(x0)
+    s0 = sys.sigma(x0)
     if abs(s0) <= EPS_EVENT:
         cls = classify_boundary(sys, x0, t0)
         if cls.kind == BoundaryKind.ATTRACTING_SLIDING:
@@ -663,7 +636,7 @@ def integrate_hybrid(sys: PiecewiseSmoothSystem, x0, t_span,
 def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj, h):
     f = sys.f_plus if branch == "+" else sys.f_minus
     sgn = 1.0 if branch == "+" else -1.0
-    sigma = sys.switching.sigma
+    sigma = sys.sigma
     # arm crossing detection only once the state sits on the branch's valid
     # side, so segments that begin on the surface cannot retrigger instantly
     seg, hit, h = _integrate_segment(f, t0, x0, t_end, opts, t_grid0,
@@ -678,10 +651,10 @@ def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj, h):
     if cls.kind == BoundaryKind.REPELLING_SLIDING:
         raise RepellingSlidingError(t_ev, x_ev)
     if cls.kind == BoundaryKind.ATTRACTING_SLIDING:
-        traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
+        traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY)
         return t_ev, x_ev, "sigma", h
     if cls.kind == BoundaryKind.TANGENTIAL:
-        traj.add_event(t_ev, x_ev, EventKind.TANGENTIAL, opts.max_events)
+        traj.add_event(t_ev, x_ev, EventKind.TANGENTIAL)
         # micro-step with the incoming field, then reclassify by sign
         h_micro = max(1e-12, 1e-8 * max(1.0, abs(t_end - t0)))
         x_next = x_ev + h_micro * np.asarray(f(t_ev, x_ev))
@@ -689,22 +662,16 @@ def _run_branch(sys, branch, t0, x0, t_end, opts, t_grid0, traj, h):
         s_next = sigma(x_next)
         nxt = "+" if s_next > 0 else "-"
         return t_next, x_next, nxt, h
-    traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
+    traj.add_event(t_ev, x_ev, EventKind.CROSSING)
     return t_ev, x_ev, ("+" if cls.direction > 0 else "-"), h
 
 
 def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj, h):
-    grad, sigma = sys.switching.grad_sigma, sys.switching.sigma
-
-    def project(x):
-        # one Newton step onto sigma = 0 (exact for linear sigma), in the
-        # type of x: a tuple of floats on the float stepper
-        g = np.asarray(grad(x), dtype=float)
-        if isinstance(x, tuple):
-            g, s = g.tolist(), sigma(x)
-            gg = sum(map(mul, g, g))
-            return tuple([xi - s * gi / gg for xi, gi in zip(x, g)])
-        return x - sigma(x) * g / float(g @ g)
+    # the start goes onto the surface once; f_sigma[index] is exactly 0.0
+    # (filippov_field), so the segment stays on it to the bit
+    index, level = sys.surface
+    x0 = np.array(x0, dtype=float)
+    x0[index] = level
 
     def f_slide(t, x):
         _, fs = filippov_field(sys, x, t)
@@ -715,15 +682,14 @@ def _run_sliding(sys, t0, x0, t_end, opts, t_grid0, traj, h):
         lam, _ = filippov_field(sys, x, t)
         return 1.0 - lam * lam
 
-    seg, hit, h = _integrate_segment(f_slide, t0, np.asarray(x0, dtype=float),
-                                     t_end, opts, t_grid0, event=lam_margin,
-                                     eps=1e-12, project=project, h=h)
+    seg, hit, h = _integrate_segment(f_slide, t0, x0, t_end, opts, t_grid0,
+                                     event=lam_margin, eps=1e-12, h=h)
     seg.branch = "sigma"
     traj.segments.append(seg)
     t_ev, x_ev = seg.t[-1], seg.x[-1]
     if not hit:
         return t_ev, x_ev, "sigma", h
-    traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
+    traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT)
     lam, _ = filippov_field(sys, x_ev, t_ev)
     return t_ev, x_ev, ("+" if lam > 0 else "-"), h
 

@@ -313,9 +313,9 @@ def _rom_branch_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
     if not hit:
         return t_ev, y_ev, branch, "branch", h
     if rom.sticking is not None and rom.sticks(model, t_ev, y_ev):
-        traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY, opts.max_events)
+        traj.add_event(t_ev, x_ev, EventKind.STICK_ENTRY)
         return t_ev, y_ev, branch, "sticking", h
-    traj.add_event(t_ev, x_ev, EventKind.CROSSING, opts.max_events)
+    traj.add_event(t_ev, x_ev, EventKind.CROSSING)
     new_branch = "-" if branch == "+" else "+"
     return t_ev, switch_ic(rom, y_ev, branch, t_ev), new_branch, "branch", h
 
@@ -340,7 +340,7 @@ def _rom_sticking_segment(rom, branch, t0, y0, t_end, opts, t_grid0, traj, h):
     t_ev, y_ev, x_ev = seg.t[-1], seg.y[-1], seg.x[-1]
     if not hit:
         return t_ev, y_ev, branch, "sticking", h
-    traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT, opts.max_events)
+    traj.add_event(t_ev, x_ev, EventKind.STICK_EXIT)
     lam = rom.sliding(model, t_ev, y_ev)[0]
     return t_ev, y_ev, ("+" if lam > 0 else "-"), "branch", h
 

@@ -14,7 +14,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .core import PiecewiseSmoothSystem, SwitchingFunction
+from .core import PiecewiseSmoothSystem
 
 
 @dataclass(frozen=True)
@@ -69,13 +69,9 @@ def sp_field(params: SpParams, branch: str, t: float, x) -> tuple:
     )
 
 
-# the switching surface (index, level): sigma(x) = dq1, the velocity with
-# which the friction force flips sign
+# the switching surface (index, level) of the full model and the ROM:
+# sigma(x) = dq1, the velocity with which the friction force flips sign
 SP_SURFACE = (1, 0.0)
-
-
-def sp_switching() -> SwitchingFunction:
-    return SwitchingFunction.coordinate(4, SP_SURFACE)
 
 
 def sp_elastic_term(params: SpParams, x: np.ndarray) -> float:
@@ -139,9 +135,8 @@ def sp_forcing_vector(params: SpParams) -> np.ndarray:
 
 def make_system(params: SpParams) -> PiecewiseSmoothSystem:
     return PiecewiseSmoothSystem(
-        dim=4,
         f_plus=lambda t, x: sp_field(params, "+", t, x),
         f_minus=lambda t, x: sp_field(params, "-", t, x),
-        switching=sp_switching(),
+        surface=SP_SURFACE,
         delta=params.delta,
     )

@@ -22,7 +22,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import PiecewiseSmoothSystem, SwitchingFunction
+from .core import PiecewiseSmoothSystem
 
 
 @dataclass(frozen=True)
@@ -264,29 +264,23 @@ def beam_field(assembly: BeamAssembly, variant: Optional[NonsmoothVariant],
 
 def beam_surface(assembly: BeamAssembly,
                  variant: NonsmoothVariant) -> tuple[int, float]:
-    """The switching surface (index, level), sigma(x) = x[index] - level: the
-    midpoint displacement for the soft impact, the midpoint velocity for
-    Coulomb friction, and its speed relative to the belt for the belt."""
+    """The switching surface (index, level) of the full model and the ROM,
+    sigma(x) = x[index] - level: the midpoint displacement for the soft
+    impact, the midpoint velocity for Coulomb friction, and its speed
+    relative to the belt for the belt."""
     i, n = assembly.mid_dof_index, assembly.n_dof
     if variant.kind == "soft_impact":
         return i, 0.0
     return n + i, variant.v_ground if variant.kind == "moving_belt" else 0.0
 
 
-def beam_switching(assembly: BeamAssembly,
-                   variant: NonsmoothVariant) -> SwitchingFunction:
-    return SwitchingFunction.coordinate(2 * assembly.n_dof,
-                                        beam_surface(assembly, variant))
-
-
 def make_beam_system(assembly: BeamAssembly, variant: NonsmoothVariant,
                      forcing: Optional[Callable[[float], np.ndarray]] = None
                      ) -> PiecewiseSmoothSystem:
     return PiecewiseSmoothSystem(
-        dim=2 * assembly.n_dof,
         f_plus=lambda t, x: beam_field(assembly, variant, "+", t, x, forcing),
         f_minus=lambda t, x: beam_field(assembly, variant, "-", t, x, forcing),
-        switching=beam_switching(assembly, variant),
+        surface=beam_surface(assembly, variant),
         delta=variant.delta,
     )
 

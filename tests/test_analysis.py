@@ -5,8 +5,8 @@ from pwsrom import analysis
 from pwsrom.core import EventKind, IntegratorOptions, integrate_hybrid
 from pwsrom.problem import Oscillator
 from pwsrom.rom import StrategyError, _correct_onto_surface
-from pwsrom.shaw_pierre import (SpParams, make_system, sp_elastic_term,
-                                sp_switching)
+from pwsrom.shaw_pierre import (SP_SURFACE, SpParams, make_system,
+                                sp_elastic_term)
 
 
 _A = np.array([[0.9, 0.2], [-0.1, 0.8]])
@@ -338,11 +338,11 @@ def test_advect_from_surface_takes_the_side_the_flow_leaves_on():
     m = rom.model("+")
     y0 = _correct_onto_surface(rom, m, np.array([0.3, 0.1]), 0.0)
     x0 = m.lift(y0)
-    sw = sp_switching()
-    gs = np.asarray(sw.grad_sigma(x0)) @ m.lift_jacobian(y0)
+    sigma = make_system(SpParams(delta=0.05)).sigma
+    gs = np.eye(4)[SP_SURFACE[0]] @ m.lift_jacobian(y0)
     sdot = gs @ m.reduced_field(0.0, y0)
     y_start = y0 - np.sign(sdot) * 1e-9 * gs / (gs @ gs)
-    assert sw.sigma(m.lift(y_start)) * sdot < 0
+    assert sigma(m.lift(y_start)) * sdot < 0
     edge = analysis._advect_to_surface(rom, "+", y_start)
     expected = [0.005887267736383907, 4.685888374413746e-11,
                 0.020518937624123282, 0.005489665214542148]

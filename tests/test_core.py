@@ -9,45 +9,22 @@ from pwsrom import core
 from pwsrom.core import (BoundaryKind, ChatteringError, EventKind,
                          DegenerateDenominatorError, IntegratorOptions,
                          PiecewiseSmoothSystem, RepellingSlidingError,
-                         SwitchingFunction, classify_boundary,
+                         classify_boundary,
                          StiffnessError, _float_stepper, _integrate_segment,
                          _Stepper, _stepper, filippov_field, integrate_hybrid)
 from pwsrom.problem import Oscillator
 from pwsrom.rom import simulate_rom
-from pwsrom.shaw_pierre import SpParams, make_system, sp_switching
+from pwsrom import vk_beam as vkb
+from pwsrom.shaw_pierre import SP_SURFACE, SpParams, make_system
 from sp_oracles import sp_sliding_field, sp_sticking_test
 
 
 def const_system(fp, fm):
     fp = np.asarray(fp, dtype=float)
     fm = np.asarray(fm, dtype=float)
-    grad = np.zeros(len(fp))
-    grad[1] = 1.0
-    sw = SwitchingFunction(sigma=lambda x: float(x[1]),
-                           grad_sigma=lambda x: grad)
-    return PiecewiseSmoothSystem(dim=len(fp), f_plus=lambda t, x: fp,
-                                 f_minus=lambda t, x: fm, switching=sw,
+    return PiecewiseSmoothSystem(f_plus=lambda t, x: fp,
+                                 f_minus=lambda t, x: fm, surface=(1, 0.0),
                                  delta=1.0)
-
-
-def finite_difference_gradient(sigma, x, h=1e-6):
-    """Central-difference gradient of a scalar function."""
-    x = np.asarray(x, dtype=float)
-    g = np.empty_like(x)
-    for i in range(len(x)):
-        dx = np.zeros_like(x)
-        dx[i] = h * max(1.0, abs(x[i]))
-        g[i] = (sigma(x + dx) - sigma(x - dx)) / (2 * dx[i])
-    return g
-
-
-def test_switching_gradient_matches_finite_difference():
-    sw = sp_switching()
-    rng = np.random.default_rng(1)
-    for _ in range(10):
-        x = rng.normal(size=4)
-        g_fd = finite_difference_gradient(sw.sigma, x)
-        assert np.allclose(sw.grad_sigma(x), g_fd, rtol=1e-6, atol=1e-9)
 
 
 def test_classify_crossing_positive():
@@ -83,34 +60,32 @@ def test_classification_stable_under_tolerance():
 
 
 def test_filippov_symmetric_combination():
-    sw = SwitchingFunction(sigma=lambda x: float(x[1]),
-                           grad_sigma=lambda x: np.array([0.0, 1.0]))
-    sys = PiecewiseSmoothSystem(dim=2,
-                                f_plus=lambda t, x: np.array([1.0, -1.0]),
+    sys = PiecewiseSmoothSystem(f_plus=lambda t, x: np.array([1.0, -1.0]),
                                 f_minus=lambda t, x: np.array([1.0, 1.0]),
-                                switching=sw, delta=1.0)
+                                surface=(1, 0.0), delta=1.0)
     lam, fs = filippov_field(sys, [0.0, 0.0])
     assert np.isclose(lam, 0.0)
     assert np.allclose(fs, [1.0, 0.0])
 
 
 def test_filippov_tangency_by_construction():
-    rng = np.random.default_rng(7)
+    # the normal component of f_sigma is (a- a+ - a+ a-) / den: zero exactly,
+    # for tuple fields (float stepper) and ndarray fields (numpy stepper)
     params = SpParams(delta=0.3)
-    sys = make_system(params)
-    grad = np.array([0.0, 1.0, 0.0, 0.0])
-    count = 0
-    for _ in range(500):
-        x = rng.normal(size=4)
-        x[1] = 0.0
-        cls = classify_boundary(sys, x)
-        if cls.kind != BoundaryKind.ATTRACTING_SLIDING:
-            continue
-        lam, fs = filippov_field(sys, x)
-        count += 1
-        assert -1.0 < lam < 1.0
-        assert abs(grad @ fs) <= 1e-12 * (1.0 + np.linalg.norm(fs))
-    assert count > 20
+    for sys in (make_system(params), _array_fields(params)):
+        rng = np.random.default_rng(7)
+        count = 0
+        for _ in range(500):
+            x = rng.normal(size=4)
+            x[1] = 0.0
+            cls = classify_boundary(sys, x)
+            if cls.kind != BoundaryKind.ATTRACTING_SLIDING:
+                continue
+            lam, fs = filippov_field(sys, x)
+            count += 1
+            assert -1.0 < lam < 1.0
+            assert fs[1] == 0.0
+        assert count > 20
 
 
 def _array_fields(params):
@@ -292,6 +267,37 @@ def test_sliding_segment_invariants():
     assert saw_sigma
 
 
+def _beam_sticking(kind, delta, kick, t_end):
+    asm = vkb.assemble_beam()
+    variant = vkb.NonsmoothVariant(kind=kind, delta=delta)
+    x0 = vkb.branch_fixed_point(asm, variant, "-").copy()
+    x0[asm.mid_dof_index] += kick
+    traj = integrate_hybrid(vkb.make_beam_system(asm, variant), x0,
+                            (0.0, t_end),
+                            IntegratorOptions(rtol=1e-7, atol=1e-10,
+                                              first_step=1e-6))
+    return traj, vkb.beam_surface(asm, variant)
+
+
+@pytest.mark.parametrize("run", [
+    lambda: (_full_sticking_run(IntegratorOptions()), SP_SURFACE),
+    lambda: _beam_sticking("coulomb", 12.0, 1e-4, 0.02),
+    lambda: _beam_sticking("moving_belt", 8.0, 1e-3, 0.1)],
+    ids=["oscillator", "beam_coulomb", "beam_belt"])
+def test_sliding_holds_the_surface_coordinate_at_its_level_exactly(run):
+    # the start is set onto the surface once and f_sigma[index] is 0.0, so
+    # every sample of a sliding segment and every release state sits at the
+    # level to the bit (the belt's level 0.1 included)
+    traj, (index, level) = run()
+    sliding = [seg for seg in traj.segments if seg.branch == "sigma"]
+    exits = [ev for ev in traj.events if ev.kind == EventKind.STICK_EXIT]
+    assert sliding and exits
+    for seg in sliding:
+        assert (seg.x[:, index] == level).all()
+    for ev in exits:
+        assert ev.x[index] == level
+
+
 def test_branch_side_invariant():
     params = SpParams(delta=0.05)
     sys = make_system(params)
@@ -319,33 +325,26 @@ def test_repelling_sliding_refused():
     assert ei.value.x.shape == (2,)
 
 
-def test_chattering_guard():
-    grad = np.array([0.0, 1.0])
-    sw = SwitchingFunction(sigma=lambda x: float(x[1]),
-                           grad_sigma=lambda x: grad)
-
+def test_chattering_guard(monkeypatch):
     def wiggle(t, x):
         # x2(t) = 0.5 + sin(200 t) crosses zero twice per fast period
         return np.array([1.0, 200.0 * np.cos(200.0 * t)])
 
-    sys = PiecewiseSmoothSystem(dim=2, f_plus=wiggle, f_minus=wiggle,
-                                switching=sw, delta=1.0)
+    sys = PiecewiseSmoothSystem(f_plus=wiggle, f_minus=wiggle,
+                                surface=(1, 0.0), delta=1.0)
+    monkeypatch.setattr(core, "MAX_EVENTS", 40)
     with pytest.raises(ChatteringError):
-        integrate_hybrid(sys, [0.0, 0.5], (0.0, 50.0),
-                         IntegratorOptions(max_events=40))
+        integrate_hybrid(sys, [0.0, 0.5], (0.0, 50.0))
 
 
 def test_tangential_grazing_micro_step():
     # dx2 = x1^3 with a dip of 1e-13 below the surface: the located hit has
-    # |grad sigma . f| inside the tangential window
-    grad = np.array([0.0, 1.0])
-    sw = SwitchingFunction(sigma=lambda x: float(x[1]),
-                           grad_sigma=lambda x: grad)
+    # |f[1]| inside the tangential window
 
     def f(t, x):
         return np.array([1.0, x[0] ** 3])
 
-    sys = PiecewiseSmoothSystem(dim=2, f_plus=f, f_minus=f, switching=sw,
+    sys = PiecewiseSmoothSystem(f_plus=f, f_minus=f, surface=(1, 0.0),
                                 delta=1.0)
     a = 0.5
     dip = 1e-13

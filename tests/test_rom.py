@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from pwsrom import rom as rom_module
-from pwsrom import shaw_pierre, ssm_model
+from pwsrom import ssm_model
 from pwsrom import vk_beam as vkb
 from pwsrom.core import (EventKind, IntegratorOptions, PiecewiseSmoothSystem,
                          _Stepper, integrate_hybrid)
@@ -13,9 +13,11 @@ from pwsrom.problem import Beam, Oscillator
 from pwsrom.rom import (NonsmoothRom, RomConfigurationError, StrategyError,
                         _correct_onto_surface, _newton, _trace, _trace_surface,
                         simulate_rom, switch_ic, switching_value)
-from pwsrom.shaw_pierre import SP_SURFACE, SpParams, make_system, sp_switching
+from pwsrom.shaw_pierre import SP_SURFACE, SpParams, make_system
 from pwsrom.ssm_model import PeriodicCorrection, SsmModel
 from sp_oracles import sp_sliding_field, sp_sticking_test, sp_surface_pull
+
+sp_sigma = make_system(SpParams()).sigma
 
 
 @pytest.fixture(scope="module")
@@ -48,7 +50,7 @@ def test_continuity_q1_matches_coordinate(rom_01):
     y_to = switch_ic(rom, y_from, "+", strategy="continuity_q1")
     x_to = rom.model_minus.lift(y_to)
     assert abs(x_to[0] - x_from[0]) < 1e-10
-    assert abs(sp_switching().sigma(x_to)) < 1e-9
+    assert abs(sp_sigma(x_to)) < 1e-9
 
 
 def test_continuity_q1q2_matches_both(rom_01):
@@ -67,13 +69,13 @@ def test_min_all_vars_beats_neighbors(rom_01):
     x_from = rom.model_plus.lift(y_from)
     y_min = switch_ic(rom, y_from, "+", strategy="min_all_vars")
     x_min = rom.model_minus.lift(y_min)
-    assert abs(sp_switching().sigma(x_min)) < 1e-9
+    assert abs(sp_sigma(x_min)) < 1e-9
     base = np.linalg.norm(x_min - x_from)
     # perturbations along the constraint curve cannot do better
     from pwsrom.rom import _correct_onto_surface
     for ds in (-0.02, 0.02):
         J = rom.model_minus.lift_jacobian(y_min)
-        gs = np.asarray(sp_switching().grad_sigma(x_min)) @ J
+        gs = np.eye(4)[SP_SURFACE[0]] @ J
         tang = np.array([-gs[1], gs[0]])
         tang /= np.linalg.norm(tang)
         y_alt = _correct_onto_surface(rom, rom.model_minus, y_min + ds * tang, 0.0)
@@ -190,9 +192,9 @@ def test_sticking_chart_misconfiguration_detected(rom_01):
     base = rom_01
     push = np.array([0.0, 0.0, 0.0, 10.0])
     system = PiecewiseSmoothSystem(
-        dim=4, f_plus=lambda t, x: tuple(push + [0.0, -1.0, 0.0, 0.0]),
+        f_plus=lambda t, x: tuple(push + [0.0, -1.0, 0.0, 0.0]),
         f_minus=lambda t, x: tuple(push + [0.0, 1.0, 0.0, 0.0]),
-        switching=sp_switching(), delta=1.0)
+        surface=SP_SURFACE, delta=1.0)
     rom = NonsmoothRom(model_plus=base.model_plus, model_minus=base.model_minus,
                        surface=SP_SURFACE, sticking=system)
     y0 = rom.model_plus.chart(np.array([0.8, 0.5, 0.0, 0.0]))
@@ -234,22 +236,21 @@ def test_precomposed_switching_value_is_sigma_of_the_lift():
     rng = np.random.default_rng(7)
     for eps in (0.15, 0.0):
         rom = Oscillator(SpParams(delta=0.1, eps=eps, omega=1.1)).rom()
-        sigma = sp_switching().sigma
         for branch in "+-":
             model = rom.model(branch)
             value = switching_value(rom, model)
             for _ in range(500):
                 y = rng.uniform(-0.8, 0.8, 2)
                 t = rng.uniform(0.0, 60.0)
-                assert value(y, t) == sigma(model.lift(y, t))
-                assert value(y) == sigma(model.lift(y))
+                assert value(y, t) == sp_sigma(model.lift(y, t))
+                assert value(y) == sp_sigma(model.lift(y))
 
 
 def test_precomposed_belt_switching_value():
     # sigma = dq_mid - v_ground on a forced order-5 model of the beam's size
     asm = vkb.assemble_beam()
     belt = vkb.NonsmoothVariant(kind="moving_belt", delta=8.0)
-    sw = vkb.beam_switching(asm, belt)
+    sigma = vkb.make_beam_system(asm, belt).sigma
     i, level = vkb.beam_surface(asm, belt)
     assert level != 0.0
     n = 2 * asm.n_dof
@@ -270,8 +271,8 @@ def test_precomposed_belt_switching_value():
         t = rng.uniform(0.0, 0.1)
         terms = model._C[:, i] * model._phi(y, t)
         scale = np.abs(terms).sum() + abs(level)
-        assert abs(value(y, t) - sw.sigma(model.lift(y, t))) <= 1e-15 * scale
-        assert abs(value(y) - sw.sigma(model.lift(y))) <= 1e-15 * scale
+        assert abs(value(y, t) - sigma(model.lift(y, t))) <= 1e-15 * scale
+        assert abs(value(y) - sigma(model.lift(y))) <= 1e-15 * scale
 
 
 def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
@@ -296,20 +297,6 @@ def test_affine_branch_event_lifts_only_at_crossings(monkeypatch):
     # the projection transfer lifts once per crossing, at its time
     lifts, crossings = lift_times()
     assert lifts == crossings
-    # the same with the full model's switching function rebuilt from sigma
-    # and grad_sigma alone, as a wrapper that counts sigma calls rebuilds
-    # it: the ROM takes its surface from the model's declaration
-    rebuilt = []
-    make = shaw_pierre.sp_switching
-
-    def wrapped():
-        sw = make()
-        rebuilt.append(sw)
-        return type(sw)(sigma=lambda x: sw.sigma(x), grad_sigma=sw.grad_sigma)
-
-    monkeypatch.setattr(shaw_pierre, "sp_switching", wrapped)
-    assert lift_times() == (lifts, crossings)
-    assert rebuilt
 
 
 def _is_float_pair(v):
@@ -407,13 +394,13 @@ def test_beam_rule_slides_at_the_held_velocity():
 
 def _lifting_pair(rom, model):
     """The oracle of rom.surface_pair: sigma of one lift of the reduced pair
-    and grad_sigma there times the lift Jacobian."""
-    sw = sp_switching()
+    and the surface's unit normal e_index times the lift Jacobian."""
+    e = np.eye(4)[SP_SURFACE[0]]
 
     def pair(y, t):
         x = model.lift(y, t)
-        return sw.sigma(x), lambda: tuple(
-            (np.asarray(sw.grad_sigma(x)) @ model.lift_jacobian(y)).tolist())
+        return sp_sigma(x), lambda: tuple(
+            (e @ model.lift_jacobian(y)).tolist())
 
     return pair
 

@@ -3,8 +3,8 @@ import pytest
 
 from pwsrom.core import (BoundaryKind, IntegratorOptions, classify_boundary,
                          integrate_hybrid)
-from pwsrom.shaw_pierre import (SpParams, make_system, sp_field,
-                                sp_fixed_points, sp_shifted, sp_switching)
+from pwsrom.shaw_pierre import (SP_SURFACE, SpParams, make_system, sp_field,
+                                sp_fixed_points, sp_shifted)
 from sp_oracles import sp_sticking_test
 
 
@@ -49,10 +49,11 @@ def test_field_returns_python_floats():
 
 
 def test_switching_values():
-    sw = sp_switching()
-    assert sw.sigma(np.array([5.0, 0.0, -3.0, 2.0])) == 0.0
-    assert sw.sigma(np.array([0.0, -0.4, 0.0, 0.0])) == -0.4
-    assert np.allclose(sw.grad_sigma(np.zeros(4)), [0, 1, 0, 0])
+    sys = make_system(SpParams(delta=0.1))
+    assert sys.surface == SP_SURFACE == (1, 0.0)
+    assert sys.sigma(np.array([5.0, 0.0, -3.0, 2.0])) == 0.0
+    assert sys.sigma(np.array([0.0, -0.4, 0.0, 0.0])) == -0.4
+    assert sys.sigma((0.0, -0.4, 0.0, 0.0)) == -0.4
 
 
 def test_sticking_test_cases():
